@@ -16,12 +16,12 @@ the verdict of interest is whether any of them excludes the double effect.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .data import data_file, read_entries
 from .errors import ConfigurationError, DomainError, RegistryError
 from .gravity import CelestialBody, FieldPoint, PotentialField, potential
 from .spectra import ShiftModel, fractional_shift
@@ -261,23 +261,10 @@ def _parse_geometry(raw, where: str) -> Geometry:
 
 def load_registry(path: str | Path) -> list[ExperimentRecord]:
     """Read and validate a JSON array of experiment records."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise RegistryError(f"experiment registry not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise RegistryError(
-            f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(raw, list):
-        raise RegistryError(f"{path}: expected a JSON array of experiment records")
     records: list[ExperimentRecord] = []
     seen: set[str] = set()
-    for i, entry in enumerate(raw):
-        where = f"{path}: record #{i}"
-        if not isinstance(entry, dict):
-            raise RegistryError(f"{where}: expected an object")
+    for where, entry in read_entries(path, "experiment registry", "experiment records",
+                                     "record"):
         for fieldname in ("name", "geometry", "measured_ratio", "ratio_uncertainty"):
             if fieldname not in entry:
                 raise RegistryError(f"{where}: missing field {fieldname!r}")
@@ -302,6 +289,4 @@ def load_registry(path: str | Path) -> list[ExperimentRecord]:
 
 def default_registry() -> list[ExperimentRecord]:
     """Packaged records, overridable via GRAVSHIFT_DATA_DIR."""
-    from .data import data_file
-
     return load_registry(data_file("experiments.json"))

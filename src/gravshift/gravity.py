@@ -13,13 +13,13 @@ the body radius.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .data import data_file, read_entries
 from .errors import ConfigurationError, DomainError, RegistryError
 from .units import (
     ACCELERATION,
@@ -198,20 +198,8 @@ def binding_energy(m: Quantity, field_: PotentialField, point: FieldPoint) -> Qu
 
 def load_bodies(path: str | Path, constants: ConstantSet = CONSTANTS) -> dict[str, CelestialBody]:
     """Read a JSON array of {name, mass_kg, radius_m} into a name-keyed registry."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise RegistryError(f"body registry not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise RegistryError(f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from None
-    if not isinstance(raw, list):
-        raise RegistryError(f"{path}: expected a JSON array of bodies")
     registry: dict[str, CelestialBody] = {}
-    for i, entry in enumerate(raw):
-        where = f"{path}: body #{i}"
-        if not isinstance(entry, dict):
-            raise RegistryError(f"{where}: expected an object")
+    for where, entry in read_entries(path, "body registry", "bodies", "body"):
         try:
             name = entry["name"]
             mass_kg = entry["mass_kg"]
@@ -230,6 +218,4 @@ def load_bodies(path: str | Path, constants: ConstantSet = CONSTANTS) -> dict[st
 
 def default_bodies(constants: ConstantSet = CONSTANTS) -> dict[str, CelestialBody]:
     """Packaged Earth/Sun registry, overridable via GRAVSHIFT_DATA_DIR."""
-    from .data import data_file
-
     return load_bodies(data_file("bodies.json"), constants)

@@ -18,6 +18,11 @@ system with adaptive Runge-Kutta stepping and reports the asymptotic
 deflection between the incoming and outgoing directions, the transit time
 integral ds/c', and the closest approach.  A single point mass and a ray
 define a plane, so the geometry is 2D.
+
+The closest approach comes from the integrator's own event location: a
+body's closest centre distance is the least over its periapsis events, where
+(x - c).p turns positive, and the two ends of the solve.  Each body's impact
+test uses its own closest approach.
 """
 
 from __future__ import annotations
@@ -27,17 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, ImpactError
 from .gravity import CelestialBody
 from .units import (
     CONSTANTS,
     FREQUENCY,
-    POTENTIAL,
     ConstantSet,
     Quantity,
     ensure_dimension,
+    weak_field_ratio,
 )
 
 __all__ = [
@@ -72,19 +76,10 @@ def photon_mass(p: Photon, constants: ConstantSet = CONSTANTS) -> Quantity:
     return (constants.h * p.frequency) / constants.c_squared
 
 
-def _shift_ratio(dphi: Quantity, constants: ConstantSet) -> float:
-    """dphi/c^2 as a float, weak-field guarded."""
-    ensure_dimension(dphi, POTENTIAL, "dphi")
-    ratio = float(dphi / constants.c_squared)
-    if abs(ratio) >= 1.0:
-        raise DomainError(f"|dphi|/c^2 = {abs(ratio):.3g} >= 1: outside the weak-field domain")
-    return ratio
-
-
 def photon_mass_change(p: Photon, dphi: Quantity,
                        constants: ConstantSet = CONSTANTS) -> Quantity:
     """Signed mass change m_ph * dphi/c^2 across a potential difference."""
-    ratio = _shift_ratio(dphi, constants)
+    ratio = weak_field_ratio(dphi, constants)
     m_ph = photon_mass(p, constants)
     return Quantity(m_ph.value * ratio, m_ph.dim)
 
@@ -95,16 +90,16 @@ def local_light_speed(phi: Quantity, constants: ConstantSet = CONSTANTS) -> Quan
     Agrees with the linearised form c*(1 + phi/c^2) to within (phi/c^2)^2
     relative; for attractive potentials the result never exceeds c.
     """
-    ratio = _shift_ratio(phi, constants)
+    ratio = weak_field_ratio(phi, constants)
     return Quantity(constants.c.value / (1.0 - ratio), constants.c.dim)
 
 
 def photon_frequency_shift(p: Photon, phi1: Quantity, phi2: Quantity,
                            constants: ConstantSet = CONSTANTS) -> Quantity:
     """Frequency change nu*(phi1 - phi2)/c^2 for travel from r1 to r2."""
-    _shift_ratio(phi1, constants)
-    _shift_ratio(phi2, constants)
-    ratio = _shift_ratio(phi1 - phi2, constants)
+    weak_field_ratio(phi1, constants)
+    weak_field_ratio(phi2, constants)
+    ratio = weak_field_ratio(phi1 - phi2, constants)
     return Quantity(p.frequency.value * ratio, p.frequency.dim)
 
 
@@ -168,6 +163,10 @@ class RayResult:
     direction; deflection_error_rad is an a-posteriori estimate from a
     second, coarser integration.  Times are seconds; the transit time can
     never undercut the straight-line vacuum time because c' <= c.
+
+    closest_approach_m is the least, over bodies, of each body's closest
+    centre distance (the distance to the origin when there are no bodies).
+    An ImpactError instead carries the struck body's own closest approach.
     """
 
     deflection_rad: float
@@ -200,6 +199,9 @@ def impact_parameter_ray(body: CelestialBody, impact_parameter_m: float,
         raise ConfigurationError("termination factor must be at least 10")
     r_term = termination_factor * b
     x0 = -math.sqrt(max(r_term * r_term - b * b, 0.0))
+    if math.hypot(x0, b) > r_term:
+        # rounding can put the start one ulp outside the circle
+        x0 = math.nextafter(x0, 0.0)
     return RayPath(
         start=(x0, b),
         direction=(1.0, 0.0),
@@ -255,6 +257,15 @@ def _integrate(path: RayPath, rel_tol: float, impact_margin: float, constants: C
         impact_event.direction = -1.0
         events.append(impact_event)
 
+    # (x - c).p turns from negative to positive where |x - c| has a minimum
+    points = centers if centers.shape[0] else np.zeros((1, 2))
+    for c in points:
+        def periapsis_event(s, y, _c=c):
+            return (y[0] - _c[0]) * y[2] + (y[1] - _c[1]) * y[3]
+
+        periapsis_event.direction = 1.0
+        events.append(periapsis_event)
+
     start = np.asarray(path.start, dtype=float) / scale
     direction = np.asarray(path.direction, dtype=float)
     n0, _ = index_and_gradient(start)
@@ -266,41 +277,23 @@ def _integrate(path: RayPath, rel_tol: float, impact_margin: float, constants: C
         # (width ~ b = 1 L for impact-parameter geometry) is never straddled
         # by one giant step accepted in the flat approach region
         sol = solve_ivp(
-            rhs, (0.0, s_max), y0, method="DOP853", dense_output=True,
-            events=events, rtol=rel_tol, atol=rel_tol * 1e-3, max_step=0.5,
+            rhs, (0.0, s_max), y0, method="DOP853", events=events,
+            rtol=rel_tol, atol=rel_tol * 1e-3, max_step=0.5,
         )
     except ValueError as exc:
         raise ConvergenceError(f"ray integration failed: {exc}") from None
     if sol.status == -1:
         raise ConvergenceError(f"ray integration failed: {sol.message}")
 
-    def body_distance_m(s: float) -> float:
-        pos = sol.sol(s)[:2]
-        if centers.shape[0] == 0:
-            return math.hypot(pos[0], pos[1]) * scale
-        rel = pos - centers
-        return float(np.min(np.hypot(rel[:, 0], rel[:, 1]))) * scale
-
-    s_end = sol.t[-1]
-    samples = np.linspace(0.0, s_end, 2049)
-    dists = np.array([body_distance_m(s) for s in samples])
-    k = int(np.argmin(dists))
-    lo = samples[max(k - 1, 0)]
-    hi = samples[min(k + 1, len(samples) - 1)]
-    closest = dists[k]
-    if hi > lo:
-        refined = minimize_scalar(body_distance_m, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12 * max(s_end, 1.0)})
-        closest = min(closest, float(refined.fun))
-
-    impacted = None
-    for i in range(centers.shape[0]):
-        if len(sol.t_events[i + 1]) > 0:
-            impacted = path.bodies[i].body.name
-        elif closest < path.bodies[i].body.radius.value * (1.0 - impact_margin):
-            impacted = path.bodies[i].body.name
-    if impacted is not None:
-        raise ImpactError(impacted, closest)
+    # each point's closest approach lies at one of its periapsis events or
+    # at an end of the solve
+    closest = []
+    for c, ys in zip(points, sol.y_events[-len(points):]):
+        rel = np.array([sol.y[:2, 0], sol.y[:2, -1], *(y[:2] for y in ys)]) - c
+        closest.append(float(np.min(np.hypot(rel[:, 0], rel[:, 1]))) * scale)
+    for pb, hits, dist in zip(path.bodies, sol.t_events[1:], closest):
+        if len(hits) > 0 or dist < pb.body.radius.value * (1.0 - impact_margin):
+            raise ImpactError(pb.body.name, dist)
     if len(sol.t_events[0]) == 0:
         raise ConvergenceError(
             "ray did not reach the termination radius within the step budget"
@@ -311,9 +304,9 @@ def _integrate(path: RayPath, rel_tol: float, impact_margin: float, constants: C
     deflection = _signed_angle(direction, p_end / math.hypot(p_end[0], p_end[1]))
     end_pos = y_end[:2]
     chord = math.hypot(end_pos[0] - start[0], end_pos[1] - start[1]) * scale
-    transit = y_end[4] * scale / constants.c.value
+    transit = float(y_end[4]) * scale / constants.c.value
     straight = chord / constants.c.value
-    return deflection, transit, straight, closest
+    return deflection, transit, straight, min(closest)
 
 
 def trace_ray(path: RayPath, rel_tol: float = 1e-10,

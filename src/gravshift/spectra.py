@@ -41,6 +41,7 @@ from .units import (
     ConstantSet,
     Quantity,
     ensure_dimension,
+    weak_field_ratio,
 )
 
 __all__ = [
@@ -99,21 +100,10 @@ class EffectiveMass:
             raise DomainError("effective mass must stay positive (weak-field domain)")
 
 
-def _weak_field_ratio(phi: Quantity, constants: ConstantSet) -> float:
-    """phi/c^2 as a float, guarded to the weak-field domain |phi|/c^2 < 1."""
-    ensure_dimension(phi, POTENTIAL, "phi")
-    ratio = float(phi / constants.c_squared)
-    if abs(ratio) >= 1.0:
-        raise DomainError(
-            f"|phi|/c^2 = {abs(ratio):.3g} >= 1: outside the weak-field domain"
-        )
-    return ratio
-
-
 def effective_mass(emitter: Emitter, phi: Quantity,
                    constants: ConstantSet = CONSTANTS) -> EffectiveMass:
     """m_eff = m*(1 + phi/c^2); equals the rest mass for phi = 0."""
-    x = _weak_field_ratio(phi, constants)
+    x = weak_field_ratio(phi, constants)
     value = Quantity(emitter.rest_mass.value * (1.0 + x), MASS)
     return EffectiveMass(value=value, source_potential=phi)
 
@@ -258,8 +248,8 @@ def fractional_shift(model: ShiftModel, phi_emit: Quantity, phi_obs: Quantity,
     Both single-locus models predict (phi_emit - phi_obs)/c^2; the double
     effect is their arithmetic sum.  Negative = red shift (emitter deeper).
     """
-    _weak_field_ratio(phi_emit, constants)
-    _weak_field_ratio(phi_obs, constants)
+    weak_field_ratio(phi_emit, constants)
+    weak_field_ratio(phi_obs, constants)
     single = (phi_emit - phi_obs) / constants.c_squared
     if model is ShiftModel.DOUBLE_EFFECT:
         return single + single
@@ -274,8 +264,8 @@ def nuclear_shift_sign(scaling: NuclearScaling, phi_emit: Quantity, phi_obs: Qua
     ones (red for a deeper emitter); inversely proportional levels would
     shift the opposite way.
     """
-    _weak_field_ratio(phi_emit, constants)
-    _weak_field_ratio(phi_obs, constants)
+    weak_field_ratio(phi_emit, constants)
+    weak_field_ratio(phi_obs, constants)
     if phi_emit.value == phi_obs.value:
         return ShiftSign.NONE
     emitter_deeper = phi_emit.value < phi_obs.value

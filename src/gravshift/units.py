@@ -15,8 +15,9 @@ is SI.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DimensionError, DomainError
 
@@ -37,13 +38,12 @@ __all__ = [
     "energy_to_frequency",
     "fractional",
     "ensure_dimension",
+    "weak_field_ratio",
     "kilograms",
     "metres",
-    "seconds",
     "joules",
     "hertz",
     "electronvolts",
-    "dimensionless",
     "potential_m2_s2",
 ]
 
@@ -94,6 +94,7 @@ FREQUENCY = Dimension(time=-1)
 POTENTIAL = Dimension(length=2, time=-2)
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class Quantity:
     """A finite SI value tagged with a :class:`Dimension`.
@@ -167,18 +168,6 @@ class Quantity:
         self._check_same(other, "compare")
         return self.value < other.value
 
-    def __le__(self, other: "Quantity") -> bool:
-        self._check_same(other, "compare")
-        return self.value <= other.value
-
-    def __gt__(self, other: "Quantity") -> bool:
-        self._check_same(other, "compare")
-        return self.value > other.value
-
-    def __ge__(self, other: "Quantity") -> bool:
-        self._check_same(other, "compare")
-        return self.value >= other.value
-
     def __float__(self) -> float:
         if self.dim != DIMENSIONLESS:
             raise DimensionError(
@@ -211,20 +200,12 @@ def metres(value: float) -> Quantity:
     return Quantity(value, LENGTH)
 
 
-def seconds(value: float) -> Quantity:
-    return Quantity(value, TIME)
-
-
 def joules(value: float) -> Quantity:
     return Quantity(value, ENERGY)
 
 
 def hertz(value: float) -> Quantity:
     return Quantity(value, FREQUENCY)
-
-
-def dimensionless(value: float) -> Quantity:
-    return Quantity(value, DIMENSIONLESS)
 
 
 def potential_m2_s2(value: float) -> Quantity:
@@ -268,10 +249,9 @@ class ConstantSet:
     eV: Quantity
 
     def __post_init__(self) -> None:
-        for name in ("G", "c", "h", "hbar", "alpha", "m_electron", "eV"):
-            q = getattr(self, name)
-            if q.value <= 0.0:
-                raise DomainError(f"constant {name} must be strictly positive")
+        for f in fields(self):
+            if getattr(self, f.name).value <= 0.0:
+                raise DomainError(f"constant {f.name} must be strictly positive")
 
     @classmethod
     def codata2018(cls) -> "ConstantSet":
@@ -291,15 +271,7 @@ class ConstantSet:
 
     def as_si_dict(self) -> dict[str, float]:
         """Flat mapping of constant name to SI value, for report emission."""
-        return {
-            "G": self.G.value,
-            "c": self.c.value,
-            "h": self.h.value,
-            "hbar": self.hbar.value,
-            "alpha": self.alpha.value,
-            "m_electron": self.m_electron.value,
-            "eV": self.eV.value,
-        }
+        return {f.name: getattr(self, f.name).value for f in fields(self)}
 
 
 CONSTANTS = ConstantSet.codata2018()
@@ -312,6 +284,17 @@ def energy_to_frequency(energy: Quantity, constants: ConstantSet = CONSTANTS) ->
     """Convert an energy to the equivalent frequency, nu = E/h (sign preserved)."""
     ensure_dimension(energy, ENERGY, "energy")
     return energy / constants.h
+
+
+def weak_field_ratio(phi: Quantity, constants: ConstantSet) -> float:
+    """phi/c^2 as a float, guarded to the weak-field domain |phi|/c^2 < 1."""
+    ensure_dimension(phi, POTENTIAL, "phi")
+    ratio = float(phi / constants.c_squared)
+    if abs(ratio) >= 1.0:
+        raise DomainError(
+            f"|phi|/c^2 = {abs(ratio):.3g} >= 1: outside the weak-field domain"
+        )
+    return ratio
 
 
 def fractional(delta: Quantity, total: Quantity) -> Quantity:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gravshift.errors import ConfigurationError, DomainError, ImpactError
+from gravshift.gravity import CelestialBody
 from gravshift.photon import (
     Photon,
     PlanarBody,
@@ -147,6 +148,20 @@ class TestRayPathValidation:
             RayPath(start=(10.0, 0.0), direction=(1.0, 0.0),
                     bodies=(), termination_radius=1.0)
 
+    def test_start_rounding_stays_inside_termination_circle(self, sun):
+        # the third ray of `--sweep-radii 1:20:8`; the rounded start used to
+        # land just outside the termination circle
+        path = impact_parameter_ray(sun, 6.428571428571429 * oracles.R_SUN)
+        assert math.hypot(*path.start) <= path.termination_radius
+
+    @given(
+        b_radii=st.floats(min_value=1.0, max_value=20.0),
+        factor=st.floats(min_value=10.0, max_value=1e4),
+    )
+    def test_impact_parameter_ray_starts_inside(self, sun, b_radii, factor):
+        path = impact_parameter_ray(sun, b_radii * oracles.R_SUN, factor)
+        assert math.hypot(*path.start) <= path.termination_radius
+
     def test_tolerance_range_enforced(self, sun):
         path = impact_parameter_ray(sun, 2.0 * oracles.R_SUN)
         with pytest.raises(DomainError):
@@ -164,6 +179,8 @@ class TestTraceRay:
         assert result.transit_time_s == pytest.approx(result.straight_line_time_s, rel=1e-15)
         assert result.time_excess_s == pytest.approx(0.0, abs=1e-20)
         assert result.closest_approach_m == pytest.approx(40.0, rel=1e-9)
+        assert type(result.transit_time_s) is float
+        assert type(result.closest_approach_m) is float
 
     def test_solar_grazing_matches_quadrature(self, sun):
         result = trace_ray(impact_parameter_ray(sun, oracles.R_SUN), rel_tol=1e-10)
@@ -212,6 +229,18 @@ class TestTraceRay:
             trace_ray(impact_parameter_ray(sun, 0.5 * oracles.R_SUN), rel_tol=1e-8)
         assert err.value.body == "sun"
         assert err.value.closest_approach_m < oracles.R_SUN
+
+    def test_impact_is_judged_per_body(self):
+        # the ray passes 2e7 m from big (radius 1e7 m) and 5e6 m from small
+        # (radius 1e3 m): the least distance over both bodies lies inside
+        # big's radius, yet neither body is hit
+        big = CelestialBody.from_si("big", 5.9722e24, 1e7)
+        small = CelestialBody.from_si("small", 1e20, 1e3)
+        path = RayPath(start=(-3.9e9, 2e7), direction=(1.0, 0.0),
+                       bodies=(PlanarBody(big), PlanarBody(small, (0.0, 2.5e7))),
+                       termination_radius=4e9)
+        result = trace_ray(path, rel_tol=1e-8)
+        assert result.closest_approach_m == pytest.approx(5.0e6, rel=1e-6)
 
     def test_successful_graze_respects_margin(self, sun):
         result = trace_ray(impact_parameter_ray(sun, oracles.R_SUN), rel_tol=1e-9)
