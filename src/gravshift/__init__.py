@@ -13,8 +13,8 @@ spectra
     levels at that mass, and fractional line shifts under the competing
     models.
 photon
-    Photon effective mass, variable light speed, and graded-index ray
-    tracing for the bending question.
+    Graded-index ray tracing of the photon-interaction reading, for the
+    bending question.
 experiments
     Measurement registry and the comparison harness that tests each model,
     including whether the "double effect" is excluded.

@@ -35,7 +35,7 @@ from .spectra import (
     level_energy,
     states_for_n,
 )
-from .units import CONSTANTS, Quantity, kilograms, potential_m2_s2
+from .units import CONSTANTS, kilograms, potential_m2_s2
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10,
                    help="integrator relative tolerance in [1e-12, 1e-6] (default 1e-10)")
     p.add_argument("--term-factor", type=float, default=200.0,
-                   help="termination radius as a multiple of b (default 200)")
+                   help="termination radius as a multiple of b, in [10, 200] (default 200)")
     p.add_argument("--bodies", help="body registry JSON (default: packaged)")
     _add_format(p, "json")
     p.set_defaults(func=_cmd_photon)

@@ -16,13 +16,12 @@ the verdict of interest is whether any of them excludes the double effect.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .data import data_file, read_entries
-from .errors import ConfigurationError, DomainError, RegistryError
+from .errors import ConfigurationError, RegistryError
 from .gravity import CelestialBody, FieldPoint, PotentialField, potential
 from .spectra import ShiftModel, fractional_shift
 from .units import CONSTANTS, ConstantSet, Quantity

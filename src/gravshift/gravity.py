@@ -1,11 +1,11 @@
 """Newtonian point-mass potential fields.
 
 A field is a set of named point masses; a field point is a label plus one
-radial distance per body.  The scalar operations (potential, differences,
-gradient, tidal correction over an atomic length, binding energy) only ever
-need those radial distances, so no 3D geometry appears here.  Superposition
-over several bodies lets Sun+Earth configurations be expressed with the same
-single formula phi(r) = -G*M/r per body.
+radial distance per body.  The scalar operations (potential, gradient, tidal
+correction over an atomic length) only ever need those radial distances, so
+no 3D geometry appears here.  Superposition over several bodies lets
+Sun+Earth configurations be expressed with the same single formula
+phi(r) = -G*M/r per body.
 
 The exterior domain is enforced throughout: every distance must be at least
 the body radius.
@@ -39,10 +39,8 @@ __all__ = [
     "FieldPoint",
     "PotentialField",
     "potential",
-    "potential_difference",
     "gradient",
     "atomic_scale_correction",
-    "binding_energy",
     "load_bodies",
     "default_bodies",
 ]
@@ -149,11 +147,6 @@ def potential(field_: PotentialField, point: FieldPoint) -> Quantity:
     return Quantity(math.fsum(terms), POTENTIAL)
 
 
-def potential_difference(field_: PotentialField, p1: FieldPoint, p2: FieldPoint) -> Quantity:
-    """phi(p1) - phi(p2); antisymmetric under swapping the points."""
-    return potential(field_, p1) - potential(field_, p2)
-
-
 def gradient(field_: PotentialField, point: FieldPoint) -> Quantity:
     """Radial derivative sum_i G*M_i/r_i^2 (m/s^2), each along its body axis.
 
@@ -185,18 +178,10 @@ def atomic_scale_correction(field_: PotentialField, point: FieldPoint, a: Quanti
     return a * gradient(field_, point)
 
 
-def binding_energy(m: Quantity, field_: PotentialField, point: FieldPoint) -> Quantity:
-    """Gravitational binding energy m*phi(point) of a mass at the point; <= 0."""
-    ensure_dimension(m, MASS, "m")
-    if m.value < 0.0:
-        raise DomainError("mass must be non-negative")
-    return m * potential(field_, point)
-
-
 # -- body registry -------------------------------------------------------
 
 
-def load_bodies(path: str | Path, constants: ConstantSet = CONSTANTS) -> dict[str, CelestialBody]:
+def load_bodies(path: str | Path) -> dict[str, CelestialBody]:
     """Read a JSON array of {name, mass_kg, radius_m} into a name-keyed registry."""
     registry: dict[str, CelestialBody] = {}
     for where, entry in read_entries(path, "body registry", "bodies", "body"):
@@ -216,6 +201,6 @@ def load_bodies(path: str | Path, constants: ConstantSet = CONSTANTS) -> dict[st
     return registry
 
 
-def default_bodies(constants: ConstantSet = CONSTANTS) -> dict[str, CelestialBody]:
+def default_bodies() -> dict[str, CelestialBody]:
     """Packaged Earth/Sun registry, overridable via GRAVSHIFT_DATA_DIR."""
-    return load_bodies(data_file("bodies.json"), constants)
+    return load_bodies(data_file("bodies.json"))

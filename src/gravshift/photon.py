@@ -7,8 +7,9 @@ light speed becomes
     c'(r) = c / (1 - phi(r)/c^2)      (<= c, since phi <= 0),
 
 and its frequency picks up the same fractional change (phi1 - phi2)/c^2 as
-the emitter-side model.  The slowed light speed is equivalent to a
-graded-index medium with refractive index
+the emitter-side model; the photon mass cancels from that ratio, which
+:func:`gravshift.spectra.fractional_shift` computes for both.  The slowed
+light speed is equivalent to a graded-index medium with refractive index
 
     n(r) = c/c'(r) = 1 - phi(r)/c^2 = 1 + sum_i G*M_i/(r_i c^2),
 
@@ -35,75 +36,18 @@ from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, ImpactError
 from .gravity import CelestialBody
-from .units import (
-    CONSTANTS,
-    FREQUENCY,
-    ConstantSet,
-    Quantity,
-    ensure_dimension,
-    weak_field_ratio,
-)
+from .units import CONSTANTS, ConstantSet
 
 __all__ = [
-    "Photon",
     "PlanarBody",
     "RayPath",
     "RayResult",
-    "photon_mass",
-    "photon_mass_change",
-    "local_light_speed",
-    "photon_frequency_shift",
     "trace_ray",
     "impact_parameter_ray",
     "RADIANS_TO_ARCSEC",
 ]
 
 RADIANS_TO_ARCSEC = 180.0 / math.pi * 3600.0
-
-
-@dataclass(frozen=True)
-class Photon:
-    frequency: Quantity
-
-    def __post_init__(self) -> None:
-        ensure_dimension(self.frequency, FREQUENCY, "frequency")
-        if self.frequency.value <= 0.0:
-            raise DomainError("photon frequency must be positive")
-
-
-def photon_mass(p: Photon, constants: ConstantSet = CONSTANTS) -> Quantity:
-    """Mass equivalent h*nu/c^2 assigned to the photon."""
-    return (constants.h * p.frequency) / constants.c_squared
-
-
-def photon_mass_change(p: Photon, dphi: Quantity,
-                       constants: ConstantSet = CONSTANTS) -> Quantity:
-    """Signed mass change m_ph * dphi/c^2 across a potential difference."""
-    ratio = weak_field_ratio(dphi, constants)
-    m_ph = photon_mass(p, constants)
-    return Quantity(m_ph.value * ratio, m_ph.dim)
-
-
-def local_light_speed(phi: Quantity, constants: ConstantSet = CONSTANTS) -> Quantity:
-    """Exact slowed light speed c/(1 - phi/c^2).
-
-    Agrees with the linearised form c*(1 + phi/c^2) to within (phi/c^2)^2
-    relative; for attractive potentials the result never exceeds c.
-    """
-    ratio = weak_field_ratio(phi, constants)
-    return Quantity(constants.c.value / (1.0 - ratio), constants.c.dim)
-
-
-def photon_frequency_shift(p: Photon, phi1: Quantity, phi2: Quantity,
-                           constants: ConstantSet = CONSTANTS) -> Quantity:
-    """Frequency change nu*(phi1 - phi2)/c^2 for travel from r1 to r2."""
-    weak_field_ratio(phi1, constants)
-    weak_field_ratio(phi2, constants)
-    ratio = weak_field_ratio(phi1 - phi2, constants)
-    return Quantity(p.frequency.value * ratio, p.frequency.dim)
-
-
-# -- ray tracing ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -190,13 +134,16 @@ def impact_parameter_ray(body: CelestialBody, impact_parameter_m: float,
 
     The ray starts on the termination circle (radius = factor * b), travelling
     along +x, offset by b in +y; the undeflected line would pass the body at
-    distance b.
+    distance b.  The factor must lie in [10, 200].
     """
     b = float(impact_parameter_m)
     if b <= 0.0:
         raise ConfigurationError("impact parameter must be positive")
-    if termination_factor < 10.0:
-        raise ConfigurationError("termination factor must be at least 10")
+    if not 10.0 <= termination_factor <= 200.0:
+        # _integrate caps the step at r_term/400, which is b/2 only up to 200
+        raise ConfigurationError(
+            f"termination factor {termination_factor:g} outside [10, 200]"
+        )
     r_term = termination_factor * b
     x0 = -math.sqrt(max(r_term * r_term - b * b, 0.0))
     if math.hypot(x0, b) > r_term:

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, DomainError
 from .units import (
     CONSTANTS,
-    ENERGY,
-    FREQUENCY,
     MASS,
     POTENTIAL,
     ConstantSet,
@@ -45,7 +43,6 @@ from .units import (
 )
 
 __all__ = [
-    "EmitterKind",
     "Emitter",
     "EffectiveMass",
     "QuantumState",
@@ -53,7 +50,6 @@ __all__ = [
     "NuclearScaling",
     "ShiftSign",
     "effective_mass",
-    "mass_defect",
     "level_energy",
     "transition_frequency",
     "fractional_shift",
@@ -62,17 +58,11 @@ __all__ = [
 ]
 
 
-class EmitterKind(enum.Enum):
-    ELECTRON = "electron"
-    NUCLEON = "nucleon"
-
-
 @dataclass(frozen=True)
 class Emitter:
     """A radiating particle characterised only by its free rest mass."""
 
     rest_mass: Quantity
-    kind: EmitterKind = EmitterKind.ELECTRON
 
     def __post_init__(self) -> None:
         ensure_dimension(self.rest_mass, MASS, "rest_mass")
@@ -81,7 +71,7 @@ class Emitter:
 
     @classmethod
     def electron(cls, constants: ConstantSet = CONSTANTS) -> "Emitter":
-        return cls(constants.m_electron, EmitterKind.ELECTRON)
+        return cls(constants.m_electron)
 
 
 @dataclass(frozen=True)
@@ -106,13 +96,6 @@ def effective_mass(emitter: Emitter, phi: Quantity,
     x = weak_field_ratio(phi, constants)
     value = Quantity(emitter.rest_mass.value * (1.0 + x), MASS)
     return EffectiveMass(value=value, source_potential=phi)
-
-
-def mass_defect(emitter: Emitter, phi: Quantity,
-                constants: ConstantSet = CONSTANTS) -> Quantity:
-    """Mass lost to gravitational binding, m - m_eff = m*|phi|/c^2 (>= 0)."""
-    m_eff = effective_mass(emitter, phi, constants)
-    return Quantity(emitter.rest_mass.value - m_eff.value.value, MASS)
 
 
 @dataclass(frozen=True)
@@ -145,11 +128,6 @@ class QuantumState:
             )
         if self.j + 0.5 > self.n:
             raise ConfigurationError(f"j + 1/2 = {self.j + 0.5:g} exceeds n = {self.n}")
-        if CONSTANTS.alpha.value * self.Z >= 1.0:
-            raise DomainError(
-                f"alpha*Z = {CONSTANTS.alpha.value * self.Z:.3f} >= 1: "
-                "outside the perturbative domain"
-            )
 
     @classmethod
     def from_n_j(cls, Z: int, n: int, j: float) -> "QuantumState":
@@ -184,7 +162,12 @@ def _specific_level_energy(state: QuantumState, constants: ConstantSet) -> Quant
     Keeping the mass out of this factor means level energies and transition
     frequencies are a single multiplication away from the emitter mass, so
     the fractional shift of any line reproduces phi/c^2 to rounding error.
+    Every energy and frequency passes through here, so this is where the
+    perturbative domain alpha*Z < 1 of the given constant set is enforced.
     """
+    alpha_z = constants.alpha.value * state.Z
+    if alpha_z >= 1.0:
+        raise DomainError(f"alpha*Z = {alpha_z:.3f} >= 1: outside the perturbative domain")
     a2 = constants.alpha.value ** 2
     z2 = float(state.Z * state.Z)
     n = float(state.n)
@@ -196,8 +179,6 @@ def _specific_level_energy(state: QuantumState, constants: ConstantSet) -> Quant
 def level_energy(state: QuantumState, m_eff: EffectiveMass,
                  constants: ConstantSet = CONSTANTS) -> Quantity:
     """Positive binding energy of the state at the given effective mass."""
-    if constants.alpha.value * state.Z >= 1.0:
-        raise DomainError("alpha*Z >= 1: outside the perturbative domain")
     return m_eff.value * _specific_level_energy(state, constants)
 
 

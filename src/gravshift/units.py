@@ -35,15 +35,10 @@ __all__ = [
     "ENERGY",
     "FREQUENCY",
     "POTENTIAL",
-    "energy_to_frequency",
-    "fractional",
     "ensure_dimension",
     "weak_field_ratio",
     "kilograms",
     "metres",
-    "joules",
-    "hertz",
-    "electronvolts",
     "potential_m2_s2",
 ]
 
@@ -200,21 +195,8 @@ def metres(value: float) -> Quantity:
     return Quantity(value, LENGTH)
 
 
-def joules(value: float) -> Quantity:
-    return Quantity(value, ENERGY)
-
-
-def hertz(value: float) -> Quantity:
-    return Quantity(value, FREQUENCY)
-
-
 def potential_m2_s2(value: float) -> Quantity:
     return Quantity(value, POTENTIAL)
-
-
-def electronvolts(value: float) -> Quantity:
-    """Energy given in eV, converted to joules at the boundary."""
-    return Quantity(value * CONSTANTS.eV.value, ENERGY)
 
 
 # -- constants ---------------------------------------------------------
@@ -280,12 +262,6 @@ CONSTANTS = ConstantSet.codata2018()
 # -- operations --------------------------------------------------------
 
 
-def energy_to_frequency(energy: Quantity, constants: ConstantSet = CONSTANTS) -> Quantity:
-    """Convert an energy to the equivalent frequency, nu = E/h (sign preserved)."""
-    ensure_dimension(energy, ENERGY, "energy")
-    return energy / constants.h
-
-
 def weak_field_ratio(phi: Quantity, constants: ConstantSet) -> float:
     """phi/c^2 as a float, guarded to the weak-field domain |phi|/c^2 < 1."""
     ensure_dimension(phi, POTENTIAL, "phi")
@@ -296,18 +272,3 @@ def weak_field_ratio(phi: Quantity, constants: ConstantSet) -> float:
         )
     return ratio
 
-
-def fractional(delta: Quantity, total: Quantity) -> Quantity:
-    """Dimensionless ratio delta/total of two same-dimension quantities.
-
-    Raises ZeroDivisionError for total = 0 and DimensionError on mismatch.
-    """
-    if not isinstance(delta, Quantity) or not isinstance(total, Quantity):
-        raise DimensionError("fractional() expects two Quantity arguments")
-    if delta.dim != total.dim:
-        raise DimensionError(
-            f"fractional() requires matching dimensions, got {delta.dim} and {total.dim}"
-        )
-    if total.value == 0.0:
-        raise ZeroDivisionError("fractional() reference value is zero")
-    return delta / total

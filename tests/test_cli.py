@@ -161,6 +161,15 @@ class TestPhotonCommand:
         assert code == 1
         assert "impact" in err
 
+    @pytest.mark.parametrize("factor", ["1000", "1e9"])
+    def test_term_factor_above_200_exits_one(self, capsys, factor):
+        code, out, err = run_cli(
+            ["photon", "--body", "earth", "--b-radii", "1", "--tol", "1e-6",
+             "--term-factor", factor], capsys)
+        assert code == 1
+        assert out == ""
+        assert "outside [10, 200]" in err
+
 
 class TestExperimentCommand:
     def test_default_registry_exit_zero(self, capsys):

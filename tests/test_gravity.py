@@ -1,5 +1,4 @@
 import json
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,14 +9,13 @@ from gravshift.gravity import (
     FieldPoint,
     PotentialField,
     atomic_scale_correction,
-    binding_energy,
     default_bodies,
     gradient,
     load_bodies,
     potential,
-    potential_difference,
 )
-from gravshift.units import CONSTANTS, kilograms, metres
+from gravshift.spectra import ShiftModel, fractional_shift
+from gravshift.units import CONSTANTS, metres
 
 import oracles
 
@@ -104,12 +102,20 @@ class TestPotential:
 
 
 class TestPotentialDifference:
+    """phi(p1) - phi(p2), the difference `shift` divides by c^2."""
+
+    @staticmethod
+    def difference(field, p1, p2):
+        shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT,
+                                 potential(field, p1), potential(field, p2))
+        return shift * CONSTANTS.c_squared
+
     def test_same_point_is_zero(self, earth_field, earth_surface):
-        assert potential_difference(earth_field, earth_surface, earth_surface).value == 0.0
+        assert self.difference(earth_field, earth_surface, earth_surface).value == 0.0
 
     def test_tower_descent(self, earth, earth_field, earth_surface):
         above = FieldPoint.at_altitude(earth, 22.5)
-        dphi = potential_difference(earth_field, earth_surface, above)
+        dphi = self.difference(earth_field, earth_surface, above)
         expected = oracles.G * oracles.M_EARTH * (
             1.0 / (oracles.R_EARTH + 22.5) - 1.0 / oracles.R_EARTH
         )
@@ -121,8 +127,8 @@ class TestPotentialDifference:
 
     def test_antisymmetric_under_swap(self, earth, earth_field, earth_surface):
         above = FieldPoint.at_altitude(earth, 22.5)
-        forward = potential_difference(earth_field, earth_surface, above)
-        backward = potential_difference(earth_field, above, earth_surface)
+        forward = self.difference(earth_field, earth_surface, above)
+        backward = self.difference(earth_field, above, earth_surface)
         assert forward.value == -backward.value
 
 
@@ -191,25 +197,6 @@ class TestAtomicScaleCorrection:
     def test_rejects_negative_length(self, earth_field, earth_surface):
         with pytest.raises(DomainError):
             atomic_scale_correction(earth_field, earth_surface, metres(-1e-10))
-
-
-class TestBindingEnergy:
-    def test_one_kilogram_at_earth_surface(self, earth_field, earth_surface):
-        e = binding_energy(kilograms(1.0), earth_field, earth_surface)
-        assert e.value == pytest.approx(-6.2565145911e7, rel=1e-9)
-        assert e.value <= 0.0
-
-    def test_zero_mass(self, earth_field, earth_surface):
-        assert binding_energy(kilograms(0.0), earth_field, earth_surface).value == 0.0
-
-    def test_linear_in_mass(self, earth_field, earth_surface):
-        one = binding_energy(kilograms(1.0), earth_field, earth_surface)
-        three = binding_energy(kilograms(3.0), earth_field, earth_surface)
-        assert three.value == pytest.approx(3.0 * one.value, rel=1e-15)
-
-    def test_rejects_negative_mass(self, earth_field, earth_surface):
-        with pytest.raises(DomainError):
-            binding_energy(kilograms(-1.0), earth_field, earth_surface)
 
 
 class TestBodyValidation:

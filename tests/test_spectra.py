@@ -1,4 +1,4 @@
-import math
+import dataclasses
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from gravshift.errors import ConfigurationError, DomainError
 from gravshift.spectra import (
     Emitter,
-    EmitterKind,
     NuclearScaling,
     QuantumState,
     ShiftModel,
@@ -14,7 +13,6 @@ from gravshift.spectra import (
     effective_mass,
     fractional_shift,
     level_energy,
-    mass_defect,
     nuclear_shift_sign,
     states_for_n,
     transition_frequency,
@@ -93,19 +91,25 @@ class TestEffectiveMass:
 
 
 class TestMassDefect:
+    """The mass lost to binding, m - m_eff = m*|phi|/c^2, that `spectrum` prints."""
+
+    @staticmethod
+    def defect(emitter, phi):
+        return emitter.rest_mass.value - effective_mass(emitter, phi).value.value
+
     def test_zero_at_zero_potential(self):
-        assert mass_defect(ELECTRON, PHI_ZERO).value == 0.0
+        assert self.defect(ELECTRON, PHI_ZERO) == 0.0
 
     def test_earth_surface_value(self):
-        dm = mass_defect(ELECTRON, PHI_EARTH)
+        dm = self.defect(ELECTRON, PHI_EARTH)
         expected = oracles.M_ELECTRON * 6.961311310505493e-10
-        assert dm.value == pytest.approx(expected, rel=1e-9)
-        assert dm.value == pytest.approx(6.34e-40, rel=1e-2)
+        assert dm == pytest.approx(expected, rel=1e-9)
+        assert dm == pytest.approx(6.34e-40, rel=1e-2)
 
     @given(x=st.floats(min_value=1e-12, max_value=0.5))
     def test_defect_plus_effective_recovers_rest_mass(self, x):
         phi = potential_m2_s2(-x * oracles.C2)
-        dm = mass_defect(ELECTRON, phi).value
+        dm = self.defect(ELECTRON, phi)
         m_eff = effective_mass(ELECTRON, phi).value.value
         assert dm + m_eff == ELECTRON.rest_mass.value
         assert dm >= 0.0
@@ -133,8 +137,8 @@ class TestQuantumState:
             QuantumState(Z=0, n_prime=0, j=0.5, n=1)
 
     def test_rejects_alpha_z_above_one(self):
-        with pytest.raises(DomainError):
-            QuantumState(Z=138, n_prime=0, j=0.5, n=1)
+        with pytest.raises(DomainError, match="perturbative"):
+            level_energy(QuantumState(Z=138, n_prime=0, j=0.5, n=1), M_FREE)
 
     def test_from_n_j_rejects_j_too_large(self):
         with pytest.raises(ConfigurationError):
@@ -214,6 +218,14 @@ class TestTransitionFrequency:
         with pytest.raises(ConfigurationError):
             transition_frequency(other, GROUND, M_FREE)
 
+    def test_alpha_z_guard_uses_given_constants(self):
+        # alpha*Z = 1 under these constants, though only 0.0146 under CODATA
+        strong = dataclasses.replace(CONSTANTS, alpha=Quantity(0.5))
+        upper = QuantumState.from_n_j(2, 2, 0.5)
+        lower = QuantumState.from_n_j(2, 1, 0.5)
+        with pytest.raises(DomainError, match=r"alpha\*Z = 1.000 >= 1"):
+            transition_frequency(upper, lower, M_FREE, strong)
+
     def test_linear_in_effective_mass(self):
         half = effective_mass(Emitter(kilograms(oracles.M_ELECTRON / 2.0)), PHI_ZERO)
         assert (
@@ -233,6 +245,11 @@ class TestFractionalShift:
             oracles.point_mass_potential(oracles.M_EARTH, oracles.R_EARTH + 22.5)
         )
         shift = float(fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, PHI_EARTH, phi_above))
+        exact = oracles.G * oracles.M_EARTH * (
+            1.0 / (oracles.R_EARTH + 22.5) - 1.0 / oracles.R_EARTH
+        ) / oracles.C2
+        # the subtraction of two ~6.26e7 potentials leaves ~5e-11 relative noise
+        assert shift == pytest.approx(exact, rel=1e-9)
         assert shift == pytest.approx(-oracles.G_STANDARD * 22.5 / oracles.C2, rel=2e-3)
         assert shift < 0.0
 
@@ -323,10 +340,9 @@ class TestNuclearShiftSign:
 class TestEmitter:
     def test_electron_uses_stored_constant(self):
         assert ELECTRON.rest_mass.value == CONSTANTS.m_electron.value
-        assert ELECTRON.kind is EmitterKind.ELECTRON
 
     def test_nucleon_mass_is_a_free_parameter(self):
-        nucleon = Emitter(kilograms(1.67262192369e-27), EmitterKind.NUCLEON)
+        nucleon = Emitter(kilograms(1.67262192369e-27))
         m_eff = effective_mass(nucleon, PHI_EARTH)
         ratio = m_eff.value.value / nucleon.rest_mass.value
         assert ratio == pytest.approx(1.0 - 6.961311310505493e-10, rel=1e-15)
