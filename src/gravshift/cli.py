@@ -309,11 +309,18 @@ def _cmd_photon(args) -> int:
         unit = 1.0 if args.sweep_m else radius
         step = (hi - lo) / (count - 1)
         b_values = [(lo + i * step) * unit for i in range(count)]
-        rows = [_trace_record(body, b, args) for b in b_values]
+        rows, refused = [], 0
+        for b in b_values:
+            try:
+                rows.append(_trace_record(body, b, args))
+            except GravshiftError as exc:
+                # keep the rays that trace; name each refused b on stderr
+                print(f"error: b_m {_fmt(b)}: {exc}", file=sys.stderr)
+                refused += 1
         columns = ["b_m", "deflection_rad", "deflection_arcsec", "transit_time_s",
                    "time_excess_s", "closest_approach_m"]
         _emit_rows(columns, rows, args.format)
-        return EXIT_OK
+        return EXIT_FAILURE if refused else EXIT_OK
     b_m = args.b_m if args.b_m is not None else args.b_radii * radius
     record = _trace_record(body, b_m, args)
     del record["b_m"]

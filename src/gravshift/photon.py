@@ -20,6 +20,23 @@ deflection between the incoming and outgoing directions, the transit time
 integral ds/c', and the closest approach.  A single point mass and a ray
 define a plane, so the geometry is 2D.
 
+The solve runs in the Sundman variable tau, with ds = r_eff dtau and
+r_eff = (sum_i 1/r_i)^-1 (r_eff = 1 in an empty field).  A unit of tau covers
+little path near a body and much far from it, so the adaptive steps shrink
+at each periapsis by themselves and need no cap.  Besides the position x and
+the momentum p = n dx/ds, the solve carries the two integrals that make up
+the time excess, so it is never a difference of two transit times:
+
+    E = int (n - 1) ds             (the slowed light),
+    K = int (1 - cos theta) ds     (the path's excess over its projection),
+
+where theta is the angle of p from the start direction d0 and
+1 - cos theta = p_perp^2 / (|p| (|p| + p_par)) involves no subtraction.  For
+the chord D from start to exit, the transit time exceeds the straight-line
+time |D|/c by (E + K - (|D| - D_par))/c, with |D| - D_par written the same
+way.  The deflection's error estimate is twice its change under a re-solve
+at a hundredth of the tolerance, plus a round-off floor.
+
 The closest approach comes from the integrator's own event location: a
 body's closest centre distance is the least over its periapsis events, where
 (x - c).p turns positive, and the two ends of the solve.  Each body's impact
@@ -31,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, ImpactError
@@ -78,6 +94,13 @@ class RayPath:
         object.__setattr__(self, "direction", (float(dx), float(dy)))
         object.__setattr__(self, "bodies", tuple(self.bodies))
         object.__setattr__(self, "termination_radius", float(self.termination_radius))
+        coords = [*self.start, *self.direction, self.termination_radius]
+        for pb in self.bodies:
+            coords += pb.center
+        if not all(map(math.isfinite, coords)):
+            raise ConfigurationError(
+                "ray start, direction, termination radius and body centres must be finite"
+            )
         norm = math.hypot(*self.direction)
         if abs(norm - 1.0) > 1e-12:
             raise ConfigurationError(
@@ -104,9 +127,12 @@ class RayResult:
     """Outcome of one trace.
 
     deflection_rad is the signed angle from the incoming to the outgoing
-    direction; deflection_error_rad is an a-posteriori estimate from a
-    second, coarser integration.  Times are seconds; the transit time can
-    never undercut the straight-line vacuum time because c' <= c.
+    direction; deflection_error_rad is an a-posteriori estimate, twice its
+    change under a re-solve at a hundredth of the tolerance plus a round-off
+    floor.  Times are seconds.
+    time_excess_s is integrated along the ray, not differenced from two
+    transit times, and is never negative because c' <= c; the transit time
+    is the straight-line vacuum time plus that excess.
 
     closest_approach_m is the least, over bodies, of each body's closest
     centre distance (the distance to the origin when there are no bodies).
@@ -115,13 +141,13 @@ class RayResult:
 
     deflection_rad: float
     deflection_error_rad: float
-    transit_time_s: float
     straight_line_time_s: float
+    time_excess_s: float
     closest_approach_m: float
 
     @property
-    def time_excess_s(self) -> float:
-        return self.transit_time_s - self.straight_line_time_s
+    def transit_time_s(self) -> float:
+        return self.straight_line_time_s + self.time_excess_s
 
     @property
     def deflection_arcsec(self) -> float:
@@ -137,10 +163,14 @@ def impact_parameter_ray(body: CelestialBody, impact_parameter_m: float,
     distance b.  The factor must lie in [10, 200].
     """
     b = float(impact_parameter_m)
+    if not math.isfinite(b):
+        raise ConfigurationError(f"impact parameter {b!r} is not finite")
     if b <= 0.0:
         raise ConfigurationError("impact parameter must be positive")
     if not 10.0 <= termination_factor <= 200.0:
-        # _integrate caps the step at r_term/400, which is b/2 only up to 200
+        # the path-minus-chord term of the time excess grows like
+        # factor * b * (2 mu/b)^2, so beyond 200 it pulls the excess away
+        # from its straight-line value (50x too large on the sun at 1e9)
         raise ConfigurationError(
             f"termination factor {termination_factor:g} outside [10, 200]"
         )
@@ -157,75 +187,92 @@ def impact_parameter_ray(body: CelestialBody, impact_parameter_m: float,
     )
 
 
-def _signed_angle(d0: np.ndarray, d1: np.ndarray) -> float:
-    cross = d0[0] * d1[1] - d0[1] * d1[0]
-    dot = d0[0] * d1[0] + d0[1] * d1[1]
-    return math.atan2(cross, dot)
+def _gap(par: float, perp: float, norm: float) -> float:
+    """norm - par for a vector of length norm with components par along d0
+    and perp across it, written perp^2/(norm + par) so that a vector near d0
+    loses nothing to cancellation."""
+    return perp * perp / (norm + par) if par > 0.0 else norm - par
 
 
 def _integrate(path: RayPath, rel_tol: float, impact_margin: float, constants: ConstantSet):
-    """One solve of the eikonal system in units of L = termination_radius/200."""
+    """One solve in tau, in units of L = termination_radius/200.
+
+    The solve runs in the ray frame, rotated about the origin so that the
+    start direction d0 is +x; p_y is then p_perp itself, not a difference of
+    rotated components.  Returns the deflection, the time excess, the
+    straight-line time and the closest approach.
+    """
     scale = path.termination_radius / 200.0
     r_term = path.termination_radius / scale
-    centers = np.array([pb.center for pb in path.bodies], dtype=float).reshape(-1, 2) / scale
-    radii = np.array([pb.body.radius.value for pb in path.bodies], dtype=float) / scale
-    barrier = radii * (1.0 - impact_margin)
-    mus = np.array(
-        [pb.body.mu(constants).value for pb in path.bodies], dtype=float
-    ) / (constants.c.value ** 2 * scale)
+    c2 = constants.c.value ** 2
+    dx, dy = path.direction
 
-    def index_and_gradient(pos: np.ndarray) -> tuple[float, np.ndarray]:
-        if centers.shape[0] == 0:
-            return 1.0, np.zeros(2)
-        rel = pos - centers
-        dist = np.hypot(rel[:, 0], rel[:, 1])
-        n = 1.0 + float(np.sum(mus / dist))
-        grad = -np.sum((mus / dist**3)[:, None] * rel, axis=0)
-        return n, grad
+    def to_ray_frame(x: float, y: float) -> tuple[float, float]:
+        return (dx * x + dy * y) / scale, (dx * y - dy * x) / scale
 
-    def rhs(s, y):
-        pos, p = y[:2], y[2:4]
-        n, grad = index_and_gradient(pos)
-        pnorm = math.hypot(p[0], p[1])
-        return np.array([p[0] / pnorm, p[1] / pnorm, grad[0], grad[1], n])
+    sx, sy = to_ray_frame(*path.start)
+    # (centre x, centre y, G*M/c^2) of each body
+    field = [(*to_ray_frame(*pb.center), pb.body.mu(constants).value / (c2 * scale))
+             for pb in path.bodies]
+    barriers = [pb.body.radius.value * (1.0 - impact_margin) / scale for pb in path.bodies]
 
-    def exit_event(s, y):
-        return math.hypot(y[0], y[1]) - r_term
+    def rhs(tau, state):
+        x, y, px, py, _, _ = state.tolist()
+        inv_r = excess = gx = gy = 0.0
+        for cx, cy, mu in field:
+            rx, ry = x - cx, y - cy
+            r = math.hypot(rx, ry)
+            inv_r += 1.0 / r
+            excess += mu / r
+            w = mu / (r * r * r)
+            gx -= w * rx
+            gy -= w * ry
+        ds = 1.0 / inv_r if field else 1.0
+        p = math.hypot(px, py)
+        per_p = ds / p
+        return [px * per_p, py * per_p, gx * ds, gy * ds, excess * ds,
+                _gap(px, py, p) * per_p]
+
+    def exit_event(tau, state):
+        return math.hypot(state[0], state[1]) - r_term
 
     exit_event.terminal = True
     exit_event.direction = 1.0
 
     events = [exit_event]
-    for i in range(centers.shape[0]):
-        def impact_event(s, y, _i=i):
-            return math.hypot(y[0] - centers[_i, 0], y[1] - centers[_i, 1]) - barrier[_i]
+    for (cx, cy, _), barrier in zip(field, barriers):
+        def impact_event(tau, state, _cx=cx, _cy=cy, _barrier=barrier):
+            return math.hypot(state[0] - _cx, state[1] - _cy) - _barrier
 
         impact_event.terminal = True
         impact_event.direction = -1.0
         events.append(impact_event)
 
     # (x - c).p turns from negative to positive where |x - c| has a minimum
-    points = centers if centers.shape[0] else np.zeros((1, 2))
-    for c in points:
-        def periapsis_event(s, y, _c=c):
-            return (y[0] - _c[0]) * y[2] + (y[1] - _c[1]) * y[3]
+    points = [(cx, cy) for cx, cy, _ in field] or [(0.0, 0.0)]
+    for cx, cy in points:
+        def periapsis_event(tau, state, _cx=cx, _cy=cy):
+            return (state[0] - _cx) * state[2] + (state[1] - _cy) * state[3]
 
         periapsis_event.direction = 1.0
         events.append(periapsis_event)
 
-    start = np.asarray(path.start, dtype=float) / scale
-    direction = np.asarray(path.direction, dtype=float)
-    n0, _ = index_and_gradient(start)
-    y0 = np.array([start[0], start[1], n0 * direction[0], n0 * direction[1], 0.0])
-    s_max = 8.0 * r_term
+    n0 = 1.0 + sum(mu / math.hypot(sx - cx, sy - cy) for cx, cy, mu in field)
+    y0 = [sx, sy, n0, 0.0, 0.0, 0.0]
+    # p and E scale with the bend 2*mu/b of each body, K with its square;
+    # a scalar atol would swamp them (earth's whole p_y is about 1.4e-9)
+    bend = sum(2.0 * mu / max(abs(cy - sy), barrier)
+               for (cx, cy, mu), barrier in zip(field, barriers)) or 1.0
+    atol = rel_tol * 1e-3
+    atols = [atol, atol, atol * bend, atol * bend, atol * bend, atol * bend * bend]
+    # ds >= dtau * min(barrier)/N above every barrier, so tau_max allows at
+    # least 8 termination radii of path
+    tau_max = 8.0 * r_term * len(field) / min(barriers) if field else 8.0 * r_term
 
     try:
-        # cap the step at L/2 so the narrow bending region near periapsis
-        # (width ~ b = 1 L for impact-parameter geometry) is never straddled
-        # by one giant step accepted in the flat approach region
         sol = solve_ivp(
-            rhs, (0.0, s_max), y0, method="DOP853", events=events,
-            rtol=rel_tol, atol=rel_tol * 1e-3, max_step=0.5,
+            rhs, (0.0, tau_max), y0, method="DOP853", events=events,
+            rtol=rel_tol, atol=atols,
         )
     except ValueError as exc:
         raise ConvergenceError(f"ray integration failed: {exc}") from None
@@ -234,26 +281,26 @@ def _integrate(path: RayPath, rel_tol: float, impact_margin: float, constants: C
 
     # each point's closest approach lies at one of its periapsis events or
     # at an end of the solve
-    closest = []
-    for c, ys in zip(points, sol.y_events[-len(points):]):
-        rel = np.array([sol.y[:2, 0], sol.y[:2, -1], *(y[:2] for y in ys)]) - c
-        closest.append(float(np.min(np.hypot(rel[:, 0], rel[:, 1]))) * scale)
+    ends = [(sx, sy), sol.y[:2, -1].tolist()]
+    closest = [
+        min(math.hypot(s[0] - cx, s[1] - cy) for s in ends + hits.tolist()) * scale
+        for (cx, cy), hits in zip(points, sol.y_events[-len(points):])
+    ]
     for pb, hits, dist in zip(path.bodies, sol.t_events[1:], closest):
         if len(hits) > 0 or dist < pb.body.radius.value * (1.0 - impact_margin):
             raise ImpactError(pb.body.name, dist)
     if len(sol.t_events[0]) == 0:
         raise ConvergenceError(
-            "ray did not reach the termination radius within the step budget"
+            "ray did not reach the termination radius within 8 termination radii of path"
         )
 
-    y_end = sol.y_events[0][0]
-    p_end = y_end[2:4]
-    deflection = _signed_angle(direction, p_end / math.hypot(p_end[0], p_end[1]))
-    end_pos = y_end[:2]
-    chord = math.hypot(end_pos[0] - start[0], end_pos[1] - start[1]) * scale
-    transit = float(y_end[4]) * scale / constants.c.value
-    straight = chord / constants.c.value
-    return deflection, transit, straight, min(closest)
+    x, y, px, py, e, k = sol.y_events[0][0].tolist()
+    deflection = math.atan2(py, px)
+    chord_x, chord_y = x - sx, y - sy
+    chord = math.hypot(chord_x, chord_y)
+    gap = _gap(chord_x, chord_y, chord)
+    seconds_per_unit = scale / constants.c.value
+    return deflection, (e + k - gap) * seconds_per_unit, chord * seconds_per_unit, min(closest)
 
 
 def trace_ray(path: RayPath, rel_tol: float = 1e-10,
@@ -263,8 +310,9 @@ def trace_ray(path: RayPath, rel_tol: float = 1e-10,
 
     Integrates d/ds(n * dx/ds) = grad n with adaptive stepping at the given
     relative tolerance (allowed range 1e-12..1e-6) until the ray exits the
-    termination circle.  Raises ImpactError if the ray strikes a body and
-    ConvergenceError if it cannot reach the exit.
+    termination circle, then re-solves at a hundredth of the tolerance (at
+    least 1e-13) for the deflection's error estimate.  Raises ImpactError if
+    the ray strikes a body and ConvergenceError if it cannot reach the exit.
 
     A grazing ray whose undeflected line just touches the surface dips below
     it by the periapsis shift G*M/c^2 (about 2e-6 of the solar radius), which
@@ -276,16 +324,17 @@ def trace_ray(path: RayPath, rel_tol: float = 1e-10,
         raise DomainError(f"relative tolerance {rel_tol:g} outside [1e-12, 1e-6]")
     if not 0.0 <= impact_margin < 1e-3:
         raise DomainError("impact margin must lie in [0, 1e-3)")
-    deflection, transit, straight, closest = _integrate(path, rel_tol, impact_margin, constants)
-    coarse_deflection, _, _, _ = _integrate(
-        path, min(rel_tol * 100.0, 1e-4), impact_margin, constants)
-    # the second term is a roundoff floor: ~1600 capped steps accumulate
-    # O(sqrt(N)*eps) noise in the exit direction regardless of tolerance
-    error = abs(deflection - coarse_deflection) + 5e-13 + abs(deflection) * 3e-8
+    deflection, excess, straight, closest = _integrate(path, rel_tol, impact_margin, constants)
+    fine_deflection, _, _, _ = _integrate(
+        path, max(rel_tol / 100.0, 1e-13), impact_margin, constants)
+    # the fine solve's own error is a few percent of the difference, so the
+    # difference is doubled; the rest is a roundoff floor for the exit
+    # direction, which stays within 1e-13 of |deflection| over rotated paths
+    error = 2.0 * abs(deflection - fine_deflection) + abs(deflection) * 1e-12 + 1e-16
     return RayResult(
         deflection_rad=deflection,
         deflection_error_rad=error,
-        transit_time_s=transit,
         straight_line_time_s=straight,
+        time_excess_s=excess,
         closest_approach_m=closest,
     )

@@ -155,6 +155,23 @@ class TestPhotonCommand:
         assert [float(r["b_m"]) for r in rows] == [5.0 * oracles.R_SUN, 10.0 * oracles.R_SUN]
         assert abs(float(rows[0]["deflection_rad"])) > abs(float(rows[1]["deflection_rad"]))
 
+    def test_sweep_keeps_rays_that_trace(self, capsys):
+        # the ray at 0.9 radii strikes the sun; the other three trace fine
+        code, out, err = run_cli(
+            ["photon", "--body", "sun", "--sweep-radii", "0.9:3:4", "--tol", "1e-6",
+             "--format", "csv"], capsys)
+        assert code == 1
+        rows = parse_csv(out)
+        b_values = [float(r["b_m"]) for r in rows]
+        assert b_values == pytest.approx([r * oracles.R_SUN for r in (1.6, 2.3, 3.0)],
+                                         rel=1e-12)
+        for row, b in zip(rows, b_values):
+            assert abs(float(row["deflection_rad"])) == pytest.approx(
+                oracles.deflection_quadrature(oracles.MU_SUN, b), rel=1e-3)
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "626130000" in lines[0] and "impact" in lines[0]
+
     def test_impact_exits_one(self, capsys):
         code, _, err = run_cli(
             ["photon", "--body", "sun", "--b-radii", "0.5", "--tol", "1e-6"], capsys)

@@ -1,13 +1,11 @@
 import json
-import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from gravshift.errors import ConfigurationError, RegistryError
 from gravshift.experiments import (
-    ComparisonReport,
     ExperimentRecord,
     TowerGeometry,
     TwoPointGeometry,
@@ -17,7 +15,6 @@ from gravshift.experiments import (
     double_effect_verdict,
     load_registry,
     predict,
-    resolve_endpoints,
 )
 from gravshift.spectra import ShiftModel
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import solve_ivp
 
 from gravshift.errors import ConfigurationError, DomainError, ImpactError
 from gravshift.gravity import CelestialBody
@@ -77,10 +78,20 @@ class TestRayPathValidation:
 
     @pytest.mark.parametrize("factor", [9.9, 200.5, 1e3, 1e9])
     def test_termination_factor_outside_10_to_200_refused(self, sun, factor):
-        # beyond 200 the step cap r_term/400 exceeds b/2 and the bend near
-        # periapsis can be straddled by one step
+        # beyond 200 the path-minus-chord term pulls the time excess away
+        # from its straight-line value
         with pytest.raises(ConfigurationError, match=r"\[10, 200\]"):
             impact_parameter_ray(sun, oracles.R_SUN, factor)
+
+    @pytest.mark.parametrize("b_m", [1e300, math.nan, math.inf])
+    def test_non_finite_impact_parameter_refused(self, sun, b_m):
+        with pytest.raises(ConfigurationError, match="finite"):
+            trace_ray(impact_parameter_ray(sun, b_m), rel_tol=1e-6)
+
+    def test_non_finite_termination_radius_refused(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            RayPath(start=(0.0, 0.0), direction=(1.0, 0.0),
+                    bodies=(), termination_radius=math.nan)
 
     def test_tolerance_range_enforced(self, sun):
         path = impact_parameter_ray(sun, 2.0 * oracles.R_SUN)
@@ -165,3 +176,38 @@ class TestTraceRay:
     def test_successful_graze_respects_margin(self, sun):
         result = trace_ray(impact_parameter_ray(sun, oracles.R_SUN), rel_tol=1e-9)
         assert result.closest_approach_m >= oracles.R_SUN * (1.0 - 1e-5)
+
+    @pytest.mark.parametrize("name", ["sun", "earth"])
+    @pytest.mark.parametrize("b_radii", [1.0, 20.0, 1e3])
+    def test_time_excess_matches_closed_form(self, bodies, name, b_radii):
+        # the excess of n = 1 + mu/r along the line y = b across the circle
+        mass, radius = {"sun": (oracles.M_SUN, oracles.R_SUN),
+                        "earth": (oracles.M_EARTH, oracles.R_EARTH)}[name]
+        b = b_radii * radius
+        x = math.sqrt((200.0 * b) ** 2 - b * b)
+        expected = oracles.G * mass / oracles.C2 / oracles.C * 2.0 * math.asinh(x / b)
+        result = trace_ray(impact_parameter_ray(bodies[name], b, 200.0), rel_tol=1e-10)
+        assert result.time_excess_s == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize("name", ["sun", "earth"])
+    @pytest.mark.parametrize("b_radii", [1.0, 3.0, 20.0])
+    @pytest.mark.parametrize("factor", [10.0, 200.0])
+    def test_error_bar_covers_solver_error(self, bodies, name, b_radii, factor):
+        body = bodies[name]
+        path = impact_parameter_ray(body, b_radii * body.radius.value, factor)
+        reference = trace_ray(path, rel_tol=1e-12).deflection_rad
+        for tol in (1e-6, 1e-8, 1e-10):
+            result = trace_ray(path, rel_tol=tol)
+            assert abs(result.deflection_rad - reference) <= result.deflection_error_rad
+
+    def test_one_solve_and_one_fine_resolve(self, sun, monkeypatch):
+        rtols = []
+
+        def counting_solve_ivp(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr("gravshift.photon.solve_ivp", counting_solve_ivp)
+        trace_ray(impact_parameter_ray(sun, 2.0 * oracles.R_SUN), rel_tol=1e-8)
+        trace_ray(impact_parameter_ray(sun, 2.0 * oracles.R_SUN), rel_tol=1e-12)
+        assert rtols == [1e-8, 1e-10, 1e-12, 1e-13]
