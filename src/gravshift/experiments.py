@@ -16,6 +16,7 @@ the verdict of interest is whether any of them excludes the double effect.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +25,7 @@ from .data import data_file, read_entries
 from .errors import ConfigurationError, RegistryError
 from .gravity import CelestialBody, FieldPoint, PotentialField, potential
 from .spectra import ShiftModel, fractional_shift
-from .units import CONSTANTS, ConstantSet, Quantity
+from .units import Quantity
 
 __all__ = [
     "TowerGeometry",
@@ -84,6 +85,11 @@ class ExperimentRecord:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("experiment name must be non-empty")
+        if not (math.isfinite(self.measured_ratio)
+                and math.isfinite(self.ratio_uncertainty)):
+            raise ConfigurationError(
+                f"{self.name}: measured ratio and its uncertainty must be finite"
+            )
         if self.measured_ratio <= 0.0:
             raise ConfigurationError(
                 f"{self.name}: measured ratio must be a positive magnitude"
@@ -106,7 +112,6 @@ class ComparisonReport:
     ratio_uncertainty: float
     sigma: float
     verdict: Verdict
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -151,23 +156,21 @@ def resolve_endpoints(
 
 
 def predict(record: ExperimentRecord, model: ShiftModel,
-            bodies: dict[str, CelestialBody],
-            constants: ConstantSet = CONSTANTS) -> Quantity:
+            bodies: dict[str, CelestialBody]) -> Quantity:
     """Model's fractional shift for the record's endpoints (negative = red)."""
     field, emit, obs = resolve_endpoints(record, bodies)
     phi_emit = potential(field, emit)
     phi_obs = potential(field, obs)
-    return fractional_shift(model, phi_emit, phi_obs, constants)
+    return fractional_shift(model, phi_emit, phi_obs)
 
 
 def compare(record: ExperimentRecord, model: ShiftModel,
             bodies: dict[str, CelestialBody],
-            threshold: float = 5.0,
-            constants: ConstantSet = CONSTANTS) -> ComparisonReport:
+            threshold: float = 5.0) -> ComparisonReport:
     """Measured-over-predicted ratio test of one record against one model."""
-    if threshold <= 0.0:
+    if not threshold > 0.0:  # also refuses NaN, which every sigma would pass
         raise ConfigurationError("exclusion threshold must be positive")
-    predicted = float(predict(record, model, bodies, constants))
+    predicted = float(predict(record, model, bodies))
     ratio = record.measured_ratio
     unc = record.ratio_uncertainty
     if model is ShiftModel.DOUBLE_EFFECT:
@@ -184,14 +187,12 @@ def compare(record: ExperimentRecord, model: ShiftModel,
         ratio_uncertainty=unc,
         sigma=sigma,
         verdict=verdict,
-        threshold=threshold,
     )
 
 
 def double_effect_verdict(records: Sequence[ExperimentRecord],
                           bodies: dict[str, CelestialBody],
-                          threshold: float = 5.0,
-                          constants: ConstantSet = CONSTANTS) -> ComparisonSummary:
+                          threshold: float = 5.0) -> ComparisonSummary:
     """Every record against every model, plus the overall double-effect verdict.
 
     The double effect counts as excluded when any record excludes it at the
@@ -202,7 +203,7 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
     reports = []
     for record in records:
         for model in ShiftModel:
-            reports.append(compare(record, model, bodies, threshold, constants))
+            reports.append(compare(record, model, bodies, threshold))
     single_ok = all(
         r.verdict is Verdict.CONSISTENT
         for r in reports

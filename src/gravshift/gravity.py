@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -27,7 +27,6 @@ from .units import (
     LENGTH,
     MASS,
     POTENTIAL,
-    ConstantSet,
     Quantity,
     ensure_dimension,
     kilograms,
@@ -70,9 +69,9 @@ class CelestialBody:
     def from_si(cls, name: str, mass_kg: float, radius_m: float) -> "CelestialBody":
         return cls(name, kilograms(mass_kg), metres(radius_m))
 
-    def mu(self, constants: ConstantSet = CONSTANTS) -> Quantity:
+    def mu(self) -> Quantity:
         """Standard gravitational parameter G*M (m^3/s^2)."""
-        return constants.G * self.mass
+        return CONSTANTS.G * self.mass
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class PotentialField:
     """Superposition of point-mass potentials, one per body."""
 
     bodies: tuple[CelestialBody, ...]
-    constants: ConstantSet = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self) -> None:
         bodies = tuple(self.bodies)
@@ -132,8 +130,8 @@ class PotentialField:
         object.__setattr__(self, "bodies", bodies)
 
     @classmethod
-    def of(cls, *bodies: CelestialBody, constants: ConstantSet = CONSTANTS) -> "PotentialField":
-        return cls(tuple(bodies), constants)
+    def of(cls, *bodies: CelestialBody) -> "PotentialField":
+        return cls(tuple(bodies))
 
 
 def _per_body(field_: PotentialField, point: FieldPoint) -> Iterable[tuple[CelestialBody, Quantity]]:
@@ -143,7 +141,7 @@ def _per_body(field_: PotentialField, point: FieldPoint) -> Iterable[tuple[Celes
 
 def potential(field_: PotentialField, point: FieldPoint) -> Quantity:
     """Total potential sum_i -G*M_i/r_i at the point; always <= 0."""
-    terms = [(-(body.mu(field_.constants)) / r).value for body, r in _per_body(field_, point)]
+    terms = [(-body.mu() / r).value for body, r in _per_body(field_, point)]
     return Quantity(math.fsum(terms), POTENTIAL)
 
 
@@ -153,7 +151,7 @@ def gradient(field_: PotentialField, point: FieldPoint) -> Quantity:
     For a single body this is d(phi)/dr = +G*M/r^2: the potential increases
     toward zero with distance.
     """
-    terms = [(body.mu(field_.constants) / (r * r)).value for body, r in _per_body(field_, point)]
+    terms = [(body.mu() / (r * r)).value for body, r in _per_body(field_, point)]
     return Quantity(math.fsum(terms), ACCELERATION)
 
 

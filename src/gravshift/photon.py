@@ -15,10 +15,10 @@ light speed is equivalent to a graded-index medium with refractive index
 
 so the bending of a ray passing a body can be computed with the classical
 ray equation d/ds(n * dx/ds) = grad n.  :func:`trace_ray` integrates that
-system with adaptive Runge-Kutta stepping and reports the asymptotic
-deflection between the incoming and outgoing directions, the transit time
-integral ds/c', and the closest approach.  A single point mass and a ray
-define a plane, so the geometry is 2D.
+system with adaptive Runge-Kutta stepping and reports the deflection
+between the incoming direction and the direction at the termination circle,
+the transit time integral ds/c', and the closest approach.  A single point
+mass and a ray define a plane, so the geometry is 2D.
 
 The solve runs in the Sundman variable tau, with ds = r_eff dtau and
 r_eff = (sum_i 1/r_i)^-1 (r_eff = 1 in an empty field).  A unit of tau covers
@@ -52,7 +52,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, ImpactError
 from .gravity import CelestialBody
-from .units import CONSTANTS, ConstantSet
+from .units import CONSTANTS
 
 __all__ = [
     "PlanarBody",
@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 RADIANS_TO_ARCSEC = 180.0 / math.pi * 3600.0
+#: A ray strikes a body only below (1 - IMPACT_MARGIN) * radius; see trace_ray.
+IMPACT_MARGIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,15 @@ class RayPath:
 class RayResult:
     """Outcome of one trace.
 
-    deflection_rad is the signed angle from the incoming to the outgoing
-    direction; deflection_error_rad is an a-posteriori estimate, twice its
-    change under a re-solve at a hundredth of the tolerance plus a round-off
-    floor.  Times are seconds.
+    deflection_rad is the signed angle from the incoming direction to the
+    direction where the ray crosses the termination circle: the bend inside
+    that circle, not the asymptotic bend.  For a ray past one body at impact
+    parameter b it falls short of the asymptotic 2*mu/b by about
+    1/(2*factor^2) relative, with factor = termination radius / b: 0.50% at
+    factor 10 and 1.25e-5 at factor 200.  deflection_error_rad covers only the
+    solver error, not that shortfall: it is an a-posteriori estimate, twice
+    the deflection's change under a re-solve at a hundredth of the tolerance,
+    plus a round-off floor.  Times are seconds.
     time_excess_s is integrated along the ray, not differenced from two
     transit times, and is never negative because c' <= c; the transit time
     is the straight-line vacuum time plus that excess.
@@ -194,7 +201,7 @@ def _gap(par: float, perp: float, norm: float) -> float:
     return perp * perp / (norm + par) if par > 0.0 else norm - par
 
 
-def _integrate(path: RayPath, rel_tol: float, impact_margin: float, constants: ConstantSet):
+def _integrate(path: RayPath, rel_tol: float):
     """One solve in tau, in units of L = termination_radius/200.
 
     The solve runs in the ray frame, rotated about the origin so that the
@@ -204,7 +211,7 @@ def _integrate(path: RayPath, rel_tol: float, impact_margin: float, constants: C
     """
     scale = path.termination_radius / 200.0
     r_term = path.termination_radius / scale
-    c2 = constants.c.value ** 2
+    c2 = CONSTANTS.c.value ** 2
     dx, dy = path.direction
 
     def to_ray_frame(x: float, y: float) -> tuple[float, float]:
@@ -212,9 +219,9 @@ def _integrate(path: RayPath, rel_tol: float, impact_margin: float, constants: C
 
     sx, sy = to_ray_frame(*path.start)
     # (centre x, centre y, G*M/c^2) of each body
-    field = [(*to_ray_frame(*pb.center), pb.body.mu(constants).value / (c2 * scale))
+    field = [(*to_ray_frame(*pb.center), pb.body.mu().value / (c2 * scale))
              for pb in path.bodies]
-    barriers = [pb.body.radius.value * (1.0 - impact_margin) / scale for pb in path.bodies]
+    barriers = [pb.body.radius.value * (1.0 - IMPACT_MARGIN) / scale for pb in path.bodies]
 
     def rhs(tau, state):
         x, y, px, py, _, _ = state.tolist()
@@ -287,7 +294,7 @@ def _integrate(path: RayPath, rel_tol: float, impact_margin: float, constants: C
         for (cx, cy), hits in zip(points, sol.y_events[-len(points):])
     ]
     for pb, hits, dist in zip(path.bodies, sol.t_events[1:], closest):
-        if len(hits) > 0 or dist < pb.body.radius.value * (1.0 - impact_margin):
+        if len(hits) > 0 or dist < pb.body.radius.value * (1.0 - IMPACT_MARGIN):
             raise ImpactError(pb.body.name, dist)
     if len(sol.t_events[0]) == 0:
         raise ConvergenceError(
@@ -299,13 +306,11 @@ def _integrate(path: RayPath, rel_tol: float, impact_margin: float, constants: C
     chord_x, chord_y = x - sx, y - sy
     chord = math.hypot(chord_x, chord_y)
     gap = _gap(chord_x, chord_y, chord)
-    seconds_per_unit = scale / constants.c.value
+    seconds_per_unit = scale / CONSTANTS.c.value
     return deflection, (e + k - gap) * seconds_per_unit, chord * seconds_per_unit, min(closest)
 
 
-def trace_ray(path: RayPath, rel_tol: float = 1e-10,
-              impact_margin: float = 1e-5,
-              constants: ConstantSet = CONSTANTS) -> RayResult:
+def trace_ray(path: RayPath, rel_tol: float = 1e-10) -> RayResult:
     """Trace a ray through the potential-induced index n(r) = 1 - phi(r)/c^2.
 
     Integrates d/ds(n * dx/ds) = grad n with adaptive stepping at the given
@@ -317,16 +322,13 @@ def trace_ray(path: RayPath, rel_tol: float = 1e-10,
     A grazing ray whose undeflected line just touches the surface dips below
     it by the periapsis shift G*M/c^2 (about 2e-6 of the solar radius), which
     is a property of the index medium, not a strike; a ray therefore counts
-    as impacting only when it descends below (1 - impact_margin) * radius.
+    as impacting only when it descends below (1 - IMPACT_MARGIN) * radius.
     """
     rel_tol = float(rel_tol)
     if not 1e-12 <= rel_tol <= 1e-6:
         raise DomainError(f"relative tolerance {rel_tol:g} outside [1e-12, 1e-6]")
-    if not 0.0 <= impact_margin < 1e-3:
-        raise DomainError("impact margin must lie in [0, 1e-3)")
-    deflection, excess, straight, closest = _integrate(path, rel_tol, impact_margin, constants)
-    fine_deflection, _, _, _ = _integrate(
-        path, max(rel_tol / 100.0, 1e-13), impact_margin, constants)
+    deflection, excess, straight, closest = _integrate(path, rel_tol)
+    fine_deflection, _, _, _ = _integrate(path, max(rel_tol / 100.0, 1e-13))
     # the fine solve's own error is a few percent of the difference, so the
     # difference is doubled; the rest is a roundoff floor for the exit
     # direction, which stays within 1e-13 of |deflection| over rotated paths

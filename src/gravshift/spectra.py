@@ -36,15 +36,12 @@ from .units import (
     CONSTANTS,
     MASS,
     POTENTIAL,
-    ConstantSet,
     Quantity,
     ensure_dimension,
     weak_field_ratio,
 )
 
 __all__ = [
-    "Emitter",
-    "EffectiveMass",
     "QuantumState",
     "ShiftModel",
     "NuclearScaling",
@@ -58,44 +55,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Emitter:
-    """A radiating particle characterised only by its free rest mass."""
-
-    rest_mass: Quantity
-
-    def __post_init__(self) -> None:
-        ensure_dimension(self.rest_mass, MASS, "rest_mass")
-        if self.rest_mass.value <= 0.0:
-            raise DomainError("emitter rest mass must be positive")
-
-    @classmethod
-    def electron(cls, constants: ConstantSet = CONSTANTS) -> "Emitter":
-        return cls(constants.m_electron)
-
-
-@dataclass(frozen=True)
-class EffectiveMass:
-    """Rest mass reduced by the gravitational binding fraction phi/c^2."""
-
-    value: Quantity
-    source_potential: Quantity
-
-    def __post_init__(self) -> None:
-        ensure_dimension(self.value, MASS, "effective mass")
-        ensure_dimension(self.source_potential, POTENTIAL, "source potential")
-        if self.source_potential.value > 0.0:
-            raise DomainError("effective mass is defined for attractive potentials (phi <= 0)")
-        if self.value.value <= 0.0:
-            raise DomainError("effective mass must stay positive (weak-field domain)")
-
-
-def effective_mass(emitter: Emitter, phi: Quantity,
-                   constants: ConstantSet = CONSTANTS) -> EffectiveMass:
-    """m_eff = m*(1 + phi/c^2); equals the rest mass for phi = 0."""
-    x = weak_field_ratio(phi, constants)
-    value = Quantity(emitter.rest_mass.value * (1.0 + x), MASS)
-    return EffectiveMass(value=value, source_potential=phi)
+def effective_mass(rest_mass: Quantity, phi: Quantity) -> Quantity:
+    """m_eff = m*(1 + phi/c^2) of an emitter of free rest mass m bound at
+    phi <= 0; equals the rest mass for phi = 0."""
+    ensure_dimension(rest_mass, MASS, "rest_mass")
+    if rest_mass.value <= 0.0:
+        raise DomainError("emitter rest mass must be positive")
+    x = weak_field_ratio(phi)
+    if phi.value > 0.0:
+        raise DomainError("effective mass is defined for attractive potentials (phi <= 0)")
+    value = rest_mass.value * (1.0 + x)
+    if value <= 0.0:
+        raise DomainError("effective mass must stay positive (weak-field domain)")
+    return Quantity(value, MASS)
 
 
 @dataclass(frozen=True)
@@ -156,51 +128,51 @@ def states_for_n(Z: int, n: int) -> list[QuantumState]:
     return states
 
 
-def _specific_level_energy(state: QuantumState, constants: ConstantSet) -> Quantity:
+def _specific_level_energy(state: QuantumState) -> Quantity:
     """Binding energy per unit emitter mass (m^2/s^2); mass-independent.
 
     Keeping the mass out of this factor means level energies and transition
     frequencies are a single multiplication away from the emitter mass, so
     the fractional shift of any line reproduces phi/c^2 to rounding error.
     Every energy and frequency passes through here, so this is where the
-    perturbative domain alpha*Z < 1 of the given constant set is enforced.
+    perturbative domain alpha*Z < 1 is enforced.
     """
-    alpha_z = constants.alpha.value * state.Z
+    alpha_z = CONSTANTS.alpha.value * state.Z
     if alpha_z >= 1.0:
         raise DomainError(f"alpha*Z = {alpha_z:.3f} >= 1: outside the perturbative domain")
-    a2 = constants.alpha.value ** 2
+    a2 = CONSTANTS.alpha.value ** 2
     z2 = float(state.Z * state.Z)
     n = float(state.n)
     bracket = 1.0 + (a2 * z2 / n) * (1.0 / (state.j + 0.5) - 3.0 / (4.0 * n))
-    k = (a2 * constants.c.value ** 2 / 2.0) * (z2 / (n * n)) * bracket
+    k = (a2 * CONSTANTS.c.value ** 2 / 2.0) * (z2 / (n * n)) * bracket
     return Quantity(k, POTENTIAL)
 
 
-def level_energy(state: QuantumState, m_eff: EffectiveMass,
-                 constants: ConstantSet = CONSTANTS) -> Quantity:
+def level_energy(state: QuantumState, m_eff: Quantity) -> Quantity:
     """Positive binding energy of the state at the given effective mass."""
-    return m_eff.value * _specific_level_energy(state, constants)
+    ensure_dimension(m_eff, MASS, "m_eff")
+    return m_eff * _specific_level_energy(state)
 
 
 def transition_frequency(s_upper: QuantumState, s_lower: QuantumState,
-                         m_eff: EffectiveMass,
-                         constants: ConstantSet = CONSTANTS) -> Quantity:
+                         m_eff: Quantity) -> Quantity:
     """Photon frequency nu = (E_b(lower) - E_b(upper))/h for a downward jump.
 
     The lower state must bind more deeply than the upper one, and both must
     share the nuclear charge Z.
     """
+    ensure_dimension(m_eff, MASS, "m_eff")
     if s_upper.Z != s_lower.Z:
         raise ConfigurationError(
             f"transition states must share Z (got {s_upper.Z} and {s_lower.Z})"
         )
-    dk = _specific_level_energy(s_lower, constants) - _specific_level_energy(s_upper, constants)
+    dk = _specific_level_energy(s_lower) - _specific_level_energy(s_upper)
     if dk.value <= 0.0:
         raise DomainError(
             "non-positive photon energy: the lower state must bind more deeply "
             f"({s_lower.label()} vs {s_upper.label()})"
         )
-    return (m_eff.value * dk) / constants.h
+    return (m_eff * dk) / CONSTANTS.h
 
 
 class ShiftModel(enum.Enum):
@@ -222,31 +194,30 @@ class ShiftSign(enum.Enum):
     NONE = "none"
 
 
-def fractional_shift(model: ShiftModel, phi_emit: Quantity, phi_obs: Quantity,
-                     constants: ConstantSet = CONSTANTS) -> Quantity:
+def fractional_shift(model: ShiftModel, phi_emit: Quantity, phi_obs: Quantity) -> Quantity:
     """Fractional frequency shift between emission and observation points.
 
     Both single-locus models predict (phi_emit - phi_obs)/c^2; the double
     effect is their arithmetic sum.  Negative = red shift (emitter deeper).
     """
-    weak_field_ratio(phi_emit, constants)
-    weak_field_ratio(phi_obs, constants)
-    single = (phi_emit - phi_obs) / constants.c_squared
+    weak_field_ratio(phi_emit)
+    weak_field_ratio(phi_obs)
+    single = (phi_emit - phi_obs) / CONSTANTS.c_squared
     if model is ShiftModel.DOUBLE_EFFECT:
         return single + single
     return single
 
 
-def nuclear_shift_sign(scaling: NuclearScaling, phi_emit: Quantity, phi_obs: Quantity,
-                       constants: ConstantSet = CONSTANTS) -> ShiftSign:
+def nuclear_shift_sign(scaling: NuclearScaling, phi_emit: Quantity,
+                       phi_obs: Quantity) -> ShiftSign:
     """Sign of the nuclear-line displacement under the assumed mass scaling.
 
     Levels proportional to the radiating nucleon's mass shift like atomic
     ones (red for a deeper emitter); inversely proportional levels would
     shift the opposite way.
     """
-    weak_field_ratio(phi_emit, constants)
-    weak_field_ratio(phi_obs, constants)
+    weak_field_ratio(phi_emit)
+    weak_field_ratio(phi_obs)
     if phi_emit.value == phi_obs.value:
         return ShiftSign.NONE
     emitter_deeper = phi_emit.value < phi_obs.value

@@ -7,10 +7,11 @@ construction time instead of producing a silently wrong number.  Only the
 dimensions actually needed by the formulas are given names; arbitrary integer
 exponents still compose correctly in intermediate products.
 
-Constants are stored as CODATA 2018 literals.  The fine-structure constant is
-stored directly (never derived from the elementary charge), and the
-electronvolt appears only as an I/O conversion factor -- internally everything
-is SI.
+Constants are stored as CODATA 2018 literals in the one set
+:data:`CONSTANTS`, which every operation of the package reads.  The
+fine-structure constant is stored directly (never derived from the
+elementary charge), and the electronvolt appears only as an I/O conversion
+factor -- internally everything is SI.
 """
 
 from __future__ import annotations
@@ -235,18 +236,6 @@ class ConstantSet:
             if getattr(self, f.name).value <= 0.0:
                 raise DomainError(f"constant {f.name} must be strictly positive")
 
-    @classmethod
-    def codata2018(cls) -> "ConstantSet":
-        return cls(
-            G=Quantity(6.67430e-11, Dimension(mass=-1, length=3, time=-2)),
-            c=Quantity(299792458.0, VELOCITY),
-            h=Quantity(6.62607015e-34, Dimension(mass=1, length=2, time=-1)),
-            hbar=Quantity(1.054571817e-34, Dimension(mass=1, length=2, time=-1)),
-            alpha=Quantity(7.2973525693e-3, DIMENSIONLESS),
-            m_electron=Quantity(9.1093837015e-31, MASS),
-            eV=Quantity(1.602176634e-19, ENERGY),
-        )
-
     @property
     def c_squared(self) -> Quantity:
         return self.c * self.c
@@ -256,16 +245,24 @@ class ConstantSet:
         return {f.name: getattr(self, f.name).value for f in fields(self)}
 
 
-CONSTANTS = ConstantSet.codata2018()
+CONSTANTS = ConstantSet(
+    G=Quantity(6.67430e-11, Dimension(mass=-1, length=3, time=-2)),
+    c=Quantity(299792458.0, VELOCITY),
+    h=Quantity(6.62607015e-34, Dimension(mass=1, length=2, time=-1)),
+    hbar=Quantity(1.054571817e-34, Dimension(mass=1, length=2, time=-1)),
+    alpha=Quantity(7.2973525693e-3, DIMENSIONLESS),
+    m_electron=Quantity(9.1093837015e-31, MASS),
+    eV=Quantity(1.602176634e-19, ENERGY),
+)
 
 
 # -- operations --------------------------------------------------------
 
 
-def weak_field_ratio(phi: Quantity, constants: ConstantSet) -> float:
+def weak_field_ratio(phi: Quantity) -> float:
     """phi/c^2 as a float, guarded to the weak-field domain |phi|/c^2 < 1."""
     ensure_dimension(phi, POTENTIAL, "phi")
-    ratio = float(phi / constants.c_squared)
+    ratio = float(phi / CONSTANTS.c_squared)
     if abs(ratio) >= 1.0:
         raise DomainError(
             f"|phi|/c^2 = {abs(ratio):.3g} >= 1: outside the weak-field domain"

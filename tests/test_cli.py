@@ -133,6 +133,14 @@ class TestSpectrumCommand:
         assert code == 1
         assert "state" in err
 
+    def test_zero_emitter_mass_exits_one(self, capsys):
+        # 0 is a given mass, not an absent one: no fallback to the electron
+        code, out, err = run_cli(
+            ["spectrum", "--n-range", "1:1", "--emitter-mass-kg", "0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "emitter rest mass must be positive" in err
+
 
 class TestPhotonCommand:
     def test_single_trace_keys(self, capsys):
@@ -207,6 +215,12 @@ class TestExperimentCommand:
     def test_loose_threshold_exits_one(self, capsys):
         code, _, _ = run_cli(["experiment", "--threshold", "1000"], capsys)
         assert code == 1
+
+    def test_nan_threshold_exits_one(self, capsys):
+        code, out, err = run_cli(["experiment", "--threshold", "nan"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "exclusion threshold must be positive" in err
 
     def test_custom_registry_flag(self, tmp_path, capsys):
         path = tmp_path / "reg.json"

@@ -66,6 +66,23 @@ class TestLoadRegistry:
         with pytest.raises(RegistryError, match="uncertainty"):
             load_registry(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("measured_ratio", float("nan")), ("ratio_uncertainty", float("inf")),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, field, value):
+        # Python's json reads NaN and Infinity, and every sigma passes a NaN
+        entry = {
+            "name": "bad",
+            "geometry": {"type": "tower", "body": "earth", "height_m": 10.0},
+            "measured_ratio": 1.0,
+            "ratio_uncertainty": 0.1,
+        }
+        entry[field] = value
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(RegistryError, match=r"record #0 \(bad\): .* must be finite"):
+            load_registry(path)
+
     def test_unknown_geometry_type_rejected(self, tmp_path):
         path = tmp_path / "r.json"
         path.write_text(json.dumps([{
@@ -152,6 +169,11 @@ class TestCompare:
     def test_bad_threshold_rejected(self, by_name, bodies):
         with pytest.raises(ConfigurationError):
             compare(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT, bodies, threshold=0.0)
+
+    def test_nan_threshold_rejected(self, by_name, bodies):
+        with pytest.raises(ConfigurationError, match="threshold must be positive"):
+            compare(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT, bodies,
+                    threshold=float("nan"))
 
 
 class TestModelAlgebra:
