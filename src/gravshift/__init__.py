@@ -6,8 +6,8 @@ The package splits along the physics:
 units
     Dimension-tagged quantities and the CODATA constant set.
 gravity
-    Newtonian point-mass potential fields and the tidal correction over
-    atomic distances.
+    Field points that carry the bodies acting on them, their Newtonian
+    point-mass potential and the tidal correction over atomic distances.
 spectra
     Effective emitter mass in a potential, hydrogen-like fine-structure
     levels at that mass, and fractional line shifts under the competing

@@ -20,10 +20,10 @@ from .errors import ConfigurationError, GravshiftError
 from .gravity import (
     CelestialBody,
     FieldPoint,
-    PotentialField,
     default_bodies,
     load_bodies,
     potential,
+    require_same_bodies,
 )
 from .photon import impact_parameter_ray, trace_ray
 from .spectra import (
@@ -118,7 +118,7 @@ def _registry(args) -> dict[str, CelestialBody]:
 def parse_point_spec(spec: str, bodies: dict[str, CelestialBody],
                      label: str | None = None) -> FieldPoint:
     """Parse 'body:ALT_m' / 'body:r=R_m' point specs, superposed with '+'."""
-    distances: dict[str, float] = {}
+    pairs = []
     for part in spec.split("+"):
         name, sep, rest = part.partition(":")
         if not sep or not rest:
@@ -127,8 +127,6 @@ def parse_point_spec(spec: str, bodies: dict[str, CelestialBody],
             )
         if name not in bodies:
             raise ConfigurationError(f"unknown body {name!r} in point spec {spec!r}")
-        if name in distances:
-            raise ConfigurationError(f"body {name!r} repeated in point spec {spec!r}")
         try:
             if rest.startswith("r="):
                 r = float(rest[2:])
@@ -136,13 +134,8 @@ def parse_point_spec(spec: str, bodies: dict[str, CelestialBody],
                 r = bodies[name].radius.value + float(rest)
         except ValueError:
             raise ConfigurationError(f"bad distance in point spec {part!r}") from None
-        distances[name] = r
-    return FieldPoint.from_si(label or spec, distances)
-
-
-def _field_for(points: list[FieldPoint], bodies: dict[str, CelestialBody]) -> PotentialField:
-    names = sorted({n for p in points for n in p.distances})
-    return PotentialField.of(*(bodies[n] for n in names))
+        pairs.append((bodies[name], r))
+    return FieldPoint.from_si(label or spec, pairs)
 
 
 def _add_format(parser, default: str) -> None:
@@ -162,9 +155,7 @@ def _cmd_potential(args) -> int:
     bodies = _registry(args)
     rows = []
     for spec in args.at:
-        point = parse_point_spec(spec, bodies)
-        field = _field_for([point], bodies)
-        phi = potential(field, point)
+        phi = potential(parse_point_spec(spec, bodies))
         rows.append({
             "point": spec,
             "phi_m2_s2": phi.value,
@@ -210,8 +201,7 @@ def _cmd_spectrum(args) -> int:
         else kilograms(args.emitter_mass_kg)
     if args.at:
         bodies = _registry(args)
-        point = parse_point_spec(args.at, bodies)
-        phi = potential(_field_for([point], bodies), point)
+        phi = potential(parse_point_spec(args.at, bodies))
     else:
         phi = potential_m2_s2(0.0)
     m_eff = effective_mass(rest_mass, phi)
@@ -249,16 +239,16 @@ def _shift_point(args, side: str, bodies) -> FieldPoint:
     body = bodies[args.body]
     if alt is not None:
         return FieldPoint.at_altitude(body, alt, label=side)
-    return FieldPoint.from_si(side, {body.name: r_m})
+    return FieldPoint.from_si(side, [(body, r_m)])
 
 
 def _cmd_shift(args) -> int:
     bodies = _registry(args)
     emit = _shift_point(args, "emit", bodies)
     obs = _shift_point(args, "obs", bodies)
-    field = _field_for([emit, obs], bodies)
-    phi_emit = potential(field, emit)
-    phi_obs = potential(field, obs)
+    require_same_bodies(emit, obs)
+    phi_emit = potential(emit)
+    phi_obs = potential(obs)
     model = _MODEL_NAMES[args.model]
     shift = fractional_shift(model, phi_emit, phi_obs)
     _emit_record({
@@ -330,10 +320,10 @@ def _cmd_photon(args) -> int:
 def _cmd_experiment(args) -> int:
     bodies = _registry(args)
     if args.registry == "default":
-        records = experiments_mod.default_registry()
+        records = experiments_mod.default_registry(bodies)
     else:
-        records = experiments_mod.load_registry(args.registry)
-    summary = experiments_mod.double_effect_verdict(records, bodies, args.threshold)
+        records = experiments_mod.load_registry(args.registry, bodies)
+    summary = experiments_mod.double_effect_verdict(records, args.threshold)
     rows = [{
         "experiment": r.experiment,
         "model": r.model.value,

@@ -7,6 +7,11 @@ ratio as-is; testing the double effect halves both the ratio and its
 uncertainty (the measured shift is unchanged, the prediction doubles), which
 is algebraically the same as sigma = |ratio - 2|/uncertainty.
 
+A record holds its emit and observe points.  The registry loader resolves
+each record's geometry (a tower above one body, or two points given as body
+distances) against the body registry when it reads the file, so every
+failure of a record is reported there, with the file and the record named.
+
 A record is Consistent with a model when |ratio - 1| stays within the
 exclusion threshold (default 5 sigma) and Excluded otherwise.  The shipped
 registry holds the two tower measurements and the solar-line measurement;
@@ -22,14 +27,12 @@ from pathlib import Path
 from typing import Sequence
 
 from .data import data_file, read_entries
-from .errors import ConfigurationError, RegistryError
-from .gravity import CelestialBody, FieldPoint, PotentialField, potential
+from .errors import ConfigurationError, GravshiftError, RegistryError
+from .gravity import CelestialBody, FieldPoint, potential, require_same_bodies
 from .spectra import ShiftModel, fractional_shift
 from .units import Quantity
 
 __all__ = [
-    "TowerGeometry",
-    "TwoPointGeometry",
     "ExperimentRecord",
     "Verdict",
     "ComparisonReport",
@@ -39,48 +42,16 @@ __all__ = [
     "double_effect_verdict",
     "load_registry",
     "default_registry",
-    "resolve_endpoints",
 ]
-
-
-@dataclass(frozen=True)
-class TowerGeometry:
-    """Emitter at base altitude, observer height_m above it, one body."""
-
-    body: str
-    base_altitude_m: float
-    height_m: float
-
-    def __post_init__(self) -> None:
-        if self.height_m <= 0.0:
-            raise ConfigurationError("tower height must be positive")
-
-
-@dataclass(frozen=True)
-class TwoPointGeometry:
-    """Explicit emit/observe points as (body name, radial distance m) pairs."""
-
-    emit: tuple[tuple[str, float], ...]
-    observe: tuple[tuple[str, float], ...]
-
-    def __post_init__(self) -> None:
-        for side, pairs in (("emit", self.emit), ("observe", self.observe)):
-            if not pairs:
-                raise ConfigurationError(f"{side} point needs at least one body distance")
-        object.__setattr__(self, "emit", tuple((str(b), float(r)) for b, r in self.emit))
-        object.__setattr__(self, "observe", tuple((str(b), float(r)) for b, r in self.observe))
-
-
-Geometry = TowerGeometry | TwoPointGeometry
 
 
 @dataclass(frozen=True)
 class ExperimentRecord:
     name: str
-    geometry: Geometry
+    emit: FieldPoint
+    observe: FieldPoint
     measured_ratio: float
     ratio_uncertainty: float
-    citation: str = ""
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -96,6 +67,7 @@ class ExperimentRecord:
             )
         if self.ratio_uncertainty <= 0.0:
             raise ConfigurationError(f"{self.name}: ratio uncertainty must be positive")
+        require_same_bodies(self.emit, self.observe)
 
 
 class Verdict(enum.Enum):
@@ -126,51 +98,17 @@ class ComparisonSummary:
         return 0 if self.single_models_consistent and self.double_effect_excluded else 1
 
 
-def resolve_endpoints(
-    record: ExperimentRecord,
-    bodies: dict[str, CelestialBody],
-) -> tuple[PotentialField, FieldPoint, FieldPoint]:
-    """Turn a record's geometry into a field plus emit/observe points."""
-    geom = record.geometry
-    if isinstance(geom, TowerGeometry):
-        try:
-            body = bodies[geom.body]
-        except KeyError:
-            raise ConfigurationError(
-                f"{record.name}: unknown body {geom.body!r} in registry"
-            ) from None
-        field = PotentialField.of(body)
-        emit = FieldPoint.at_altitude(body, geom.base_altitude_m, f"{record.name}:emit")
-        obs = FieldPoint.at_altitude(
-            body, geom.base_altitude_m + geom.height_m, f"{record.name}:observe"
-        )
-        return field, emit, obs
-    names = {b for b, _ in geom.emit} | {b for b, _ in geom.observe}
-    missing = sorted(n for n in names if n not in bodies)
-    if missing:
-        raise ConfigurationError(f"{record.name}: unknown bodies {missing} in registry")
-    field = PotentialField.of(*(bodies[n] for n in sorted(names)))
-    emit = FieldPoint.from_si(f"{record.name}:emit", dict(geom.emit))
-    obs = FieldPoint.from_si(f"{record.name}:observe", dict(geom.observe))
-    return field, emit, obs
-
-
-def predict(record: ExperimentRecord, model: ShiftModel,
-            bodies: dict[str, CelestialBody]) -> Quantity:
+def predict(record: ExperimentRecord, model: ShiftModel) -> Quantity:
     """Model's fractional shift for the record's endpoints (negative = red)."""
-    field, emit, obs = resolve_endpoints(record, bodies)
-    phi_emit = potential(field, emit)
-    phi_obs = potential(field, obs)
-    return fractional_shift(model, phi_emit, phi_obs)
+    return fractional_shift(model, potential(record.emit), potential(record.observe))
 
 
 def compare(record: ExperimentRecord, model: ShiftModel,
-            bodies: dict[str, CelestialBody],
             threshold: float = 5.0) -> ComparisonReport:
     """Measured-over-predicted ratio test of one record against one model."""
     if not threshold > 0.0:  # also refuses NaN, which every sigma would pass
         raise ConfigurationError("exclusion threshold must be positive")
-    predicted = float(predict(record, model, bodies))
+    predicted = float(predict(record, model))
     ratio = record.measured_ratio
     unc = record.ratio_uncertainty
     if model is ShiftModel.DOUBLE_EFFECT:
@@ -191,7 +129,6 @@ def compare(record: ExperimentRecord, model: ShiftModel,
 
 
 def double_effect_verdict(records: Sequence[ExperimentRecord],
-                          bodies: dict[str, CelestialBody],
                           threshold: float = 5.0) -> ComparisonSummary:
     """Every record against every model, plus the overall double-effect verdict.
 
@@ -203,7 +140,7 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
     reports = []
     for record in records:
         for model in ShiftModel:
-            reports.append(compare(record, model, bodies, threshold))
+            reports.append(compare(record, model, threshold))
     single_ok = all(
         r.verdict is Verdict.CONSISTENT
         for r in reports
@@ -225,42 +162,48 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
 # -- registry file -------------------------------------------------------
 
 
-def _parse_point(pairs, where: str) -> tuple[tuple[str, float], ...]:
-    if not isinstance(pairs, list):
-        raise RegistryError(f"{where}: expected an array of {{body, r_m}} objects")
-    out = []
-    for k, item in enumerate(pairs):
-        if not isinstance(item, dict) or "body" not in item or "r_m" not in item:
-            raise RegistryError(f"{where}[{k}]: expected an object with 'body' and 'r_m'")
-        out.append((str(item["body"]), float(item["r_m"])))
-    return tuple(out)
+def _body(bodies: dict[str, CelestialBody], name) -> CelestialBody:
+    name = str(name)
+    if name not in bodies:
+        raise ConfigurationError(f"unknown body {name!r}")
+    return bodies[name]
 
 
-def _parse_geometry(raw, where: str) -> Geometry:
-    if not isinstance(raw, dict) or "type" not in raw:
-        raise RegistryError(f"{where}: geometry must be an object with a 'type' field")
-    kind = raw["type"]
-    try:
-        if kind == "tower":
-            return TowerGeometry(
-                body=str(raw["body"]),
-                base_altitude_m=float(raw.get("base_altitude_m", 0.0)),
-                height_m=float(raw["height_m"]),
-            )
-        if kind == "two_point":
-            return TwoPointGeometry(
-                emit=_parse_point(raw["emit"], f"{where}.emit"),
-                observe=_parse_point(raw["observe"], f"{where}.observe"),
-            )
-    except KeyError as exc:
-        raise RegistryError(f"{where}: missing geometry field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, ConfigurationError) as exc:
-        raise RegistryError(f"{where}: {exc}") from None
-    raise RegistryError(f"{where}: unknown geometry type {kind!r}")
+def _resolve_geometry(geometry, name: str,
+                      bodies: dict[str, CelestialBody]) -> tuple[FieldPoint, FieldPoint]:
+    """A record's emit and observe points from its geometry object."""
+    if not isinstance(geometry, dict) or "type" not in geometry:
+        raise ConfigurationError("geometry must be an object with a 'type' field")
+    kind = geometry["type"]
+    if kind == "tower":
+        body = _body(bodies, geometry["body"])
+        base = float(geometry.get("base_altitude_m", 0.0))
+        height = float(geometry["height_m"])
+        if not height > 0.0:  # also refuses NaN
+            raise ConfigurationError("tower height must be positive")
+        return (FieldPoint.at_altitude(body, base, f"{name}:emit"),
+                FieldPoint.at_altitude(body, base + height, f"{name}:observe"))
+    if kind == "two_point":
+        points = []
+        for side in ("emit", "observe"):
+            pairs = geometry[side]
+            if not (isinstance(pairs, list) and all(
+                    isinstance(p, dict) and "body" in p and "r_m" in p for p in pairs)):
+                raise ConfigurationError(
+                    f"geometry {side}: expected an array of {{body, r_m}} objects")
+            points.append(FieldPoint.from_si(
+                f"{name}:{side}", [(_body(bodies, p["body"]), float(p["r_m"])) for p in pairs]))
+        return points[0], points[1]
+    raise ConfigurationError(f"unknown geometry type {kind!r}")
 
 
-def load_registry(path: str | Path) -> list[ExperimentRecord]:
-    """Read and validate a JSON array of experiment records."""
+def load_registry(path: str | Path,
+                  bodies: dict[str, CelestialBody]) -> list[ExperimentRecord]:
+    """Read and validate a JSON array of experiment records.
+
+    Each record's geometry becomes its emit and observe points, resolved
+    against ``bodies``.
+    """
     records: list[ExperimentRecord] = []
     seen: set[str] = set()
     for where, entry in read_entries(path, "experiment registry", "experiment records",
@@ -272,21 +215,24 @@ def load_registry(path: str | Path) -> list[ExperimentRecord]:
         if name in seen:
             raise RegistryError(f"{where}: duplicate experiment name {name!r}")
         seen.add(name)
-        geometry = _parse_geometry(entry["geometry"], f"{where} ({name}) geometry")
         try:
+            emit, observe = _resolve_geometry(entry["geometry"], name, bodies)
             record = ExperimentRecord(
                 name=name,
-                geometry=geometry,
+                emit=emit,
+                observe=observe,
                 measured_ratio=float(entry["measured_ratio"]),
                 ratio_uncertainty=float(entry["ratio_uncertainty"]),
-                citation=str(entry.get("citation", "")),
             )
-        except (TypeError, ValueError, ConfigurationError) as exc:
+        except KeyError as exc:
+            raise RegistryError(
+                f"{where} ({name}): missing geometry field {exc.args[0]!r}") from None
+        except (TypeError, ValueError, GravshiftError) as exc:
             raise RegistryError(f"{where} ({name}): {exc}") from None
         records.append(record)
     return records
 
 
-def default_registry() -> list[ExperimentRecord]:
+def default_registry(bodies: dict[str, CelestialBody]) -> list[ExperimentRecord]:
     """Packaged records, overridable via GRAVSHIFT_DATA_DIR."""
-    return load_registry(data_file("experiments.json"))
+    return load_registry(data_file("experiments.json"), bodies)

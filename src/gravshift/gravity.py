@@ -1,14 +1,14 @@
-"""Newtonian point-mass potential fields.
+"""Newtonian point-mass potentials at field points.
 
-A field is a set of named point masses; a field point is a label plus one
-radial distance per body.  The scalar operations (potential, gradient, tidal
-correction over an atomic length) only ever need those radial distances, so
-no 3D geometry appears here.  Superposition over several bodies lets
-Sun+Earth configurations be expressed with the same single formula
-phi(r) = -G*M/r per body.
+A field point is a label plus the bodies that act there, each with its
+radial distance from the point, so the point alone fixes its potential.  The
+scalar operations (potential, gradient, tidal correction over an atomic
+length) only ever need those radial distances, so no 3D geometry appears
+here.  Superposition over several bodies lets Sun+Earth configurations be
+expressed with the same single formula phi(r) = -G*M/r per body.
 
-The exterior domain is enforced throughout: every distance must be at least
-the body radius.
+The exterior domain is enforced when a point is built: every distance must
+be at least the body radius.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .units import (
 __all__ = [
     "CelestialBody",
     "FieldPoint",
-    "PotentialField",
+    "require_same_bodies",
     "potential",
     "gradient",
     "atomic_scale_correction",
@@ -76,86 +76,80 @@ class CelestialBody:
 
 @dataclass(frozen=True)
 class FieldPoint:
-    """A labelled point given as one radial distance per body name."""
+    """A labelled point: each body that acts there, with its radial distance."""
 
     label: str
-    distances: Mapping[str, Quantity]
+    distances: Mapping[CelestialBody, Quantity]
 
     def __post_init__(self) -> None:
-        frozen = {}
-        for name, r in dict(self.distances).items():
-            ensure_dimension(r, LENGTH, f"distance to {name}")
-            frozen[str(name)] = r
-        object.__setattr__(self, "distances", frozen)
+        distances = dict(self.distances)
+        if not distances:
+            raise ConfigurationError(f"point {self.label!r} names no body")
+        for body, r in distances.items():
+            ensure_dimension(r, LENGTH, f"distance to {body.name}")
+            if r < body.radius:
+                raise DomainError(
+                    f"point {self.label!r}: r = {r.value:g} m is inside body "
+                    f"{body.name!r} (radius {body.radius.value:g} m); exterior field only"
+                )
+        object.__setattr__(self, "distances", distances)
 
     @classmethod
-    def from_si(cls, label: str, distances_m: Mapping[str, float]) -> "FieldPoint":
-        return cls(label, {k: metres(v) for k, v in distances_m.items()})
+    def from_si(cls, label: str,
+                distances_m: Iterable[tuple[CelestialBody, float]]) -> "FieldPoint":
+        """Point from (body, radial distance in m) pairs, each body named once."""
+        distances: dict[CelestialBody, Quantity] = {}
+        for body, r_m in distances_m:
+            if any(b.name == body.name for b in distances):
+                raise ConfigurationError(f"point {label!r} names body {body.name!r} twice")
+            if not math.isfinite(r_m):
+                raise DomainError(
+                    f"point {label!r}: distance to body {body.name!r} is not finite"
+                )
+            distances[body] = metres(r_m)
+        return cls(label, distances)
 
     @classmethod
     def at_altitude(cls, body: CelestialBody, altitude_m: float,
                     label: str | None = None) -> "FieldPoint":
         """Point at body radius + altitude above the single body given."""
         r = body.radius.value + float(altitude_m)
-        return cls.from_si(label or f"{body.name}+{altitude_m:g}m", {body.name: r})
-
-    def distance_to(self, body: CelestialBody) -> Quantity:
-        try:
-            r = self.distances[body.name]
-        except KeyError:
-            raise ConfigurationError(
-                f"point {self.label!r} has no distance for body {body.name!r}"
-            ) from None
-        if r < body.radius:
-            raise DomainError(
-                f"point {self.label!r}: r = {r.value:g} m is inside body "
-                f"{body.name!r} (radius {body.radius.value:g} m); exterior field only"
-            )
-        return r
+        return cls.from_si(label or f"{body.name}+{altitude_m:g}m", [(body, r)])
 
 
-@dataclass(frozen=True)
-class PotentialField:
-    """Superposition of point-mass potentials, one per body."""
+def require_same_bodies(emit: FieldPoint, obs: FieldPoint) -> None:
+    """Refuse two points that do not name the same bodies.
 
-    bodies: tuple[CelestialBody, ...]
-
-    def __post_init__(self) -> None:
-        bodies = tuple(self.bodies)
-        if not bodies:
-            raise ConfigurationError("a potential field needs at least one body")
-        names = [b.name for b in bodies]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate body names in field: {names}")
-        object.__setattr__(self, "bodies", bodies)
-
-    @classmethod
-    def of(cls, *bodies: CelestialBody) -> "PotentialField":
-        return cls(tuple(bodies))
+    A potential difference between them would count some body's term at one
+    end only.
+    """
+    names = sorted({b.name for p in (emit, obs) for b in p.distances})
+    for point in (emit, obs):
+        present = {b.name for b in point.distances}
+        for name in names:
+            if name not in present:
+                raise ConfigurationError(
+                    f"point {point.label!r} has no distance for body {name!r}"
+                )
 
 
-def _per_body(field_: PotentialField, point: FieldPoint) -> Iterable[tuple[CelestialBody, Quantity]]:
-    for body in field_.bodies:
-        yield body, point.distance_to(body)
-
-
-def potential(field_: PotentialField, point: FieldPoint) -> Quantity:
+def potential(point: FieldPoint) -> Quantity:
     """Total potential sum_i -G*M_i/r_i at the point; always <= 0."""
-    terms = [(-body.mu() / r).value for body, r in _per_body(field_, point)]
+    terms = [(-body.mu() / r).value for body, r in point.distances.items()]
     return Quantity(math.fsum(terms), POTENTIAL)
 
 
-def gradient(field_: PotentialField, point: FieldPoint) -> Quantity:
+def gradient(point: FieldPoint) -> Quantity:
     """Radial derivative sum_i G*M_i/r_i^2 (m/s^2), each along its body axis.
 
     For a single body this is d(phi)/dr = +G*M/r^2: the potential increases
     toward zero with distance.
     """
-    terms = [(body.mu() / (r * r)).value for body, r in _per_body(field_, point)]
+    terms = [(body.mu() / (r * r)).value for body, r in point.distances.items()]
     return Quantity(math.fsum(terms), ACCELERATION)
 
 
-def atomic_scale_correction(field_: PotentialField, point: FieldPoint, a: Quantity) -> Quantity:
+def atomic_scale_correction(point: FieldPoint, a: Quantity) -> Quantity:
     """First-order change of the potential over a small length a.
 
     Returns a * d(phi)/dr at the point, i.e. a * sum_i G*M_i/r_i^2.  The
@@ -167,13 +161,13 @@ def atomic_scale_correction(field_: PotentialField, point: FieldPoint, a: Quanti
     if a.value < 0.0:
         raise DomainError("atomic-scale length a must be non-negative")
     if a.value > 0.0:
-        for body, r in _per_body(field_, point):
+        for body, r in point.distances.items():
             if a.value / r.value >= 1e-3:
                 raise DomainError(
                     f"a/r = {a.value / r.value:.3e} for body {body.name!r} exceeds "
                     "the 1e-3 approximation domain of the first-order correction"
                 )
-    return a * gradient(field_, point)
+    return a * gradient(point)
 
 
 # -- body registry -------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from gravshift.gravity import FieldPoint, PotentialField, default_bodies
+from gravshift.gravity import FieldPoint, default_bodies
 
 
 @pytest.fixture(scope="session")
@@ -16,11 +16,6 @@ def earth(bodies):
 @pytest.fixture(scope="session")
 def sun(bodies):
     return bodies["sun"]
-
-
-@pytest.fixture(scope="session")
-def earth_field(earth):
-    return PotentialField.of(earth)
 
 
 @pytest.fixture(scope="session")

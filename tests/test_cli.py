@@ -66,6 +66,12 @@ class TestPotentialCommand:
         assert code == 1
         assert "vulcan" in err
 
+    def test_non_finite_distance_names_the_point(self, capsys):
+        code, out, err = run_cli(["potential", "--at", "earth:nan"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: point 'earth:nan': distance to body 'earth' is not finite\n"
+
 
 class TestShiftCommand:
     def test_tower_example(self, capsys):
@@ -105,6 +111,22 @@ class TestShiftCommand:
              "--emit-r-m", "7e6", "--obs-alt", "1"], capsys)
         assert code == 1
         assert "exactly one" in err
+
+    def test_point_without_a_body_of_the_other_exits_one(self, capsys):
+        code, out, err = run_cli(
+            ["shift", "--model", "emitter", "--emit", "sun:0+earth:r=1.5e11",
+             "--obs", "earth:0"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "point 'obs' has no distance for body 'sun'" in err
+
+    def test_non_finite_altitude_names_the_point(self, capsys):
+        code, out, err = run_cli(
+            ["shift", "--model", "emitter", "--body", "earth", "--emit-alt", "nan",
+             "--obs-alt", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: point 'emit': distance to body 'earth' is not finite\n"
 
 
 class TestSpectrumCommand:
@@ -235,6 +257,25 @@ class TestExperimentCommand:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["reports"]) == 3
+
+    def test_registry_point_naming_a_body_twice_exits_one(self, tmp_path, capsys):
+        # keeping only the last sun distance would judge a zero shift consistent
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps([{
+            "name": "twice",
+            "geometry": {
+                "type": "two_point",
+                "emit": [{"body": "sun", "r_m": 6.957e8},
+                         {"body": "sun", "r_m": 1.495978707e11}],
+                "observe": [{"body": "sun", "r_m": 1.495978707e11}],
+            },
+            "measured_ratio": 1.0,
+            "ratio_uncertainty": 0.1,
+        }]))
+        code, out, err = run_cli(["experiment", "--registry", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"{path}: record #0 (twice): point 'twice:emit' names body 'sun' twice" in err
 
 
 class TestDeterminismAndParity:

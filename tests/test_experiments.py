@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from gravshift.errors import ConfigurationError, RegistryError
 from gravshift.experiments import (
     ExperimentRecord,
-    TowerGeometry,
-    TwoPointGeometry,
     Verdict,
     compare,
     default_registry,
@@ -16,19 +14,45 @@ from gravshift.experiments import (
     load_registry,
     predict,
 )
+from gravshift.gravity import FieldPoint
 from gravshift.spectra import ShiftModel
 
 import oracles
 
 
 @pytest.fixture(scope="module")
-def registry():
-    return default_registry()
+def registry(bodies):
+    return default_registry(bodies)
 
 
 @pytest.fixture(scope="module")
 def by_name(registry):
     return {r.name: r for r in registry}
+
+
+def entry(name, geometry, measured_ratio=1.0, ratio_uncertainty=0.1):
+    return {"name": name, "geometry": geometry, "measured_ratio": measured_ratio,
+            "ratio_uncertainty": ratio_uncertainty}
+
+
+def write_registry(tmp_path, entries):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(entries))
+    return path
+
+
+def tower_record(earth, height, measured_ratio, ratio_uncertainty=0.1):
+    return ExperimentRecord(
+        name="x",
+        emit=FieldPoint.at_altitude(earth, 0.0, "x:emit"),
+        observe=FieldPoint.at_altitude(earth, height, "x:observe"),
+        measured_ratio=measured_ratio,
+        ratio_uncertainty=ratio_uncertainty,
+    )
+
+
+def distances(point):
+    return {body.name: r.value for body, r in point.distances.items()}
 
 
 class TestLoadRegistry:
@@ -40,36 +64,31 @@ class TestLoadRegistry:
     def test_shipped_values(self, by_name):
         pr = by_name["pound-rebka-1960"]
         assert (pr.measured_ratio, pr.ratio_uncertainty) == (1.05, 0.10)
-        assert isinstance(pr.geometry, TowerGeometry)
-        assert pr.geometry.height_m == 22.5
+        assert distances(pr.emit) == {"earth": oracles.R_EARTH}
+        assert distances(pr.observe) == {"earth": oracles.R_EARTH + 22.5}
         ps = by_name["pound-snider-1965"]
         assert (ps.measured_ratio, ps.ratio_uncertainty) == (0.9990, 0.0076)
         solar = by_name["snider-solar-1972"]
         assert (solar.measured_ratio, solar.ratio_uncertainty) == (1.01, 0.06)
-        assert isinstance(solar.geometry, TwoPointGeometry)
-        assert dict(solar.geometry.emit)["sun"] == oracles.R_SUN
-        assert dict(solar.geometry.observe)["sun"] == oracles.AU
+        assert distances(solar.emit) == {"sun": oracles.R_SUN, "earth": oracles.AU}
+        assert distances(solar.observe) == {"sun": oracles.AU, "earth": oracles.R_EARTH}
 
-    def test_empty_file_loads_empty_list(self, tmp_path):
+    def test_empty_file_loads_empty_list(self, tmp_path, bodies):
         path = tmp_path / "r.json"
         path.write_text("[]")
-        assert load_registry(path) == []
+        assert load_registry(path, bodies) == []
 
-    def test_negative_uncertainty_rejected(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps([{
-            "name": "bad",
-            "geometry": {"type": "tower", "body": "earth", "height_m": 10.0},
-            "measured_ratio": 1.0,
-            "ratio_uncertainty": -0.1,
-        }]))
+    def test_negative_uncertainty_rejected(self, tmp_path, bodies):
+        path = write_registry(tmp_path, [entry(
+            "bad", {"type": "tower", "body": "earth", "height_m": 10.0},
+            ratio_uncertainty=-0.1)])
         with pytest.raises(RegistryError, match="uncertainty"):
-            load_registry(path)
+            load_registry(path, bodies)
 
     @pytest.mark.parametrize("field, value", [
         ("measured_ratio", float("nan")), ("ratio_uncertainty", float("inf")),
     ])
-    def test_non_finite_value_rejected(self, tmp_path, field, value):
+    def test_non_finite_value_rejected(self, tmp_path, bodies, field, value):
         # Python's json reads NaN and Infinity, and every sigma passes a NaN
         entry = {
             "name": "bad",
@@ -81,67 +100,82 @@ class TestLoadRegistry:
         path = tmp_path / "r.json"
         path.write_text(json.dumps([entry]))
         with pytest.raises(RegistryError, match=r"record #0 \(bad\): .* must be finite"):
-            load_registry(path)
+            load_registry(path, bodies)
 
-    def test_unknown_geometry_type_rejected(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps([{
-            "name": "bad",
-            "geometry": {"type": "spiral"},
-            "measured_ratio": 1.0,
-            "ratio_uncertainty": 0.1,
-        }]))
+    def test_unknown_geometry_type_rejected(self, tmp_path, bodies):
+        path = write_registry(tmp_path, [entry("bad", {"type": "spiral"})])
         with pytest.raises(RegistryError, match="spiral"):
-            load_registry(path)
+            load_registry(path, bodies)
 
-    def test_missing_field_rejected(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps([{"name": "bad"}]))
+    def test_missing_field_rejected(self, tmp_path, bodies):
+        path = write_registry(tmp_path, [{"name": "bad"}])
         with pytest.raises(RegistryError, match="geometry"):
-            load_registry(path)
+            load_registry(path, bodies)
+
+    @pytest.mark.parametrize("geometry, reason", [
+        ({"type": "tower", "body": "earth", "height_m": float("nan")},
+         "tower height must be positive"),
+        ({"type": "tower", "body": "earth", "height_m": 10.0, "base_altitude_m": float("inf")},
+         "point 'bad:emit': distance to body 'earth' is not finite"),
+        ({"type": "two_point", "emit": [{"body": "sun", "r_m": 6.957e8}],
+          "observe": [{"body": "sun", "r_m": float("nan")}]},
+         "point 'bad:observe': distance to body 'sun' is not finite"),
+    ])
+    def test_non_finite_geometry_rejected(self, tmp_path, bodies, geometry, reason):
+        path = write_registry(tmp_path, [entry("bad", geometry)])
+        with pytest.raises(RegistryError, match=r"r\.json: record #0 \(bad\): " + reason):
+            load_registry(path, bodies)
+
+    def test_empty_point_rejected(self, tmp_path, bodies):
+        path = write_registry(tmp_path, [entry("e", {
+            "type": "two_point", "emit": [], "observe": [{"body": "sun", "r_m": 7e8}]})])
+        with pytest.raises(RegistryError, match=r"\(e\): point 'e:emit' names no body"):
+            load_registry(path, bodies)
 
 
 class TestPredict:
-    def test_pound_tower_emitter_model(self, by_name, bodies):
-        shift = float(predict(by_name["pound-rebka-1960"], ShiftModel.EMITTER_MASS_DEFECT, bodies))
+    def test_pound_tower_emitter_model(self, by_name):
+        shift = float(predict(by_name["pound-rebka-1960"], ShiftModel.EMITTER_MASS_DEFECT))
         assert abs(shift) == pytest.approx(oracles.G_STANDARD * 22.5 / oracles.C2, rel=2e-3)
         assert shift < 0.0
 
-    def test_pound_tower_double_is_twice(self, by_name, bodies):
-        single = float(predict(by_name["pound-rebka-1960"], ShiftModel.EMITTER_MASS_DEFECT, bodies))
-        double = float(predict(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT, bodies))
+    def test_pound_tower_double_is_twice(self, by_name):
+        single = float(predict(by_name["pound-rebka-1960"], ShiftModel.EMITTER_MASS_DEFECT))
+        double = float(predict(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT))
         assert double == 2.0 * single
 
-    def test_solar_two_point(self, by_name, bodies):
-        shift = float(predict(by_name["snider-solar-1972"], ShiftModel.EMITTER_MASS_DEFECT, bodies))
+    def test_solar_two_point(self, by_name):
+        shift = float(predict(by_name["snider-solar-1972"], ShiftModel.EMITTER_MASS_DEFECT))
         solar_term = oracles.G * oracles.M_SUN * (1.0 / oracles.R_SUN - 1.0 / oracles.AU)
         earth_term = oracles.G * oracles.M_EARTH * (1.0 / oracles.R_EARTH - 1.0 / oracles.AU)
         expected = (-solar_term + earth_term) / oracles.C2
         assert shift == pytest.approx(expected, rel=1e-12)
         assert shift == pytest.approx(-2.11e-6, rel=2e-3)
 
-    def test_unknown_body_raises(self, by_name):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            predict(by_name["pound-rebka-1960"], ShiftModel.EMITTER_MASS_DEFECT, {})
+    def test_unknown_body_raises(self, tmp_path, bodies):
+        path = write_registry(tmp_path, [entry(
+            "vulcan-tower", {"type": "tower", "body": "vulcan", "height_m": 22.5})])
+        with pytest.raises(RegistryError, match=r"\(vulcan-tower\): unknown body 'vulcan'"):
+            load_registry(path, bodies)
 
 
 class TestCompare:
-    def test_pound_rebka_emitter(self, by_name, bodies):
-        report = compare(by_name["pound-rebka-1960"], ShiftModel.EMITTER_MASS_DEFECT, bodies)
+    def test_pound_rebka_emitter(self, by_name):
+        report = compare(by_name["pound-rebka-1960"], ShiftModel.EMITTER_MASS_DEFECT)
         assert report.sigma == abs(1.05 - 1.0) / 0.10
         assert report.sigma == pytest.approx(0.5, rel=1e-12)
         assert report.verdict is Verdict.CONSISTENT
 
-    def test_pound_snider_double(self, by_name, bodies):
-        report = compare(by_name["pound-snider-1965"], ShiftModel.DOUBLE_EFFECT, bodies)
+    def test_pound_snider_double(self, by_name):
+        report = compare(by_name["pound-snider-1965"], ShiftModel.DOUBLE_EFFECT)
         assert report.ratio == 0.4995
         assert report.ratio_uncertainty == 0.0038
         assert report.sigma == pytest.approx((1.0 - 0.4995) / 0.0038, rel=1e-12)
         assert report.sigma == pytest.approx(131.7, rel=1e-3)
         assert report.verdict is Verdict.EXCLUDED
 
-    def test_snider_solar_emitter(self, by_name, bodies):
-        report = compare(by_name["snider-solar-1972"], ShiftModel.EMITTER_MASS_DEFECT, bodies)
+    def test_snider_solar_emitter(self, by_name):
+        report = compare(by_name["snider-solar-1972"], ShiftModel.EMITTER_MASS_DEFECT)
         assert report.sigma == pytest.approx((1.01 - 1.0) / 0.06, rel=1e-12)
         assert report.sigma == pytest.approx(0.167, rel=3e-3)
         assert report.verdict is Verdict.CONSISTENT
@@ -156,35 +190,30 @@ class TestCompare:
         direct = abs(rho - 2.0) / sigma
         assert rescaled == pytest.approx(direct, rel=1e-15)
 
-    def test_compare_uses_rescaled_form(self, bodies):
-        record = ExperimentRecord(
-            name="x",
-            geometry=TowerGeometry("earth", 0.0, 10.0),
-            measured_ratio=0.8,
-            ratio_uncertainty=0.05,
-        )
-        report = compare(record, ShiftModel.DOUBLE_EFFECT, bodies)
+    def test_compare_uses_rescaled_form(self, earth):
+        record = tower_record(earth, 10.0, measured_ratio=0.8, ratio_uncertainty=0.05)
+        report = compare(record, ShiftModel.DOUBLE_EFFECT)
         assert report.sigma == pytest.approx(abs(0.8 - 2.0) / 0.05, rel=1e-15)
 
-    def test_bad_threshold_rejected(self, by_name, bodies):
+    def test_bad_threshold_rejected(self, by_name):
         with pytest.raises(ConfigurationError):
-            compare(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT, bodies, threshold=0.0)
+            compare(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT, threshold=0.0)
 
-    def test_nan_threshold_rejected(self, by_name, bodies):
+    def test_nan_threshold_rejected(self, by_name):
         with pytest.raises(ConfigurationError, match="threshold must be positive"):
-            compare(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT, bodies,
+            compare(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT,
                     threshold=float("nan"))
 
 
 class TestModelAlgebra:
-    def test_shipped_geometries(self, registry, bodies):
+    def test_shipped_geometries(self, registry):
         for record in registry:
-            emitter = float(predict(record, ShiftModel.EMITTER_MASS_DEFECT, bodies))
-            photon = float(predict(record, ShiftModel.PHOTON_INTERACTION, bodies))
-            double = float(predict(record, ShiftModel.DOUBLE_EFFECT, bodies))
+            emitter = float(predict(record, ShiftModel.EMITTER_MASS_DEFECT))
+            photon = float(predict(record, ShiftModel.PHOTON_INTERACTION))
+            double = float(predict(record, ShiftModel.DOUBLE_EFFECT))
             assert double == emitter + photon
 
-    def test_random_two_point_geometries(self, bodies):
+    def test_random_two_point_geometries(self, earth, sun):
         rng = random.Random(987)
         for k in range(100):
             r_e = rng.uniform(6.371e6, 1e12)
@@ -193,95 +222,84 @@ class TestModelAlgebra:
             r_so = rng.uniform(6.957e8, 1e13)
             record = ExperimentRecord(
                 name=f"random-{k}",
-                geometry=TwoPointGeometry(
-                    emit=(("earth", r_e), ("sun", r_se)),
-                    observe=(("earth", r_o), ("sun", r_so)),
-                ),
+                emit=FieldPoint.from_si("emit", [(earth, r_e), (sun, r_se)]),
+                observe=FieldPoint.from_si("observe", [(earth, r_o), (sun, r_so)]),
                 measured_ratio=1.0,
                 ratio_uncertainty=0.1,
             )
-            emitter = float(predict(record, ShiftModel.EMITTER_MASS_DEFECT, bodies))
-            photon = float(predict(record, ShiftModel.PHOTON_INTERACTION, bodies))
-            double = float(predict(record, ShiftModel.DOUBLE_EFFECT, bodies))
+            emitter = float(predict(record, ShiftModel.EMITTER_MASS_DEFECT))
+            photon = float(predict(record, ShiftModel.PHOTON_INTERACTION))
+            double = float(predict(record, ShiftModel.DOUBLE_EFFECT))
             assert double == emitter + photon
 
 
 class TestGeometryConsistency:
-    def test_tower_equals_equivalent_two_point(self, bodies):
+    def test_tower_equals_equivalent_two_point(self, tmp_path, bodies):
         base, height = 12.0, 22.5
-        tower = ExperimentRecord(
-            name="tower",
-            geometry=TowerGeometry("earth", base, height),
-            measured_ratio=1.0,
-            ratio_uncertainty=0.1,
-        )
         r_lo = bodies["earth"].radius.value + base
-        two_point = ExperimentRecord(
-            name="two-point",
-            geometry=TwoPointGeometry(
-                emit=(("earth", r_lo),), observe=(("earth", r_lo + height),),
-            ),
-            measured_ratio=1.0,
-            ratio_uncertainty=0.1,
-        )
+        path = write_registry(tmp_path, [
+            entry("tower", {"type": "tower", "body": "earth",
+                            "base_altitude_m": base, "height_m": height}),
+            entry("two-point", {"type": "two_point",
+                                "emit": [{"body": "earth", "r_m": r_lo}],
+                                "observe": [{"body": "earth", "r_m": r_lo + height}]}),
+        ])
+        tower, two_point = load_registry(path, bodies)
         for model in ShiftModel:
-            a = float(predict(tower, model, bodies))
-            b = float(predict(two_point, model, bodies))
+            a = float(predict(tower, model))
+            b = float(predict(two_point, model))
             assert a == pytest.approx(b, rel=1e-12)
 
-    def test_sign_discipline(self, registry, bodies):
+    def test_sign_discipline(self, registry):
         for record in registry:
             assert record.measured_ratio > 0.0
             for model in (ShiftModel.EMITTER_MASS_DEFECT, ShiftModel.PHOTON_INTERACTION):
-                assert float(predict(record, model, bodies)) < 0.0
+                assert float(predict(record, model)) < 0.0
 
 
 class TestDoubleEffectVerdict:
-    def test_shipped_registry_verdict(self, registry, bodies):
-        summary = double_effect_verdict(registry, bodies)
+    def test_shipped_registry_verdict(self, registry):
+        summary = double_effect_verdict(registry)
         assert len(summary.reports) == 9
         assert summary.single_models_consistent
         assert summary.double_effect_excluded
         assert summary.ci_exit_code == 0
 
-    def test_pound_rebka_alone_still_excludes(self, by_name, bodies):
-        summary = double_effect_verdict([by_name["pound-rebka-1960"]], bodies)
+    def test_pound_rebka_alone_still_excludes(self, by_name):
+        summary = double_effect_verdict([by_name["pound-rebka-1960"]])
         double = [r for r in summary.reports if r.model is ShiftModel.DOUBLE_EFFECT][0]
         assert double.sigma == pytest.approx((1.0 - 0.525) / 0.05, rel=1e-12)
         assert double.sigma == pytest.approx(9.5, rel=1e-12)
         assert summary.double_effect_excluded
 
-    def test_threshold_is_configurable(self, registry, bodies):
-        summary = double_effect_verdict(registry, bodies, threshold=200.0)
+    def test_threshold_is_configurable(self, registry):
+        summary = double_effect_verdict(registry, threshold=200.0)
         assert not summary.double_effect_excluded
         assert summary.ci_exit_code == 1
 
-    def test_empty_registry_rejected(self, bodies):
+    def test_empty_registry_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
-            double_effect_verdict([], bodies)
+            double_effect_verdict([])
 
 
 class TestRecordValidation:
-    def test_non_positive_ratio_rejected(self):
+    def test_non_positive_ratio_rejected(self, earth):
         with pytest.raises(ConfigurationError):
+            tower_record(earth, 1.0, measured_ratio=0.0)
+
+    def test_non_positive_height_rejected(self, tmp_path, bodies):
+        path = write_registry(tmp_path, [entry(
+            "flat", {"type": "tower", "body": "earth", "height_m": 0.0})])
+        with pytest.raises(RegistryError, match=r"\(flat\): tower height must be positive"):
+            load_registry(path, bodies)
+
+    def test_mismatched_point_bodies_rejected(self, earth, sun):
+        with pytest.raises(ConfigurationError,
+                           match="point 'x:emit' has no distance for body 'earth'"):
             ExperimentRecord(
-                name="x", geometry=TowerGeometry("earth", 0.0, 1.0),
-                measured_ratio=0.0, ratio_uncertainty=0.1,
+                name="x",
+                emit=FieldPoint.from_si("x:emit", [(sun, 7e8)]),
+                observe=FieldPoint.from_si("x:observe", [(sun, 7e8), (earth, 7e6)]),
+                measured_ratio=1.0,
+                ratio_uncertainty=0.1,
             )
-
-    def test_non_positive_height_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TowerGeometry("earth", 0.0, 0.0)
-
-    def test_mismatched_point_bodies_raise_on_predict(self, bodies):
-        record = ExperimentRecord(
-            name="x",
-            geometry=TwoPointGeometry(
-                emit=(("sun", 7e8),),
-                observe=(("sun", 7e8), ("earth", 7e6)),
-            ),
-            measured_ratio=1.0,
-            ratio_uncertainty=0.1,
-        )
-        with pytest.raises(ConfigurationError, match="no distance"):
-            predict(record, ShiftModel.EMITTER_MASS_DEFECT, bodies)

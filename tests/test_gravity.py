@@ -7,12 +7,12 @@ from gravshift.errors import ConfigurationError, DomainError, RegistryError
 from gravshift.gravity import (
     CelestialBody,
     FieldPoint,
-    PotentialField,
     atomic_scale_correction,
     default_bodies,
     gradient,
     load_bodies,
     potential,
+    require_same_bodies,
 )
 from gravshift.spectra import ShiftModel, fractional_shift
 from gravshift.units import CONSTANTS, metres
@@ -24,14 +24,12 @@ BOHR_RADIUS = 5.29177210903e-11
 
 def single_body_setup(mass_kg, radius_m, r_m, name="b"):
     body = CelestialBody.from_si(name, mass_kg, radius_m)
-    field = PotentialField.of(body)
-    point = FieldPoint.from_si("p", {name: r_m})
-    return field, point
+    return body, FieldPoint.from_si("p", [(body, r_m)])
 
 
 class TestPotential:
-    def test_earth_surface(self, earth_field, earth_surface):
-        phi = potential(earth_field, earth_surface)
+    def test_earth_surface(self, earth_surface):
+        phi = potential(earth_surface)
         assert phi.value == pytest.approx(
             oracles.point_mass_potential(oracles.M_EARTH, oracles.R_EARTH), rel=1e-13
         )
@@ -39,38 +37,46 @@ class TestPotential:
         assert float(phi / CONSTANTS.c_squared) == pytest.approx(-6.961311310505493e-10, rel=1e-12)
 
     def test_sun_surface(self, sun):
-        field = PotentialField.of(sun)
         point = FieldPoint.at_altitude(sun, 0.0)
-        ratio = float(potential(field, point) / CONSTANTS.c_squared)
+        ratio = float(potential(point) / CONSTANTS.c_squared)
         assert ratio == pytest.approx(-2.1225987775107756e-06, rel=1e-12)
 
     def test_asymptotically_zero_from_below(self, earth):
-        field = PotentialField.of(earth)
-        previous = potential(field, FieldPoint.from_si("p", {"earth": 1e8})).value
+        previous = potential(FieldPoint.from_si("p", [(earth, 1e8)])).value
         for r in (1e10, 1e13, 1e16):
-            phi = potential(field, FieldPoint.from_si("p", {"earth": r})).value
+            phi = potential(FieldPoint.from_si("p", [(earth, r)])).value
             assert previous < phi < 0.0
             previous = phi
         assert abs(previous) < 1e-1
 
     def test_missing_distance_is_configuration_error(self, earth, sun):
-        field = PotentialField.of(earth, sun)
-        point = FieldPoint.from_si("p", {"earth": 7e6})
-        with pytest.raises(ConfigurationError):
-            potential(field, point)
+        both = FieldPoint.from_si("p", [(earth, 7e6), (sun, 1.5e11)])
+        earth_only = FieldPoint.from_si("q", [(earth, 7e6)])
+        with pytest.raises(ConfigurationError,
+                           match="point 'q' has no distance for body 'sun'"):
+            require_same_bodies(both, earth_only)
+        with pytest.raises(ConfigurationError,
+                           match="point 'q' has no distance for body 'sun'"):
+            require_same_bodies(earth_only, both)
+        require_same_bodies(both, FieldPoint.from_si("r", [(sun, 2e11), (earth, 8e6)]))
 
-    def test_interior_point_is_domain_error(self, earth_field):
-        point = FieldPoint.from_si("p", {"earth": 1.0})
-        with pytest.raises(DomainError):
-            potential(earth_field, point)
+    def test_interior_point_is_domain_error(self, earth):
+        with pytest.raises(DomainError, match="point 'p': .* inside body 'earth'"):
+            FieldPoint.from_si("p", [(earth, 1.0)])
 
     def test_empty_field_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PotentialField.of()
+        with pytest.raises(ConfigurationError, match="point 'p' names no body"):
+            FieldPoint("p", {})
 
     def test_duplicate_bodies_rejected(self, earth):
-        with pytest.raises(ConfigurationError):
-            PotentialField.of(earth, earth)
+        with pytest.raises(ConfigurationError, match="point 'p' names body 'earth' twice"):
+            FieldPoint.from_si("p", [(earth, 7e6), (earth, 8e6)])
+
+    @pytest.mark.parametrize("r_m", [float("nan"), float("inf")])
+    def test_non_finite_distance_names_the_point(self, earth, r_m):
+        with pytest.raises(DomainError,
+                           match="point 'p': distance to body 'earth' is not finite"):
+            FieldPoint.from_si("p", [(earth, r_m)])
 
     @settings(max_examples=200)
     @given(
@@ -82,10 +88,9 @@ class TestPotential:
     def test_superposition(self, m1, m2, r1, r2):
         a = CelestialBody.from_si("a", m1, 1e5)
         b = CelestialBody.from_si("b", m2, 1e5)
-        point = FieldPoint.from_si("p", {"a": r1, "b": r2})
-        combined = potential(PotentialField.of(a, b), point).value
-        separate = (potential(PotentialField.of(a), FieldPoint.from_si("p", {"a": r1})).value
-                    + potential(PotentialField.of(b), FieldPoint.from_si("p", {"b": r2})).value)
+        combined = potential(FieldPoint.from_si("p", [(a, r1), (b, r2)])).value
+        separate = (potential(FieldPoint.from_si("p", [(a, r1)])).value
+                    + potential(FieldPoint.from_si("p", [(b, r2)])).value)
         assert combined == pytest.approx(separate, rel=1e-15)
         assert combined < 0.0
 
@@ -94,10 +99,10 @@ class TestPotential:
         factor=st.floats(min_value=1.0001, max_value=1e4),
     )
     def test_sign_and_monotonicity(self, r_lo, factor):
-        field, p_lo = single_body_setup(5e24, 1e6, r_lo)
-        p_hi = FieldPoint.from_si("q", {"b": r_lo * factor})
-        phi_lo = potential(field, p_lo).value
-        phi_hi = potential(field, p_hi).value
+        body, p_lo = single_body_setup(5e24, 1e6, r_lo)
+        p_hi = FieldPoint.from_si("q", [(body, r_lo * factor)])
+        phi_lo = potential(p_lo).value
+        phi_hi = potential(p_hi).value
         assert phi_lo < phi_hi < 0.0
 
 
@@ -105,17 +110,16 @@ class TestPotentialDifference:
     """phi(p1) - phi(p2), the difference `shift` divides by c^2."""
 
     @staticmethod
-    def difference(field, p1, p2):
-        shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT,
-                                 potential(field, p1), potential(field, p2))
+    def difference(p1, p2):
+        shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, potential(p1), potential(p2))
         return shift * CONSTANTS.c_squared
 
-    def test_same_point_is_zero(self, earth_field, earth_surface):
-        assert self.difference(earth_field, earth_surface, earth_surface).value == 0.0
+    def test_same_point_is_zero(self, earth_surface):
+        assert self.difference(earth_surface, earth_surface).value == 0.0
 
-    def test_tower_descent(self, earth, earth_field, earth_surface):
+    def test_tower_descent(self, earth, earth_surface):
         above = FieldPoint.at_altitude(earth, 22.5)
-        dphi = self.difference(earth_field, earth_surface, above)
+        dphi = self.difference(earth_surface, above)
         expected = oracles.G * oracles.M_EARTH * (
             1.0 / (oracles.R_EARTH + 22.5) - 1.0 / oracles.R_EARTH
         )
@@ -125,31 +129,29 @@ class TestPotentialDifference:
         # cross-check against conventional g*h
         assert abs(dphi.value) == pytest.approx(oracles.G_STANDARD * 22.5, rel=2e-3)
 
-    def test_antisymmetric_under_swap(self, earth, earth_field, earth_surface):
+    def test_antisymmetric_under_swap(self, earth, earth_surface):
         above = FieldPoint.at_altitude(earth, 22.5)
-        forward = self.difference(earth_field, earth_surface, above)
-        backward = self.difference(earth_field, above, earth_surface)
+        forward = self.difference(earth_surface, above)
+        backward = self.difference(above, earth_surface)
         assert forward.value == -backward.value
 
 
 class TestGradient:
-    def test_earth_surface(self, earth_field, earth_surface):
-        g = gradient(earth_field, earth_surface)
+    def test_earth_surface(self, earth_surface):
+        g = gradient(earth_surface)
         assert g.value == pytest.approx(
             oracles.G * oracles.M_EARTH / oracles.R_EARTH**2, rel=1e-13
         )
         assert g.value == pytest.approx(9.82, rel=1e-3)
 
     def test_inverse_square(self):
-        field, p1 = single_body_setup(5e24, 1e6, 1e7)
-        p2 = FieldPoint.from_si("q", {"b": 2e7})
-        assert gradient(field, p2).value == pytest.approx(
-            gradient(field, p1).value / 4.0, rel=1e-14
-        )
+        body, p1 = single_body_setup(5e24, 1e6, 1e7)
+        p2 = FieldPoint.from_si("q", [(body, 2e7)])
+        assert gradient(p2).value == pytest.approx(gradient(p1).value / 4.0, rel=1e-14)
 
-    def test_vanishes_at_infinity(self, earth_field):
-        far = FieldPoint.from_si("p", {"earth": 1e18})
-        assert 0.0 < gradient(earth_field, far).value < 1e-20
+    def test_vanishes_at_infinity(self, earth):
+        far = FieldPoint.from_si("p", [(earth, 1e18)])
+        assert 0.0 < gradient(far).value < 1e-20
 
     @settings(max_examples=200)
     @given(
@@ -157,46 +159,46 @@ class TestGradient:
         eps_rel=st.floats(min_value=1e-7, max_value=1e-6),
     )
     def test_matches_forward_difference(self, r, eps_rel):
-        field, point = single_body_setup(5.9722e24, 6.371e6, r)
+        body, point = single_body_setup(5.9722e24, 6.371e6, r)
         eps = r * eps_rel
-        shifted = FieldPoint.from_si("q", {"b": r + eps})
-        fd = (potential(field, shifted).value - potential(field, point).value) / eps
-        assert gradient(field, point).value == pytest.approx(fd, rel=1e-5)
+        shifted = FieldPoint.from_si("q", [(body, r + eps)])
+        fd = (potential(shifted).value - potential(point).value) / eps
+        assert gradient(point).value == pytest.approx(fd, rel=1e-5)
 
 
 class TestAtomicScaleCorrection:
-    def test_bohr_radius_at_earth_surface(self, earth_field, earth_surface):
-        corr = atomic_scale_correction(earth_field, earth_surface, metres(BOHR_RADIUS))
+    def test_bohr_radius_at_earth_surface(self, earth_surface):
+        corr = atomic_scale_correction(earth_surface, metres(BOHR_RADIUS))
         expected = BOHR_RADIUS * oracles.G * oracles.M_EARTH / oracles.R_EARTH**2
         assert corr.value == pytest.approx(expected, rel=1e-13)
         assert corr.value == pytest.approx(5.2e-10, rel=1e-2)
 
-    def test_ratio_to_potential_is_a_over_r(self, earth_field, earth_surface):
-        corr = atomic_scale_correction(earth_field, earth_surface, metres(BOHR_RADIUS))
-        phi = potential(earth_field, earth_surface)
+    def test_ratio_to_potential_is_a_over_r(self, earth_surface):
+        corr = atomic_scale_correction(earth_surface, metres(BOHR_RADIUS))
+        phi = potential(earth_surface)
         ratio = corr.value / abs(phi.value)
         assert ratio == pytest.approx(BOHR_RADIUS / oracles.R_EARTH, rel=1e-12)
 
-    def test_negligible_for_atomic_lengths_at_planetary_radii(self, earth_field, earth_surface):
-        corr = atomic_scale_correction(earth_field, earth_surface, metres(BOHR_RADIUS))
-        phi = potential(earth_field, earth_surface)
+    def test_negligible_for_atomic_lengths_at_planetary_radii(self, earth_surface):
+        corr = atomic_scale_correction(earth_surface, metres(BOHR_RADIUS))
+        phi = potential(earth_surface)
         assert corr.value / abs(phi.value) < 1e-16
 
-    def test_zero_length(self, earth_field, earth_surface):
-        assert atomic_scale_correction(earth_field, earth_surface, metres(0.0)).value == 0.0
+    def test_zero_length(self, earth_surface):
+        assert atomic_scale_correction(earth_surface, metres(0.0)).value == 0.0
 
-    def test_linear_in_length(self, earth_field, earth_surface):
-        one = atomic_scale_correction(earth_field, earth_surface, metres(1e-10))
-        two = atomic_scale_correction(earth_field, earth_surface, metres(2e-10))
+    def test_linear_in_length(self, earth_surface):
+        one = atomic_scale_correction(earth_surface, metres(1e-10))
+        two = atomic_scale_correction(earth_surface, metres(2e-10))
         assert two.value == pytest.approx(2.0 * one.value, rel=1e-14)
 
-    def test_rejects_large_length(self, earth_field, earth_surface):
+    def test_rejects_large_length(self, earth_surface):
         with pytest.raises(DomainError):
-            atomic_scale_correction(earth_field, earth_surface, metres(1e5))
+            atomic_scale_correction(earth_surface, metres(1e5))
 
-    def test_rejects_negative_length(self, earth_field, earth_surface):
+    def test_rejects_negative_length(self, earth_surface):
         with pytest.raises(DomainError):
-            atomic_scale_correction(earth_field, earth_surface, metres(-1e-10))
+            atomic_scale_correction(earth_surface, metres(-1e-10))
 
 
 class TestBodyValidation:

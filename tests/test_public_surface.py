@@ -48,6 +48,8 @@ ARGV = [
      "--format", "json"],
     ["shift", "--model", "double", "--body", "earth", "--emit-r-m", "6.371e6",
      "--obs-r-m", "6.3710225e6", "--format", "csv"],
+    ["shift", "--model", "double", "--emit", "sun:0+earth:r=1.495978707e11",
+     "--obs", "sun:r=1.495978707e11+earth:0", "--format", "json"],
     ["photon", "--body", "earth", "--b-radii", "5", "--tol", "1e-6", "--term-factor", "10"],
     ["photon", "--body", "earth", "--sweep-m", "2e7:4e7:2", "--tol", "1e-6",
      "--format", "text"],
