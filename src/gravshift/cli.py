@@ -25,7 +25,7 @@ from .gravity import (
     potential,
     require_same_bodies,
 )
-from .photon import impact_parameter_ray, trace_ray
+from .photon import trace_ray
 from .spectra import (
     QuantumState,
     ShiftModel,
@@ -39,6 +39,9 @@ from .units import CONSTANTS, kilograms, potential_m2_s2
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+#: Most rays one sweep traces (minutes of tracing); COUNT above it is refused
+#: before any b value is built.
+MAX_SWEEP_RAYS = 10_000
 
 _MODEL_NAMES = {m.value: m for m in ShiftModel}
 
@@ -177,7 +180,7 @@ def _parse_states(args) -> list[QuantumState]:
             try:
                 n_prime = int(np_txt)
                 j = float(Fraction(j_txt))
-            except (ValueError, ZeroDivisionError):
+            except (ValueError, ZeroDivisionError, OverflowError):
                 raise ConfigurationError(f"bad state {chunk!r}") from None
             states.append(QuantumState.from_radial(args.z, n_prime, j))
         return states
@@ -261,8 +264,7 @@ def _cmd_shift(args) -> int:
 
 
 def _trace_record(body, b_m: float, args) -> dict:
-    path = impact_parameter_ray(body, b_m, termination_factor=args.term_factor)
-    result = trace_ray(path, rel_tol=args.tol)
+    result = trace_ray(body, b_m, args.term_factor, args.tol)
     return {
         "b_m": b_m,
         "deflection_rad": result.deflection_rad,
@@ -283,6 +285,8 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
         raise ConfigurationError(f"bad sweep {text!r}") from None
     if count < 2 or hi <= lo:
         raise ConfigurationError(f"bad sweep {text!r}: need MAX > MIN and COUNT >= 2")
+    if count > MAX_SWEEP_RAYS:
+        raise ConfigurationError(f"bad sweep {text!r}: COUNT above {MAX_SWEEP_RAYS}")
     return lo, hi, count
 
 

@@ -29,6 +29,8 @@ functional form, different physical locus), and their arithmetic sum, the
 from __future__ import annotations
 
 import enum
+import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError
@@ -65,8 +67,12 @@ def effective_mass(rest_mass: Quantity, phi: Quantity) -> Quantity:
     if phi.value > 0.0:
         raise DomainError("effective mass is defined for attractive potentials (phi <= 0)")
     value = rest_mass.value * (1.0 + x)
-    if value <= 0.0:
-        raise DomainError("effective mass must stay positive (weak-field domain)")
+    if value < sys.float_info.min:
+        # a subnormal mass keeps too few bits to carry the factor 1 + phi/c^2
+        raise DomainError(
+            f"effective mass {value:g} kg is below the smallest normal float "
+            f"({sys.float_info.min:g}); phi/c^2 would be lost to rounding"
+        )
     return Quantity(value, MASS)
 
 
@@ -151,7 +157,12 @@ def _specific_level_energy(state: QuantumState) -> Quantity:
 def level_energy(state: QuantumState, m_eff: Quantity) -> Quantity:
     """Positive binding energy of the state at the given effective mass."""
     ensure_dimension(m_eff, MASS, "m_eff")
-    return m_eff * _specific_level_energy(state)
+    k = _specific_level_energy(state)
+    if not math.isfinite(m_eff.value * k.value):
+        raise DomainError(
+            f"level energy of {state.label()} overflows at mass {m_eff.value:g} kg"
+        )
+    return m_eff * k
 
 
 def transition_frequency(s_upper: QuantumState, s_lower: QuantumState,

@@ -60,12 +60,6 @@ class Dimension:
         return Dimension(self.mass - other.mass, self.length - other.length,
                          self.time - other.time)
 
-    def __pow__(self, exponent: int) -> "Dimension":
-        if not isinstance(exponent, int):
-            raise DimensionError("dimension exponents must be integers")
-        return Dimension(self.mass * exponent, self.length * exponent,
-                         self.time * exponent)
-
     def __str__(self) -> str:
         if self == DIMENSIONLESS:
             return "1"
@@ -144,19 +138,8 @@ class Quantity:
             return Quantity(self.value / other, self.dim)
         return NotImplemented
 
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            return Quantity(other / self.value, DIMENSIONLESS / self.dim)
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "Quantity":
-        return Quantity(self.value ** exponent, self.dim ** exponent)
-
     def __neg__(self) -> "Quantity":
         return Quantity(-self.value, self.dim)
-
-    def __abs__(self) -> "Quantity":
-        return Quantity(abs(self.value), self.dim)
 
     # -- comparison ----------------------------------------------------
 
@@ -170,10 +153,6 @@ class Quantity:
                 f"only dimensionless quantities convert to bare floats, got {self.dim}"
             )
         return self.value
-
-    def __str__(self) -> str:
-        unit = str(self.dim)
-        return f"{self.value:g}" if unit == "1" else f"{self.value:g} {unit}"
 
 
 def ensure_dimension(q: Quantity, dim: Dimension, label: str) -> Quantity:

@@ -63,3 +63,46 @@ def deflection_quadrature(mu_m: float, b_m: float) -> float:
 
 
 MU_SUN = G * M_SUN / C2  # graded-index strength of the Sun, metres
+
+
+def bent_ray_closed_form(mu_m: float, b_m: float, r_m: float) -> tuple[float, float, float]:
+    """Exact ray through n(r) = 1 + mu/r from the circle of radius R, entered
+    parallel to +x at height b, to where it leaves that circle.
+
+    Returns (delta_R, r_min, excess): the signed bend inside the circle
+    (negative: towards the body), the closest approach and the time excess
+    over the chord (s).  The index is central, so Bouguer's invariant
+    n*r*sin(psi) = ell (Born & Wolf, Principles of Optics, 3.2) holds along
+    the ray, with ell = n(R)*b; as n*r = r + mu, every integral is elementary.
+    With kappa = ell/sqrt(ell^2 - mu^2), q = (ell^2 - mu*R - mu^2)/(ell*R) and
+    a = b/R:
+
+        r_min = ell - mu,
+        polar angle swept  Phi = 2*kappa*(pi/2 - asin q),
+        delta_R = pi - 2*asin(a) - Phi,
+        c*T = 2*[sqrt((R + mu)^2 - ell^2) + mu*acosh((R + mu)/ell)
+                 + (mu^2/ell)*Phi/2],
+        chord = 2*R*sin(Phi/2).
+
+    They are written here without cancellation: kappa - 1 through expm1 and
+    log1p, asin(a) - asin(q) from a - q = mu*(R + mu - ell*b/R)/(ell*R), and
+    the excess c*(T - chord/c)/2 as a sum of terms that are each small.
+    """
+    ell = (1.0 + mu_m / r_m) * b_m
+    kappa_minus_1 = math.expm1(-0.5 * math.log1p(-(mu_m / ell) ** 2))
+    a = b_m / r_m
+    a_minus_q = mu_m * (r_m + mu_m - ell * b_m / r_m) / (ell * r_m)
+    q = a - a_minus_q
+    asin_a_minus_asin_q = math.asin(
+        a_minus_q * (a + q) / (a * math.sqrt(1.0 - q * q) + q * math.sqrt(1.0 - a * a)))
+    delta = -2.0 * asin_a_minus_asin_q - 2.0 * kappa_minus_1 * (math.pi / 2.0 - math.asin(q))
+
+    u = r_m + mu_m
+    root_in, root_out = math.sqrt(u * u - ell * ell), math.sqrt(r_m * r_m - b_m * b_m)
+    n_diff = 2.0 * r_m * mu_m + mu_m ** 2 - b_m ** 2 * mu_m * (2.0 / r_m + mu_m / r_m ** 2)
+    half_excess = (n_diff / (root_in + root_out)
+                   + 2.0 * root_out * math.sin(delta / 4.0) ** 2
+                   + b_m * math.sin(delta / 2.0)
+                   + mu_m * math.acosh(u / ell)
+                   + mu_m ** 2 / ell * (math.pi / 2.0 - math.asin(a) - delta / 2.0))
+    return delta, ell - mu_m, 2.0 * half_excess / C

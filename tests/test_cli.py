@@ -163,6 +163,28 @@ class TestSpectrumCommand:
         assert out == ""
         assert "emitter rest mass must be positive" in err
 
+    def test_overflowing_state_exits_one(self, capsys):
+        code, out, err = run_cli(["spectrum", "--states", "0:1/2,0:1e400"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: bad state '0:1e400'\n"
+
+    def test_subnormal_emitter_mass_exits_one(self, capsys):
+        # the shift printed 0 here; the true value is about -2.1226e-6
+        code, out, err = run_cli(
+            ["spectrum", "--n-range", "1:1", "--emitter-mass-kg", "1e-320", "--at", "sun:0"],
+            capsys)
+        assert code == 1
+        assert out == ""
+        assert "smallest normal float" in err
+
+    def test_overflowing_level_energy_exits_one(self, capsys):
+        code, out, err = run_cli(
+            ["spectrum", "--n-range", "1:1", "--emitter-mass-kg", "1e308"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "level energy of Z=1 n=1 j=1/2 n'=0 overflows" in err
+
 
 class TestPhotonCommand:
     def test_single_trace_keys(self, capsys):
@@ -207,6 +229,15 @@ class TestPhotonCommand:
             ["photon", "--body", "sun", "--b-radii", "0.5", "--tol", "1e-6"], capsys)
         assert code == 1
         assert "impact" in err
+
+    @pytest.mark.parametrize("count", ["10001", "1000000000000000000000"])
+    def test_sweep_count_is_capped(self, capsys, count):
+        # refused before any b value is built or traced
+        code, out, err = run_cli(
+            ["photon", "--body", "sun", "--sweep-radii", f"1:2:{count}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad sweep '1:2:{count}': COUNT above 10000\n"
 
     @pytest.mark.parametrize("factor", ["1000", "1e9"])
     def test_term_factor_above_200_exits_one(self, capsys, factor):

@@ -30,10 +30,6 @@ PAPER_CLAIMS = {
     "gradient",                 # d(phi)/dr, behind the tidal term
 }
 
-# (qualified name, parameter) of defaults that no CLI path needs to override:
-# multi-body rays are library scope, and no CLI flag moves a body off the origin
-DEFAULTS_FOR_LIBRARY_USE = {("PlanarBody.__init__", "center")}
-
 ARGV = [
     ["constants"],
     ["potential", "--at", "earth:0", "--at", "earth:r=7e6+sun:r=1.495978707e11"],
@@ -150,7 +146,6 @@ def test_every_public_default_is_overridden_by_some_cli_path(cli_trace):
         f"{fn.__module__}.{fn.__qualname__}({param})"
         for fn, param, _ in _public_defaults()
         if (fn.__code__, param) not in overridden
-        and (fn.__qualname__, param) not in DEFAULTS_FOR_LIBRARY_USE
     )
     assert never == []
 

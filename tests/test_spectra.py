@@ -337,6 +337,22 @@ class TestEmitter:
         with pytest.raises(DomainError):
             effective_mass(kilograms(0.0), PHI_ZERO)
 
+    @pytest.mark.parametrize("mass_kg", [1e-320, 1e-310])
+    def test_rejects_subnormal_effective_mass(self, mass_kg):
+        # a subnormal mass keeps too few bits for the factor 1 + phi/c^2:
+        # 1e-320 kg at the solar surface used to give a shift of exactly 0
+        with pytest.raises(DomainError, match="smallest normal float"):
+            effective_mass(kilograms(mass_kg), PHI_SUN)
+
+    def test_smallest_normal_mass_keeps_the_shift(self):
+        rest = kilograms(2.3e-308)
+        ratio = effective_mass(rest, PHI_SUN).value / rest.value
+        assert ratio - 1.0 == pytest.approx(float(PHI_SUN / CONSTANTS.c_squared), rel=1e-6)
+
+    def test_overflowing_level_energy_is_named(self):
+        with pytest.raises(DomainError, match="level energy of .* overflows"):
+            level_energy(GROUND, kilograms(1e308))
+
     @pytest.mark.parametrize("call", [
         lambda: effective_mass(PHI_EARTH, PHI_ZERO),
         lambda: level_energy(GROUND, PHI_EARTH),

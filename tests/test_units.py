@@ -85,7 +85,6 @@ class TestQuantity:
         q1, q2 = Quantity(v1, d1), Quantity(v2, d2)
         assert (q1 * q2).dim == Dimension(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
         assert (q1 / q2).dim == Dimension(e1[0] - e2[0], e1[1] - e2[1], e1[2] - e2[2])
-        assert (q1 ** 2).dim == Dimension(2 * e1[0], 2 * e1[1], 2 * e1[2])
         assert (q1 + q1).dim == d1
         assert (q1 * q2).value == v1 * v2
 
