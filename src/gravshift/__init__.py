@@ -6,8 +6,8 @@ The package splits along the physics:
 units
     Dimension-tagged quantities and the CODATA constant set.
 gravity
-    Field points that carry the bodies acting on them, their Newtonian
-    point-mass potential and the tidal correction over atomic distances.
+    Field points that carry the bodies acting on them and their Newtonian
+    point-mass potential.
 spectra
     Effective emitter mass in a potential, hydrogen-like fine-structure
     levels at that mass, and fractional line shifts under the competing

@@ -11,12 +11,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import experiments as experiments_mod
 from .data import ENV_DATA_DIR
-from .errors import ConfigurationError, GravshiftError
+from .errors import ConfigurationError, DomainError, GravshiftError
 from .gravity import (
     CelestialBody,
     FieldPoint,
@@ -42,6 +43,9 @@ EXIT_USAGE = 2
 #: Most rays one sweep traces (minutes of tracing); COUNT above it is refused
 #: before any b value is built.
 MAX_SWEEP_RAYS = 10_000
+#: Most states one spectrum lists (about --n-range 1:446, seconds of work); a
+#: range above it is refused before any state is built.
+MAX_STATES = 100_000
 
 _MODEL_NAMES = {m.value: m for m in ShiftModel}
 
@@ -182,7 +186,7 @@ def _parse_states(args) -> list[QuantumState]:
                 j = float(Fraction(j_txt))
             except (ValueError, ZeroDivisionError, OverflowError):
                 raise ConfigurationError(f"bad state {chunk!r}") from None
-            states.append(QuantumState.from_radial(args.z, n_prime, j))
+            states.append(QuantumState(args.z, n_prime, j))
         return states
     lo_txt, sep, hi_txt = args.n_range.partition(":")
     try:
@@ -192,6 +196,9 @@ def _parse_states(args) -> list[QuantumState]:
         raise ConfigurationError(f"bad --n-range {args.n_range!r}: expected LO:HI") from None
     if lo < 1 or hi < lo:
         raise ConfigurationError(f"bad --n-range {args.n_range!r}")
+    # principal number n holds n states, so LO:HI holds HI(HI+1)/2 - (LO-1)LO/2
+    if (hi * (hi + 1) - (lo - 1) * lo) // 2 > MAX_STATES:
+        raise ConfigurationError(f"bad --n-range {args.n_range!r}: more than {MAX_STATES} states")
     states = []
     for n in range(lo, hi + 1):
         states.extend(states_for_n(args.z, n))
@@ -200,6 +207,8 @@ def _parse_states(args) -> list[QuantumState]:
 
 def _cmd_spectrum(args) -> int:
     states = _parse_states(args)
+    if args.emitter_mass_kg is not None and not math.isfinite(args.emitter_mass_kg):
+        raise DomainError("emitter rest mass must be finite")
     rest_mass = CONSTANTS.m_electron if args.emitter_mass_kg is None \
         else kilograms(args.emitter_mass_kg)
     if args.at:

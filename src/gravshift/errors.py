@@ -25,8 +25,8 @@ class DomainError(GravshiftError, ValueError):
     """Input lies outside the validity domain of a formula.
 
     Raised for interior field points, strong-field potentials
-    (|phi|/c^2 >= 1), approximation-domain violations (a/r too large)
-    and non-positive photon energies.
+    (|phi|/c^2 >= 1), level energies outside the normal float range and
+    non-positive photon energies.
     """
 
 

@@ -2,8 +2,7 @@
 
 A field point is a label plus the bodies that act there, each with its
 radial distance from the point, so the point alone fixes its potential.  The
-scalar operations (potential, gradient, tidal correction over an atomic
-length) only ever need those radial distances, so no 3D geometry appears
+potential only ever needs those radial distances, so no 3D geometry appears
 here.  Superposition over several bodies lets Sun+Earth configurations be
 expressed with the same single formula phi(r) = -G*M/r per body.
 
@@ -22,7 +21,6 @@ from typing import Iterable, Mapping
 from .data import data_file, read_entries
 from .errors import ConfigurationError, DomainError, RegistryError
 from .units import (
-    ACCELERATION,
     CONSTANTS,
     LENGTH,
     MASS,
@@ -38,8 +36,6 @@ __all__ = [
     "FieldPoint",
     "require_same_bodies",
     "potential",
-    "gradient",
-    "atomic_scale_correction",
     "load_bodies",
     "default_bodies",
 ]
@@ -137,37 +133,6 @@ def potential(point: FieldPoint) -> Quantity:
     """Total potential sum_i -G*M_i/r_i at the point; always <= 0."""
     terms = [(-body.mu() / r).value for body, r in point.distances.items()]
     return Quantity(math.fsum(terms), POTENTIAL)
-
-
-def gradient(point: FieldPoint) -> Quantity:
-    """Radial derivative sum_i G*M_i/r_i^2 (m/s^2), each along its body axis.
-
-    For a single body this is d(phi)/dr = +G*M/r^2: the potential increases
-    toward zero with distance.
-    """
-    terms = [(body.mu() / (r * r)).value for body, r in point.distances.items()]
-    return Quantity(math.fsum(terms), ACCELERATION)
-
-
-def atomic_scale_correction(point: FieldPoint, a: Quantity) -> Quantity:
-    """First-order change of the potential over a small length a.
-
-    Returns a * d(phi)/dr at the point, i.e. a * sum_i G*M_i/r_i^2.  The
-    length must satisfy a/r < 1e-3 for every body; beyond that the
-    first-order form stops being a faithful stand-in for
-    phi(r + a) - phi(r).
-    """
-    ensure_dimension(a, LENGTH, "a")
-    if a.value < 0.0:
-        raise DomainError("atomic-scale length a must be non-negative")
-    if a.value > 0.0:
-        for body, r in point.distances.items():
-            if a.value / r.value >= 1e-3:
-                raise DomainError(
-                    f"a/r = {a.value / r.value:.3e} for body {body.name!r} exceeds "
-                    "the 1e-3 approximation domain of the first-order correction"
-                )
-    return a * gradient(point)
 
 
 # -- body registry -------------------------------------------------------

@@ -46,13 +46,10 @@ from .units import (
 __all__ = [
     "QuantumState",
     "ShiftModel",
-    "NuclearScaling",
-    "ShiftSign",
     "effective_mass",
     "level_energy",
     "transition_frequency",
     "fractional_shift",
-    "nuclear_shift_sign",
     "states_for_n",
 ]
 
@@ -78,12 +75,11 @@ def effective_mass(rest_mass: Quantity, phi: Quantity) -> Quantity:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Hydrogen-like quantum numbers (Z, n', j, n) with n = n' + j + 1/2."""
+    """Hydrogen-like quantum numbers (Z, n', j); they fix n = n' + j + 1/2."""
 
     Z: int
     n_prime: int
     j: float
-    n: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.Z, int) or self.Z < 1:
@@ -96,28 +92,18 @@ class QuantumState:
                 f"j must be a positive half-odd-integer (1/2, 3/2, ...), got {self.j!r}"
             )
         object.__setattr__(self, "j", float(self.j))
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ConfigurationError(f"n must be a positive integer, got {self.n!r}")
-        # exact in binary arithmetic: n' integer, j half-odd-integer
-        if self.n_prime + self.j + 0.5 != self.n:
-            raise ConfigurationError(
-                f"quantum numbers must satisfy n = n' + j + 1/2; "
-                f"got n={self.n}, n'={self.n_prime}, j={self.j}"
-            )
-        if self.j + 0.5 > self.n:
-            raise ConfigurationError(f"j + 1/2 = {self.j + 0.5:g} exceeds n = {self.n}")
+
+    @property
+    def n(self) -> int:
+        """Principal quantum number n' + j + 1/2 (exact: j is half-odd-integer)."""
+        return self.n_prime + int(self.j + 0.5)
 
     @classmethod
     def from_n_j(cls, Z: int, n: int, j: float) -> "QuantumState":
         n_prime = n - float(j) - 0.5
         if n_prime < 0 or n_prime != int(n_prime):
             raise ConfigurationError(f"no state with n={n}, j={j}: n' would be {n_prime}")
-        return cls(Z=Z, n_prime=int(n_prime), j=float(j), n=n)
-
-    @classmethod
-    def from_radial(cls, Z: int, n_prime: int, j: float) -> "QuantumState":
-        n = n_prime + float(j) + 0.5
-        return cls(Z=Z, n_prime=n_prime, j=float(j), n=int(n))
+        return cls(Z=Z, n_prime=int(n_prime), j=float(j))
 
     def label(self) -> str:
         tj = int(2 * self.j)
@@ -143,25 +129,32 @@ def _specific_level_energy(state: QuantumState) -> Quantity:
     Every energy and frequency passes through here, so this is where the
     perturbative domain alpha*Z < 1 is enforced.
     """
-    alpha_z = CONSTANTS.alpha.value * state.Z
-    if alpha_z >= 1.0:
-        raise DomainError(f"alpha*Z = {alpha_z:.3f} >= 1: outside the perturbative domain")
+    # compared as int against float, so no Z is too large to test
+    if state.Z >= 1.0 / CONSTANTS.alpha.value:
+        raise DomainError(f"alpha*Z >= 1 at Z = {state.Z}: outside the perturbative domain")
     a2 = CONSTANTS.alpha.value ** 2
     z2 = float(state.Z * state.Z)
-    n = float(state.n)
+    # k underflows to 0 long before n = 1e300; the clamp keeps float(n) finite
+    n = float(min(state.n, 10**300))
     bracket = 1.0 + (a2 * z2 / n) * (1.0 / (state.j + 0.5) - 3.0 / (4.0 * n))
     k = (a2 * CONSTANTS.c.value ** 2 / 2.0) * (z2 / (n * n)) * bracket
     return Quantity(k, POTENTIAL)
 
 
 def level_energy(state: QuantumState, m_eff: Quantity) -> Quantity:
-    """Positive binding energy of the state at the given effective mass."""
+    """Positive binding energy of the state at the given effective mass.
+
+    Refused where E is not a normal float, whose shift would be lost to
+    rounding, and where E/h overflows, so the energy converts to a finite
+    frequency and, as h < 1 eV, to a finite value in eV.
+    """
     ensure_dimension(m_eff, MASS, "m_eff")
     k = _specific_level_energy(state)
-    if not math.isfinite(m_eff.value * k.value):
-        raise DomainError(
-            f"level energy of {state.label()} overflows at mass {m_eff.value:g} kg"
-        )
+    energy = m_eff.value * k.value
+    if energy < sys.float_info.min or not math.isfinite(energy / CONSTANTS.h.value):
+        flow = "underflows" if energy < sys.float_info.min else "overflows"
+        raise DomainError(f"level energy of {state.label()} {flow} at mass {m_eff.value:g} "
+                          "kg: E must be a normal float and E/h finite")
     return m_eff * k
 
 
@@ -194,17 +187,6 @@ class ShiftModel(enum.Enum):
     DOUBLE_EFFECT = "double"
 
 
-class NuclearScaling(enum.Enum):
-    PROPORTIONAL_TO_MASS = "proportional"
-    INVERSELY_PROPORTIONAL_TO_MASS = "inverse"
-
-
-class ShiftSign(enum.Enum):
-    RED = "red"
-    VIOLET = "violet"
-    NONE = "none"
-
-
 def fractional_shift(model: ShiftModel, phi_emit: Quantity, phi_obs: Quantity) -> Quantity:
     """Fractional frequency shift between emission and observation points.
 
@@ -217,21 +199,3 @@ def fractional_shift(model: ShiftModel, phi_emit: Quantity, phi_obs: Quantity) -
     if model is ShiftModel.DOUBLE_EFFECT:
         return single + single
     return single
-
-
-def nuclear_shift_sign(scaling: NuclearScaling, phi_emit: Quantity,
-                       phi_obs: Quantity) -> ShiftSign:
-    """Sign of the nuclear-line displacement under the assumed mass scaling.
-
-    Levels proportional to the radiating nucleon's mass shift like atomic
-    ones (red for a deeper emitter); inversely proportional levels would
-    shift the opposite way.
-    """
-    weak_field_ratio(phi_emit)
-    weak_field_ratio(phi_obs)
-    if phi_emit.value == phi_obs.value:
-        return ShiftSign.NONE
-    emitter_deeper = phi_emit.value < phi_obs.value
-    if scaling is NuclearScaling.PROPORTIONAL_TO_MASS:
-        return ShiftSign.RED if emitter_deeper else ShiftSign.VIOLET
-    return ShiftSign.VIOLET if emitter_deeper else ShiftSign.RED

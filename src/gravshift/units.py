@@ -16,7 +16,6 @@ factor -- internally everything is SI.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -30,11 +29,8 @@ __all__ = [
     "DIMENSIONLESS",
     "MASS",
     "LENGTH",
-    "TIME",
     "VELOCITY",
-    "ACCELERATION",
     "ENERGY",
-    "FREQUENCY",
     "POTENTIAL",
     "ensure_dimension",
     "weak_field_ratio",
@@ -75,16 +71,12 @@ class Dimension:
 DIMENSIONLESS = Dimension()
 MASS = Dimension(mass=1)
 LENGTH = Dimension(length=1)
-TIME = Dimension(time=1)
 VELOCITY = Dimension(length=1, time=-1)
-ACCELERATION = Dimension(length=1, time=-2)
 ENERGY = Dimension(mass=1, length=2, time=-2)
-FREQUENCY = Dimension(time=-1)
 #: Gravitational potential, m^2/s^2 (negative for attractive sources).
 POTENTIAL = Dimension(length=2, time=-2)
 
 
-@functools.total_ordering
 @dataclass(frozen=True)
 class Quantity:
     """A finite SI value tagged with a :class:`Dimension`.

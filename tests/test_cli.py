@@ -1,13 +1,18 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gravshift import cli
 from gravshift.cli import main
 from gravshift.units import CONSTANTS
 
@@ -185,6 +190,49 @@ class TestSpectrumCommand:
         assert out == ""
         assert "level energy of Z=1 n=1 j=1/2 n'=0 overflows" in err
 
+    @pytest.mark.parametrize("mass", ["1e263", "1e278"])
+    def test_overflowing_frequency_names_state_and_mass(self, capsys, mass):
+        # the level energy is finite here, but E/h is not
+        code, out, err = run_cli(
+            ["spectrum", "--n-range", "1:1", "--emitter-mass-kg", mass], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: level energy of Z=1 n=1 j=1/2 n'=0 overflows at mass "
+                       f"{float(mass):g} kg: E must be a normal float and E/h finite\n")
+
+    def test_largest_mass_below_the_frequency_overflow_prints(self, capsys):
+        code, out, _ = run_cli(
+            ["spectrum", "--n-range", "1:1", "--emitter-mass-kg", "1e262"], capsys)
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert float(row["nu_Hz"]) == pytest.approx(3.6115349459238202e307, rel=1e-12)
+
+    @pytest.mark.parametrize("mass", ["nan", "inf"])
+    def test_non_finite_emitter_mass_exits_one(self, capsys, mass):
+        code, out, err = run_cli(
+            ["spectrum", "--n-range", "1:1", "--emitter-mass-kg", mass], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: emitter rest mass must be finite\n"
+
+    @pytest.mark.parametrize("n_range", ["1:447", "5:447", "1:100000", "1:" + "9" * 30])
+    def test_n_range_is_capped(self, capsys, n_range):
+        # refused before any state is built
+        code, out, err = run_cli(["spectrum", "--n-range", n_range], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad --n-range '{n_range}': more than 100000 states\n"
+
+    def test_n_range_cap_counts_states(self, capsys, monkeypatch):
+        # 1:3 holds 1 + 2 + 3 = 6 states, 1:4 holds 10
+        monkeypatch.setattr(cli, "MAX_STATES", 6)
+        code, out, _ = run_cli(["spectrum", "--n-range", "1:3"], capsys)
+        assert code == 0
+        assert len(parse_csv(out)) == 6
+        code, out, err = run_cli(["spectrum", "--n-range", "1:4"], capsys)
+        assert code == 1
+        assert err == "error: bad --n-range '1:4': more than 6 states\n"
+
 
 class TestPhotonCommand:
     def test_single_trace_keys(self, capsys):
@@ -337,6 +385,78 @@ class TestDeterminismAndParity:
             assert j_row["state"] == c_row["state"]
             for key in ("E_eV", "nu_Hz", "shift_fractional"):
                 assert float(c_row[key]) == pytest.approx(j_row[key], rel=1e-15)
+
+
+class TestExtremeArguments:
+    """Extreme values through every subcommand: each run prints finite numbers
+    or is refused with a message that names what failed."""
+
+    BODIES = st.sampled_from(["earth", "sun"])
+    VALUES = st.sampled_from(
+        [0.0, 5e-324, 1e-300, 1e308, sys.float_info.max, -sys.float_info.max,
+         math.nan, math.inf, -math.inf]
+        + [v for r in (oracles.R_EARTH, oracles.R_SUN)
+           for v in (r, -r, math.nextafter(r, 0.0), math.nextafter(r, math.inf))])
+
+    ARGV = st.one_of(
+        st.builds(lambda b, form, x, fmt: ["potential", "--at", f"{b}:{form}{x!r}",
+                                           "--format", fmt],
+                  BODIES, st.sampled_from(["", "r="]), VALUES,
+                  st.sampled_from(["text", "csv", "json"])),
+        st.builds(lambda model, b, emit, x, obs, y: [
+                      "shift", "--model", model, "--body", b,
+                      f"--emit-{emit}={x!r}", f"--obs-{obs}={y!r}"],
+                  st.sampled_from(["emitter", "photon", "double"]), BODIES,
+                  st.sampled_from(["alt", "r-m"]), VALUES,
+                  st.sampled_from(["alt", "r-m"]), VALUES),
+        st.builds(lambda z, states, mass, at: (
+                      ["spectrum", "--z", str(z), *states] + mass + at),
+                  st.integers(1, 138),
+                  st.one_of(
+                      st.integers(1, 40).flatmap(lambda hi: st.integers(1, hi).map(
+                          lambda lo: ["--n-range", f"{lo}:{hi}"])),
+                      st.just(["--states", "0:1/2,2:3/2"])),
+                  st.one_of(st.just([]), VALUES.map(lambda x: [f"--emitter-mass-kg={x!r}"])),
+                  st.one_of(st.just([]), st.builds(
+                      lambda b, form, x: ["--at", f"{b}:{form}{x!r}"],
+                      BODIES, st.sampled_from(["", "r="]), VALUES))),
+        st.builds(lambda x, report: ["experiment", f"--threshold={x!r}", "--report", report],
+                  VALUES, st.sampled_from(["text", "json"])),
+        st.builds(lambda b, ray: ["photon", "--body", b, "--tol", "1e-6", *ray],
+                  BODIES,
+                  st.one_of(
+                      VALUES.map(lambda x: [f"--b-radii={x!r}"]),
+                      VALUES.map(lambda x: [f"--b-m={x!r}"]),
+                      st.builds(lambda lo, hi, count: [f"--sweep-radii={lo!r}:{hi!r}:{count}"],
+                                VALUES, VALUES, st.integers(2, 4)),
+                      VALUES.map(lambda x: ["--b-radii", "3", f"--term-factor={x!r}"]))),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=ARGV)
+    def test_finite_output_or_named_refusal(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE) is None
+        assert "quantity value must be finite, got" not in err.getvalue()
+
+    @pytest.mark.parametrize("argv, text", [
+        (["--z", "9" * 400, "--n-range", "1:1"], f"alpha*Z >= 1 at Z = {'9' * 400}:"),
+        (["--states", "1" + "0" * 400 + ":1/2"], "underflows at mass 9.10938e-31 kg"),
+        (["--states", "10000000:1/2", "--emitter-mass-kg", "1e-307"],
+         "underflows at mass 1e-307 kg"),
+    ], ids=["huge-z", "huge-n-prime", "energy-below-normal"])
+    def test_unrepresentable_state_exits_one(self, capsys, argv, text):
+        code, out, err = run_cli(["spectrum", *argv], capsys)
+        assert code == 1
+        assert out == ""
+        assert text in err
 
 
 class TestUsageErrors:

@@ -7,19 +7,15 @@ from gravshift.errors import ConfigurationError, DomainError, RegistryError
 from gravshift.gravity import (
     CelestialBody,
     FieldPoint,
-    atomic_scale_correction,
     default_bodies,
-    gradient,
     load_bodies,
     potential,
     require_same_bodies,
 )
 from gravshift.spectra import ShiftModel, fractional_shift
-from gravshift.units import CONSTANTS, metres
+from gravshift.units import CONSTANTS
 
 import oracles
-
-BOHR_RADIUS = 5.29177210903e-11
 
 
 def single_body_setup(mass_kg, radius_m, r_m, name="b"):
@@ -134,71 +130,6 @@ class TestPotentialDifference:
         forward = self.difference(earth_surface, above)
         backward = self.difference(above, earth_surface)
         assert forward.value == -backward.value
-
-
-class TestGradient:
-    def test_earth_surface(self, earth_surface):
-        g = gradient(earth_surface)
-        assert g.value == pytest.approx(
-            oracles.G * oracles.M_EARTH / oracles.R_EARTH**2, rel=1e-13
-        )
-        assert g.value == pytest.approx(9.82, rel=1e-3)
-
-    def test_inverse_square(self):
-        body, p1 = single_body_setup(5e24, 1e6, 1e7)
-        p2 = FieldPoint.from_si("q", [(body, 2e7)])
-        assert gradient(p2).value == pytest.approx(gradient(p1).value / 4.0, rel=1e-14)
-
-    def test_vanishes_at_infinity(self, earth):
-        far = FieldPoint.from_si("p", [(earth, 1e18)])
-        assert 0.0 < gradient(far).value < 1e-20
-
-    @settings(max_examples=200)
-    @given(
-        r=st.floats(min_value=6.4e6, max_value=1e12),
-        eps_rel=st.floats(min_value=1e-7, max_value=1e-6),
-    )
-    def test_matches_forward_difference(self, r, eps_rel):
-        body, point = single_body_setup(5.9722e24, 6.371e6, r)
-        eps = r * eps_rel
-        shifted = FieldPoint.from_si("q", [(body, r + eps)])
-        fd = (potential(shifted).value - potential(point).value) / eps
-        assert gradient(point).value == pytest.approx(fd, rel=1e-5)
-
-
-class TestAtomicScaleCorrection:
-    def test_bohr_radius_at_earth_surface(self, earth_surface):
-        corr = atomic_scale_correction(earth_surface, metres(BOHR_RADIUS))
-        expected = BOHR_RADIUS * oracles.G * oracles.M_EARTH / oracles.R_EARTH**2
-        assert corr.value == pytest.approx(expected, rel=1e-13)
-        assert corr.value == pytest.approx(5.2e-10, rel=1e-2)
-
-    def test_ratio_to_potential_is_a_over_r(self, earth_surface):
-        corr = atomic_scale_correction(earth_surface, metres(BOHR_RADIUS))
-        phi = potential(earth_surface)
-        ratio = corr.value / abs(phi.value)
-        assert ratio == pytest.approx(BOHR_RADIUS / oracles.R_EARTH, rel=1e-12)
-
-    def test_negligible_for_atomic_lengths_at_planetary_radii(self, earth_surface):
-        corr = atomic_scale_correction(earth_surface, metres(BOHR_RADIUS))
-        phi = potential(earth_surface)
-        assert corr.value / abs(phi.value) < 1e-16
-
-    def test_zero_length(self, earth_surface):
-        assert atomic_scale_correction(earth_surface, metres(0.0)).value == 0.0
-
-    def test_linear_in_length(self, earth_surface):
-        one = atomic_scale_correction(earth_surface, metres(1e-10))
-        two = atomic_scale_correction(earth_surface, metres(2e-10))
-        assert two.value == pytest.approx(2.0 * one.value, rel=1e-14)
-
-    def test_rejects_large_length(self, earth_surface):
-        with pytest.raises(DomainError):
-            atomic_scale_correction(earth_surface, metres(1e5))
-
-    def test_rejects_negative_length(self, earth_surface):
-        with pytest.raises(DomainError):
-            atomic_scale_correction(earth_surface, metres(-1e-10))
 
 
 class TestBodyValidation:

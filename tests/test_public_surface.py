@@ -25,9 +25,6 @@ MODULES = ("units", "gravity", "spectra", "photon", "experiments", "data", "erro
 
 PAPER_CLAIMS = {
     "transition_frequency",     # every line shifts by phi/c^2 (linearity theorem)
-    "nuclear_shift_sign",       # sign of nuclear-line shifts under the mass scaling
-    "atomic_scale_correction",  # the tidal term over atomic lengths is negligible
-    "gradient",                 # d(phi)/dr, behind the tidal term
 }
 
 ARGV = [

@@ -3,14 +3,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from gravshift.errors import ConfigurationError, DimensionError, DomainError
 from gravshift.spectra import (
-    NuclearScaling,
     QuantumState,
     ShiftModel,
-    ShiftSign,
     effective_mass,
     fractional_shift,
     level_energy,
-    nuclear_shift_sign,
     states_for_n,
     transition_frequency,
 )
@@ -114,28 +111,25 @@ class TestMassDefect:
 
 class TestQuantumState:
     def test_closure_relation_holds(self):
-        s = QuantumState(Z=1, n_prime=1, j=0.5, n=2)
+        s = QuantumState(Z=1, n_prime=1, j=1.5)
+        assert s.n == 3
         assert s.n_prime + s.j + 0.5 == s.n
-
-    def test_rejects_inconsistent_n(self):
-        with pytest.raises(ConfigurationError):
-            QuantumState(Z=1, n_prime=1, j=0.5, n=3)
 
     def test_rejects_integer_j(self):
         with pytest.raises(ConfigurationError):
-            QuantumState(Z=1, n_prime=1, j=1.0, n=2)
+            QuantumState(Z=1, n_prime=1, j=1.0)
 
     def test_rejects_negative_radial_number(self):
         with pytest.raises(ConfigurationError):
-            QuantumState(Z=1, n_prime=-1, j=0.5, n=0)
+            QuantumState(Z=1, n_prime=-1, j=0.5)
 
     def test_rejects_bad_z(self):
         with pytest.raises(ConfigurationError):
-            QuantumState(Z=0, n_prime=0, j=0.5, n=1)
+            QuantumState(Z=0, n_prime=0, j=0.5)
 
     def test_rejects_alpha_z_above_one(self):
         with pytest.raises(DomainError, match="perturbative"):
-            level_energy(QuantumState(Z=138, n_prime=0, j=0.5, n=1), M_FREE)
+            level_energy(QuantumState(Z=138, n_prime=0, j=0.5), M_FREE)
 
     def test_from_n_j_rejects_j_too_large(self):
         with pytest.raises(ConfigurationError):
@@ -301,37 +295,22 @@ class TestLinearityTheorem:
         assert measured == pytest.approx(float(phi / CONSTANTS.c_squared), rel=1e-12)
 
 
-class TestNuclearShiftSign:
-    def test_proportional_scaling_deep_emitter_is_red(self):
-        assert nuclear_shift_sign(
-            NuclearScaling.PROPORTIONAL_TO_MASS, PHI_EARTH, PHI_ZERO
-        ) is ShiftSign.RED
-
-    def test_inverse_scaling_deep_emitter_is_violet(self):
-        assert nuclear_shift_sign(
-            NuclearScaling.INVERSELY_PROPORTIONAL_TO_MASS, PHI_EARTH, PHI_ZERO
-        ) is ShiftSign.VIOLET
-
-    def test_equipotential_is_none(self):
-        assert nuclear_shift_sign(
-            NuclearScaling.PROPORTIONAL_TO_MASS, PHI_EARTH, PHI_EARTH
-        ) is ShiftSign.NONE
-
-    def test_signs_swap_when_emitter_is_higher(self):
-        assert nuclear_shift_sign(
-            NuclearScaling.PROPORTIONAL_TO_MASS, PHI_ZERO, PHI_EARTH
-        ) is ShiftSign.VIOLET
-        assert nuclear_shift_sign(
-            NuclearScaling.INVERSELY_PROPORTIONAL_TO_MASS, PHI_ZERO, PHI_EARTH
-        ) is ShiftSign.RED
-
-
 class TestEmitter:
     def test_nucleon_mass_is_a_free_parameter(self):
         nucleon = kilograms(1.67262192369e-27)
         m_eff = effective_mass(nucleon, PHI_EARTH)
         ratio = m_eff.value / nucleon.value
         assert ratio == pytest.approx(1.0 - 6.961311310505493e-10, rel=1e-15)
+
+    def test_nucleon_line_shifts_red_by_phi_over_c2(self):
+        # a nuclear line scales with the radiator's mass like an atomic one,
+        # so a deeper emitter shows it red by the same fraction phi/c^2
+        nucleon = kilograms(1.67262192369e-27)
+        free = transition_frequency(S2_HALF, GROUND, effective_mass(nucleon, PHI_ZERO))
+        deep = transition_frequency(S2_HALF, GROUND, effective_mass(nucleon, PHI_EARTH))
+        assert deep < free
+        assert (deep.value - free.value) / free.value == pytest.approx(
+            float(PHI_EARTH / CONSTANTS.c_squared), rel=1e-6)
 
     def test_rejects_non_positive_mass(self):
         with pytest.raises(DomainError):
