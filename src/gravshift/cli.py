@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -419,16 +420,17 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--b-m", type=float, help="impact parameter (m)")
     group.add_argument("--b-radii", type=float, help="impact parameter (body radii)")
-    group.add_argument("--sweep-m", metavar="MIN:MAX:COUNT", help="sweep b in metres, CSV out")
+    group.add_argument("--sweep-m", metavar="MIN:MAX:COUNT", help="sweep b in metres")
     group.add_argument("--sweep-radii", metavar="MIN:MAX:COUNT", help="sweep b in body radii")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="integrator relative tolerance in [1e-12, 1e-6] (default 1e-10)")
+                   help="integrator relative tolerance in [1e-12, 1e-6] (default 1e-10); "
+                        "the deflection is within tol * |bend| of the exact bend "
+                        "inside the termination circle")
     p.add_argument("--term-factor", type=float, default=200.0,
                    help="termination radius as a multiple of b, in [10, 200] (default "
                         "200); the printed deflection is the bend inside that circle, "
                         "short of the asymptotic 2GM/(b c^2) by about 1/(2 factor^2) "
-                        "relative (0.50%% at 10, 1.25e-5 at 200), which its error "
-                        "estimate does not cover")
+                        "relative (0.50%% at 10, 1.25e-5 at 200)")
     p.add_argument("--bodies", help="body registry JSON (default: packaged)")
     _add_format(p, "json")
     p.set_defaults(func=_cmd_photon)
@@ -449,7 +451,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except GravshiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except BrokenPipeError:
+        # the reader closed early; send what is still buffered to devnull so
+        # the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAILURE

@@ -35,9 +35,7 @@ up the time excess, so it is never a difference of two transit times:
 where theta is the angle of p from +x and 1 - cos theta =
 p_y^2 / (|p| (|p| + p_x)) involves no subtraction.  For the chord D from
 start to exit, the transit time exceeds the straight-line time |D|/c by
-(E + K - (|D| - D_x))/c, with |D| - D_x written the same way.  The
-deflection's error estimate is twice its change under a re-solve at a
-hundredth of the tolerance, plus a round-off floor.
+(E + K - (|D| - D_x))/c, with |D| - D_x written the same way.
 
 The closest approach comes from the integrator's own event location: it is
 the least distance from the body's centre over the periapsis events, where
@@ -70,11 +68,8 @@ class RayResult:
     direction where the ray crosses the termination circle: the bend inside
     that circle, not the asymptotic bend.  It falls short of the asymptotic
     2*mu/b by about 1/(2*factor^2) relative, with factor = termination
-    radius / b: 0.50% at factor 10 and 1.25e-5 at factor 200.
-    deflection_error_rad covers only the solver error, not that shortfall:
-    it is an a-posteriori estimate, twice the deflection's change under a
-    re-solve at a hundredth of the tolerance, plus a round-off floor.  Times
-    are seconds.  time_excess_s is integrated along the ray, not differenced
+    radius / b: 0.50% at factor 10 and 1.25e-5 at factor 200.  Times are
+    seconds.  time_excess_s is integrated along the ray, not differenced
     from two transit times, and is never negative because c' <= c; the
     transit time is the straight-line vacuum time plus that excess.
 
@@ -83,7 +78,6 @@ class RayResult:
     """
 
     deflection_rad: float
-    deflection_error_rad: float
     straight_line_time_s: float
     time_excess_s: float
     closest_approach_m: float
@@ -104,12 +98,9 @@ def _gap(par: float, perp: float, norm: float) -> float:
     return perp * perp / (norm + par) if par > 0.0 else norm - par
 
 
-def _integrate(body: CelestialBody, x0: float, b: float, r_term: float, rel_tol: float):
-    """One solve in tau, in units of L = r_term/200, from (x0, b) along +x.
-
-    Returns the deflection, the time excess, the straight-line time and the
-    closest approach.
-    """
+def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
+               rel_tol: float) -> RayResult:
+    """One solve in tau, in units of L = r_term/200, from (x0, b) along +x."""
     scale = r_term / 200.0
     r_exit = r_term / scale
     mu = body.mu().value / (CONSTANTS.c.value ** 2 * scale)
@@ -176,7 +167,12 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float, rel_tol:
     chord = math.hypot(chord_x, chord_y)
     gap = _gap(chord_x, chord_y, chord)
     seconds_per_unit = scale / CONSTANTS.c.value
-    return deflection, (e + k - gap) * seconds_per_unit, chord * seconds_per_unit, closest
+    return RayResult(
+        deflection_rad=deflection,
+        straight_line_time_s=chord * seconds_per_unit,
+        time_excess_s=(e + k - gap) * seconds_per_unit,
+        closest_approach_m=closest,
+    )
 
 
 def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor: float,
@@ -187,9 +183,9 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
     [10, 200]), travelling along +x, offset by b in +y; the undeflected line
     would pass the body at distance b.  Integrates d/ds(n * dx/ds) = grad n
     with adaptive stepping at the given relative tolerance (allowed range
-    1e-12..1e-6) until the ray exits the termination circle, then re-solves
-    at a hundredth of the tolerance (at least 1e-13) for the deflection's
-    error estimate.  Raises ImpactError if the ray strikes the body and
+    1e-12..1e-6) until the ray exits the termination circle, in one solve.
+    The deflection is then within tol * |bend| of the closed-form bend
+    inside that circle.  Raises ImpactError if the ray strikes the body and
     ConvergenceError if it cannot reach the exit.
 
     A grazing ray whose undeflected line just touches the surface dips below
@@ -224,16 +220,4 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
     rel_tol = float(rel_tol)
     if not 1e-12 <= rel_tol <= 1e-6:
         raise DomainError(f"relative tolerance {rel_tol:g} outside [1e-12, 1e-6]")
-    deflection, excess, straight, closest = _integrate(body, x0, b, r_term, rel_tol)
-    fine_deflection, _, _, _ = _integrate(body, x0, b, r_term, max(rel_tol / 100.0, 1e-13))
-    # the fine solve's own error is a few percent of the difference, so the
-    # difference is doubled; the rest is a roundoff floor for the exit
-    # direction
-    error = 2.0 * abs(deflection - fine_deflection) + abs(deflection) * 1e-12 + 1e-16
-    return RayResult(
-        deflection_rad=deflection,
-        deflection_error_rad=error,
-        straight_line_time_s=straight,
-        time_excess_s=excess,
-        closest_approach_m=closest,
-    )
+    return _integrate(body, x0, b, r_term, rel_tol)

@@ -287,6 +287,28 @@ class TestPhotonCommand:
         assert out == ""
         assert err == f"error: bad sweep '1:2:{count}': COUNT above 10000\n"
 
+    @pytest.mark.parametrize("name", ["sun", "earth"])
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-10"])
+    def test_sweep_rows_match_closed_form(self, capsys, name, tol):
+        # every printed number against the closed-form ray inside the
+        # termination circle, 200 b by default
+        mass = {"sun": oracles.M_SUN, "earth": oracles.M_EARTH}[name]
+        mu = oracles.G * mass / oracles.C2
+        code, out, _ = run_cli(
+            ["photon", "--body", name, "--sweep-radii", "1:20:5", "--tol", tol,
+             "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 5
+        for row in rows:
+            b = row["b_m"]
+            delta, r_min, excess = oracles.bent_ray_closed_form(mu, b, 200.0 * b)
+            assert abs(row["deflection_rad"] - delta) <= float(tol) * abs(delta)
+            assert row["deflection_arcsec"] == pytest.approx(
+                row["deflection_rad"] * 206264.80624709636, rel=1e-12)
+            assert row["closest_approach_m"] == pytest.approx(r_min, rel=1e-9)
+            assert row["time_excess_s"] == pytest.approx(excess, rel=1e-5)
+
     @pytest.mark.parametrize("factor", ["1000", "1e9"])
     def test_term_factor_above_200_exits_one(self, capsys, factor):
         code, out, err = run_cli(
@@ -505,3 +527,22 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0
         assert "EXCLUDED" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["constants"],
+        ["photon", "--body", "earth", "--sweep-m", "2e7:4e7:2", "--tol", "1e-6"],
+    ])
+    def test_closed_stdout_exits_one_without_traceback(self, argv):
+        # the reader is gone before the child writes, as with `| head -1`
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gravshift", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr

@@ -62,8 +62,11 @@ class TestRayPathValidation:
     def test_impact_parameter_ray_starts_inside(self, sun, b_radii, factor):
         # every b and factor in range traces: rounding never puts the start
         # outside the termination circle
-        result = trace_ray(sun, b_radii * oracles.R_SUN, factor, 1e-6)
-        assert result.closest_approach_m < b_radii * oracles.R_SUN
+        b = b_radii * oracles.R_SUN
+        result = trace_ray(sun, b, factor, 1e-6)
+        assert result.closest_approach_m < b
+        expected, _, _ = oracles.bent_ray_closed_form(oracles.MU_SUN, b, factor * b)
+        assert abs(result.deflection_rad - expected) <= 1e-6 * abs(expected)
 
     @pytest.mark.parametrize("factor", [9.9, 200.5, 1e3, 1e9])
     def test_termination_factor_outside_10_to_200_refused(self, sun, factor):
@@ -110,12 +113,6 @@ class TestTraceRay:
         far = trace_ray(sun, 20.0 * oracles.R_SUN, 200.0, 1e-10)
         assert near.deflection_rad / far.deflection_rad == pytest.approx(2.0, rel=1e-3)
 
-    def test_halving_tolerance_stays_within_error_estimate(self, sun):
-        b = 2.0 * oracles.R_SUN
-        coarse = trace_ray(sun, b, 200.0, 1e-8)
-        fine = trace_ray(sun, b, 200.0, 5e-9)
-        assert abs(fine.deflection_rad - coarse.deflection_rad) < coarse.deflection_error_rad
-
     def test_transit_time_never_undercuts_straight_line(self, sun):
         for b in (oracles.R_SUN, 3.0 * oracles.R_SUN):
             result = trace_ray(sun, b, 200.0, 1e-9)
@@ -145,29 +142,31 @@ class TestTraceRay:
         assert result.time_excess_s == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("name", ["sun", "earth"])
-    @pytest.mark.parametrize("b_radii", [1.0, 1.3, 20.0, 1e3])
+    @pytest.mark.parametrize("b_radii", [1.0, 1.3, 3.0, 20.0, 1e3])
     @pytest.mark.parametrize("factor", [10.0, 200.0])
-    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12])
     def test_error_bar_covers_closed_form_deflection(self, bodies, name, b_radii, factor, tol):
+        # the error bar is tol * |delta_R|, delta_R the bend inside the circle
         mass, radius = MASS_RADIUS[name]
         b = b_radii * radius
         expected, _, _ = oracles.bent_ray_closed_form(
             oracles.G * mass / oracles.C2, b, factor * b)
         result = trace_ray(bodies[name], b, factor, tol)
-        assert abs(result.deflection_rad - expected) <= result.deflection_error_rad
+        assert abs(result.deflection_rad - expected) <= tol * abs(expected)
 
     @pytest.mark.parametrize("name", ["sun", "earth"])
     @pytest.mark.parametrize("b_radii", [1.0, 3.0, 20.0])
     @pytest.mark.parametrize("factor", [10.0, 200.0])
     def test_error_bar_covers_solver_error(self, bodies, name, b_radii, factor):
+        # the same error bar, against the tightest solve instead of the oracle
         body = bodies[name]
         b = b_radii * body.radius.value
         reference = trace_ray(body, b, factor, 1e-12).deflection_rad
         for tol in (1e-6, 1e-8, 1e-10):
             result = trace_ray(body, b, factor, tol)
-            assert abs(result.deflection_rad - reference) <= result.deflection_error_rad
+            assert abs(result.deflection_rad - reference) <= tol * abs(reference)
 
-    def test_one_solve_and_one_fine_resolve(self, sun, monkeypatch):
+    def test_one_solve_per_ray(self, sun, monkeypatch):
         rtols = []
 
         def counting_solve_ivp(*args, **kwargs):
@@ -177,4 +176,4 @@ class TestTraceRay:
         monkeypatch.setattr("gravshift.photon.solve_ivp", counting_solve_ivp)
         trace_ray(sun, 2.0 * oracles.R_SUN, 200.0, 1e-8)
         trace_ray(sun, 2.0 * oracles.R_SUN, 200.0, 1e-12)
-        assert rtols == [1e-8, 1e-10, 1e-12, 1e-13]
+        assert rtols == [1e-8, 1e-12]
