@@ -24,6 +24,7 @@ from .gravity import (
     FieldPoint,
     default_bodies,
     load_bodies,
+    lookup_body,
     potential,
     require_same_bodies,
 )
@@ -40,7 +41,6 @@ from .units import CONSTANTS, kilograms, potential_m2_s2
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 #: Most rays one sweep traces (minutes of tracing); COUNT above it is refused
 #: before any b value is built.
 MAX_SWEEP_RAYS = 10_000
@@ -133,16 +133,15 @@ def parse_point_spec(spec: str, bodies: dict[str, CelestialBody],
             raise ConfigurationError(
                 f"bad point spec {part!r}: expected 'body:ALT_m' or 'body:r=R_m'"
             )
-        if name not in bodies:
-            raise ConfigurationError(f"unknown body {name!r} in point spec {spec!r}")
+        body = lookup_body(bodies, name)
         try:
             if rest.startswith("r="):
                 r = float(rest[2:])
             else:
-                r = bodies[name].radius.value + float(rest)
+                r = body.radius.value + float(rest)
         except ValueError:
             raise ConfigurationError(f"bad distance in point spec {part!r}") from None
-        pairs.append((bodies[name], r))
+        pairs.append((body, r))
     return FieldPoint.from_si(label or spec, pairs)
 
 
@@ -218,11 +217,10 @@ def _cmd_spectrum(args) -> int:
     else:
         phi = potential_m2_s2(0.0)
     m_eff = effective_mass(rest_mass, phi)
-    m_free = effective_mass(rest_mass, potential_m2_s2(0.0))
     rows = []
     for state in states:
         energy = level_energy(state, m_eff)
-        free_energy = level_energy(state, m_free)
+        free_energy = level_energy(state, rest_mass)
         shift = (energy.value - free_energy.value) / free_energy.value
         rows.append({
             "state": state.label(),
@@ -247,9 +245,7 @@ def _shift_point(args, side: str, bodies) -> FieldPoint:
         return parse_point_spec(spec, bodies, label=side)
     if args.body is None:
         raise ConfigurationError(f"--{side}-alt/--{side}-r-m need --body")
-    if args.body not in bodies:
-        raise ConfigurationError(f"unknown body {args.body!r}")
-    body = bodies[args.body]
+    body = lookup_body(bodies, args.body)
     if alt is not None:
         return FieldPoint.at_altitude(body, alt, label=side)
     return FieldPoint.from_si(side, [(body, r_m)])
@@ -301,10 +297,7 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
 
 
 def _cmd_photon(args) -> int:
-    bodies = _registry(args)
-    if args.body not in bodies:
-        raise ConfigurationError(f"unknown body {args.body!r}")
-    body = bodies[args.body]
+    body = lookup_body(_registry(args), args.body)
     radius = body.radius.value
     sweep = args.sweep_m or args.sweep_radii
     if sweep:
@@ -338,6 +331,8 @@ def _cmd_experiment(args) -> int:
     else:
         records = experiments_mod.load_registry(args.registry, bodies)
     summary = experiments_mod.double_effect_verdict(records, args.threshold)
+    code = EXIT_OK if summary.single_models_consistent and summary.double_effect_excluded \
+        else EXIT_FAILURE
     rows = [{
         "experiment": r.experiment,
         "model": r.model.value,
@@ -345,15 +340,15 @@ def _cmd_experiment(args) -> int:
         "ratio": r.ratio,
         "ratio_uncertainty": r.ratio_uncertainty,
         "sigma": r.sigma,
-        "verdict": r.verdict.value,
+        "verdict": "excluded" if r.excluded else "consistent",
     } for r in summary.reports]
     if args.report == "json":
         print(_format_json({
-            "threshold": summary.threshold,
+            "threshold": args.threshold,
             "reports": rows,
             "single_models_consistent": summary.single_models_consistent,
             "double_effect_excluded": summary.double_effect_excluded,
-            "exit_code": summary.ci_exit_code,
+            "exit_code": code,
         }))
     else:
         columns = ["experiment", "model", "predicted_shift", "ratio",
@@ -362,8 +357,8 @@ def _cmd_experiment(args) -> int:
         print()
         print(f"single-locus models consistent: {'yes' if summary.single_models_consistent else 'no'}")
         excl = "EXCLUDED" if summary.double_effect_excluded else "not excluded"
-        print(f"double effect: {excl} at threshold {_fmt(summary.threshold)} sigma")
-    return summary.ci_exit_code
+        print(f"double effect: {excl} at threshold {_fmt(args.threshold)} sigma")
+    return code
 
 
 # -- parser ---------------------------------------------------------------

@@ -12,15 +12,15 @@ each record's geometry (a tower above one body, or two points given as body
 distances) against the body registry when it reads the file, so every
 failure of a record is reported there, with the file and the record named.
 
-A record is Consistent with a model when |ratio - 1| stays within the
-exclusion threshold (default 5 sigma) and Excluded otherwise.  The shipped
-registry holds the two tower measurements and the solar-line measurement;
-the verdict of interest is whether any of them excludes the double effect.
+A record excludes a model when sigma = |ratio - 1|/uncertainty exceeds the
+exclusion threshold; every record is tested against every model in one
+table.  The shipped registry holds the two tower measurements and the
+solar-line measurement; the verdict of interest is whether the single-locus
+models all stand and any record excludes the double effect.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,17 +28,19 @@ from typing import Sequence
 
 from .data import data_file, read_entries
 from .errors import ConfigurationError, GravshiftError, RegistryError
-from .gravity import CelestialBody, FieldPoint, potential, require_same_bodies
+from .gravity import (
+    CelestialBody,
+    FieldPoint,
+    lookup_body,
+    potential,
+    require_same_bodies,
+)
 from .spectra import ShiftModel, fractional_shift
-from .units import Quantity
 
 __all__ = [
     "ExperimentRecord",
-    "Verdict",
     "ComparisonReport",
     "ComparisonSummary",
-    "predict",
-    "compare",
     "double_effect_verdict",
     "load_registry",
     "default_registry",
@@ -70,11 +72,6 @@ class ExperimentRecord:
         require_same_bodies(self.emit, self.observe)
 
 
-class Verdict(enum.Enum):
-    CONSISTENT = "consistent"
-    EXCLUDED = "excluded"
-
-
 @dataclass(frozen=True)
 class ComparisonReport:
     experiment: str
@@ -83,7 +80,7 @@ class ComparisonReport:
     ratio: float
     ratio_uncertainty: float
     sigma: float
-    verdict: Verdict
+    excluded: bool
 
 
 @dataclass(frozen=True)
@@ -91,82 +88,48 @@ class ComparisonSummary:
     reports: tuple[ComparisonReport, ...]
     single_models_consistent: bool
     double_effect_excluded: bool
-    threshold: float
-
-    @property
-    def ci_exit_code(self) -> int:
-        return 0 if self.single_models_consistent and self.double_effect_excluded else 1
-
-
-def predict(record: ExperimentRecord, model: ShiftModel) -> Quantity:
-    """Model's fractional shift for the record's endpoints (negative = red)."""
-    return fractional_shift(model, potential(record.emit), potential(record.observe))
-
-
-def compare(record: ExperimentRecord, model: ShiftModel,
-            threshold: float = 5.0) -> ComparisonReport:
-    """Measured-over-predicted ratio test of one record against one model."""
-    if not threshold > 0.0:  # also refuses NaN, which every sigma would pass
-        raise ConfigurationError("exclusion threshold must be positive")
-    predicted = float(predict(record, model))
-    ratio = record.measured_ratio
-    unc = record.ratio_uncertainty
-    if model is ShiftModel.DOUBLE_EFFECT:
-        # measured shift unchanged, predicted doubled
-        ratio = ratio / 2.0
-        unc = unc / 2.0
-    sigma = abs(ratio - 1.0) / unc
-    verdict = Verdict.EXCLUDED if sigma > threshold else Verdict.CONSISTENT
-    return ComparisonReport(
-        experiment=record.name,
-        model=model,
-        predicted_shift=predicted,
-        ratio=ratio,
-        ratio_uncertainty=unc,
-        sigma=sigma,
-        verdict=verdict,
-    )
 
 
 def double_effect_verdict(records: Sequence[ExperimentRecord],
-                          threshold: float = 5.0) -> ComparisonSummary:
+                          threshold: float) -> ComparisonSummary:
     """Every record against every model, plus the overall double-effect verdict.
 
-    The double effect counts as excluded when any record excludes it at the
-    configured threshold.
+    Each report is the measured-over-predicted ratio test of one record
+    against one model.  The double effect counts as excluded when any record
+    excludes it at the threshold.
     """
     if not records:
         raise ConfigurationError("experiment registry is empty")
+    if not threshold > 0.0:  # also refuses NaN, which every sigma would pass
+        raise ConfigurationError("exclusion threshold must be positive")
     reports = []
     for record in records:
+        phi_emit, phi_obs = potential(record.emit), potential(record.observe)
         for model in ShiftModel:
-            reports.append(compare(record, model, threshold))
-    single_ok = all(
-        r.verdict is Verdict.CONSISTENT
-        for r in reports
-        if r.model is not ShiftModel.DOUBLE_EFFECT
-    )
-    double_excluded = any(
-        r.verdict is Verdict.EXCLUDED
-        for r in reports
-        if r.model is ShiftModel.DOUBLE_EFFECT
-    )
+            ratio, unc = record.measured_ratio, record.ratio_uncertainty
+            if model is ShiftModel.DOUBLE_EFFECT:
+                # measured shift unchanged, predicted doubled
+                ratio, unc = ratio / 2.0, unc / 2.0
+            sigma = abs(ratio - 1.0) / unc
+            reports.append(ComparisonReport(
+                experiment=record.name,
+                model=model,
+                predicted_shift=float(fractional_shift(model, phi_emit, phi_obs)),
+                ratio=ratio,
+                ratio_uncertainty=unc,
+                sigma=sigma,
+                excluded=sigma > threshold,
+            ))
     return ComparisonSummary(
         reports=tuple(reports),
-        single_models_consistent=single_ok,
-        double_effect_excluded=double_excluded,
-        threshold=threshold,
+        single_models_consistent=not any(
+            r.excluded for r in reports if r.model is not ShiftModel.DOUBLE_EFFECT),
+        double_effect_excluded=any(
+            r.excluded for r in reports if r.model is ShiftModel.DOUBLE_EFFECT),
     )
 
 
 # -- registry file -------------------------------------------------------
-
-
-def _body(bodies: dict[str, CelestialBody], name) -> CelestialBody:
-    name = str(name)
-    if name not in bodies:
-        raise ConfigurationError(f"unknown body {name!r}")
-    return bodies[name]
 
 
 def _resolve_geometry(geometry, name: str,
@@ -176,7 +139,7 @@ def _resolve_geometry(geometry, name: str,
         raise ConfigurationError("geometry must be an object with a 'type' field")
     kind = geometry["type"]
     if kind == "tower":
-        body = _body(bodies, geometry["body"])
+        body = lookup_body(bodies, geometry["body"])
         base = float(geometry.get("base_altitude_m", 0.0))
         height = float(geometry["height_m"])
         if not height > 0.0:  # also refuses NaN
@@ -191,8 +154,8 @@ def _resolve_geometry(geometry, name: str,
                     isinstance(p, dict) and "body" in p and "r_m" in p for p in pairs)):
                 raise ConfigurationError(
                     f"geometry {side}: expected an array of {{body, r_m}} objects")
-            points.append(FieldPoint.from_si(
-                f"{name}:{side}", [(_body(bodies, p["body"]), float(p["r_m"])) for p in pairs]))
+            points.append(FieldPoint.from_si(f"{name}:{side}", [
+                (lookup_body(bodies, p["body"]), float(p["r_m"])) for p in pairs]))
         return points[0], points[1]
     raise ConfigurationError(f"unknown geometry type {kind!r}")
 

@@ -37,6 +37,7 @@ __all__ = [
     "require_same_bodies",
     "potential",
     "load_bodies",
+    "lookup_body",
     "default_bodies",
 ]
 
@@ -156,6 +157,14 @@ def load_bodies(path: str | Path) -> dict[str, CelestialBody]:
             raise RegistryError(f"{where}: duplicate body name {body.name!r}")
         registry[body.name] = body
     return registry
+
+
+def lookup_body(bodies: Mapping[str, CelestialBody], name) -> CelestialBody:
+    """The body of the registry named ``name``; refuses a name it lacks."""
+    name = str(name)
+    if name not in bodies:
+        raise ConfigurationError(f"unknown body {name!r}")
+    return bodies[name]
 
 
 def default_bodies() -> dict[str, CelestialBody]:

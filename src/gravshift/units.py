@@ -117,17 +117,11 @@ class Quantity:
     def __mul__(self, other):
         if isinstance(other, Quantity):
             return Quantity(self.value * other.value, self.dim * other.dim)
-        if isinstance(other, (int, float)):
-            return Quantity(self.value * other, self.dim)
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Quantity):
             return Quantity(self.value / other.value, self.dim / other.dim)
-        if isinstance(other, (int, float)):
-            return Quantity(self.value / other, self.dim)
         return NotImplemented
 
     def __neg__(self) -> "Quantity":

@@ -66,10 +66,17 @@ class TestPotentialCommand:
         assert code == 1
         assert "error" in err
 
-    def test_unknown_body_exits_one(self, capsys):
-        code, _, err = run_cli(["potential", "--at", "vulcan:0"], capsys)
+    @pytest.mark.parametrize("argv", [
+        ["potential", "--at", "vulcan:0"],
+        ["shift", "--model", "emitter", "--body", "vulcan", "--emit-alt", "0",
+         "--obs-alt", "1"],
+        ["photon", "--body", "vulcan", "--b-radii", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_body_exits_one(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
         assert code == 1
-        assert "vulcan" in err
+        assert out == ""
+        assert "unknown body 'vulcan'" in err
 
     def test_non_finite_distance_names_the_point(self, capsys):
         code, out, err = run_cli(["potential", "--at", "earth:nan"], capsys)
@@ -344,6 +351,54 @@ class TestExperimentCommand:
         assert code == 1
         assert out == ""
         assert "exclusion threshold must be positive" in err
+
+    @pytest.mark.parametrize("threshold, excluded, exit_code", [
+        ("0.25", {"pound-rebka-1960:emitter", "pound-rebka-1960:photon",
+                  "pound-rebka-1960:double", "pound-snider-1965:double",
+                  "snider-solar-1972:double"}, 1),
+        ("3", {"pound-rebka-1960:double", "pound-snider-1965:double",
+               "snider-solar-1972:double"}, 0),
+        ("5", {"pound-rebka-1960:double", "pound-snider-1965:double",
+               "snider-solar-1972:double"}, 0),
+        ("10", {"pound-snider-1965:double", "snider-solar-1972:double"}, 0),
+        ("200", set(), 1),
+    ])
+    def test_rows_match_oracle(self, capsys, threshold, excluded, exit_code):
+        # sigmas: Pound-Rebka 0.5 and 9.5 (double), Pound-Snider 0.13 and 131.7,
+        # Snider solar 0.17 and 16.5
+        g, c2 = oracles.G, oracles.C2
+        tower = -g * oracles.M_EARTH * 22.5 / (oracles.R_EARTH * (oracles.R_EARTH + 22.5)) / c2
+        solar = (oracles.point_mass_potential(oracles.M_SUN, oracles.R_SUN)
+                 + oracles.point_mass_potential(oracles.M_EARTH, oracles.AU)
+                 - oracles.point_mass_potential(oracles.M_SUN, oracles.AU)
+                 - oracles.point_mass_potential(oracles.M_EARTH, oracles.R_EARTH)) / c2
+        shipped = {  # name: (single-locus shift, measured ratio, ratio uncertainty)
+            "pound-rebka-1960": (tower, 1.05, 0.10),
+            "pound-snider-1965": (tower, 0.9990, 0.0076),
+            "snider-solar-1972": (solar, 1.01, 0.06),
+        }
+        code, out, err = run_cli(
+            ["experiment", "--report", "json", "--threshold", threshold], capsys)
+        payload = json.loads(out)
+        assert (code, payload["exit_code"], err) == (exit_code, exit_code, "")
+        assert payload["threshold"] == float(threshold)
+        rows = payload["reports"]
+        assert [(r["experiment"], r["model"]) for r in rows] == [
+            (name, model) for name in shipped for model in ("emitter", "photon", "double")]
+        for row in rows:
+            shift, ratio, unc = shipped[row["experiment"]]
+            if row["model"] == "double":
+                shift, ratio, unc = 2.0 * shift, ratio / 2.0, unc / 2.0
+            # the tower shift is a difference of potentials 3e5 times larger
+            assert row["predicted_shift"] == pytest.approx(shift, rel=1e-9)
+            assert (row["ratio"], row["ratio_uncertainty"]) == (ratio, unc)
+            assert row["sigma"] == pytest.approx(abs(ratio - 1.0) / unc, rel=1e-12)
+            key = f"{row['experiment']}:{row['model']}"
+            assert row["verdict"] == ("excluded" if key in excluded else "consistent")
+        assert payload["single_models_consistent"] is not any(
+            not key.endswith(":double") for key in excluded)
+        assert payload["double_effect_excluded"] is any(
+            key.endswith(":double") for key in excluded)
 
     def test_custom_registry_flag(self, tmp_path, capsys):
         path = tmp_path / "reg.json"

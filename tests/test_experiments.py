@@ -7,12 +7,9 @@ from hypothesis import given, strategies as st
 from gravshift.errors import ConfigurationError, RegistryError
 from gravshift.experiments import (
     ExperimentRecord,
-    Verdict,
-    compare,
     default_registry,
     double_effect_verdict,
     load_registry,
-    predict,
 )
 from gravshift.gravity import FieldPoint
 from gravshift.spectra import ShiftModel
@@ -49,6 +46,15 @@ def tower_record(earth, height, measured_ratio, ratio_uncertainty=0.1):
         measured_ratio=measured_ratio,
         ratio_uncertainty=ratio_uncertainty,
     )
+
+
+def reports(record):
+    """The rows of the one record against each model at 5 sigma, keyed by model."""
+    return {r.model: r for r in double_effect_verdict([record], 5.0).reports}
+
+
+def predictions(record):
+    return {model: r.predicted_shift for model, r in reports(record).items()}
 
 
 def distances(point):
@@ -135,17 +141,16 @@ class TestLoadRegistry:
 
 class TestPredict:
     def test_pound_tower_emitter_model(self, by_name):
-        shift = float(predict(by_name["pound-rebka-1960"], ShiftModel.EMITTER_MASS_DEFECT))
+        shift = predictions(by_name["pound-rebka-1960"])[ShiftModel.EMITTER_MASS_DEFECT]
         assert abs(shift) == pytest.approx(oracles.G_STANDARD * 22.5 / oracles.C2, rel=2e-3)
         assert shift < 0.0
 
     def test_pound_tower_double_is_twice(self, by_name):
-        single = float(predict(by_name["pound-rebka-1960"], ShiftModel.EMITTER_MASS_DEFECT))
-        double = float(predict(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT))
-        assert double == 2.0 * single
+        shifts = predictions(by_name["pound-rebka-1960"])
+        assert shifts[ShiftModel.DOUBLE_EFFECT] == 2.0 * shifts[ShiftModel.EMITTER_MASS_DEFECT]
 
     def test_solar_two_point(self, by_name):
-        shift = float(predict(by_name["snider-solar-1972"], ShiftModel.EMITTER_MASS_DEFECT))
+        shift = predictions(by_name["snider-solar-1972"])[ShiftModel.EMITTER_MASS_DEFECT]
         solar_term = oracles.G * oracles.M_SUN * (1.0 / oracles.R_SUN - 1.0 / oracles.AU)
         earth_term = oracles.G * oracles.M_EARTH * (1.0 / oracles.R_EARTH - 1.0 / oracles.AU)
         expected = (-solar_term + earth_term) / oracles.C2
@@ -161,24 +166,24 @@ class TestPredict:
 
 class TestCompare:
     def test_pound_rebka_emitter(self, by_name):
-        report = compare(by_name["pound-rebka-1960"], ShiftModel.EMITTER_MASS_DEFECT)
+        report = reports(by_name["pound-rebka-1960"])[ShiftModel.EMITTER_MASS_DEFECT]
         assert report.sigma == abs(1.05 - 1.0) / 0.10
         assert report.sigma == pytest.approx(0.5, rel=1e-12)
-        assert report.verdict is Verdict.CONSISTENT
+        assert not report.excluded
 
     def test_pound_snider_double(self, by_name):
-        report = compare(by_name["pound-snider-1965"], ShiftModel.DOUBLE_EFFECT)
+        report = reports(by_name["pound-snider-1965"])[ShiftModel.DOUBLE_EFFECT]
         assert report.ratio == 0.4995
         assert report.ratio_uncertainty == 0.0038
         assert report.sigma == pytest.approx((1.0 - 0.4995) / 0.0038, rel=1e-12)
         assert report.sigma == pytest.approx(131.7, rel=1e-3)
-        assert report.verdict is Verdict.EXCLUDED
+        assert report.excluded
 
     def test_snider_solar_emitter(self, by_name):
-        report = compare(by_name["snider-solar-1972"], ShiftModel.EMITTER_MASS_DEFECT)
+        report = reports(by_name["snider-solar-1972"])[ShiftModel.EMITTER_MASS_DEFECT]
         assert report.sigma == pytest.approx((1.01 - 1.0) / 0.06, rel=1e-12)
         assert report.sigma == pytest.approx(0.167, rel=3e-3)
-        assert report.verdict is Verdict.CONSISTENT
+        assert not report.excluded
 
     @given(
         rho=st.floats(min_value=0.1, max_value=3.0),
@@ -192,26 +197,24 @@ class TestCompare:
 
     def test_compare_uses_rescaled_form(self, earth):
         record = tower_record(earth, 10.0, measured_ratio=0.8, ratio_uncertainty=0.05)
-        report = compare(record, ShiftModel.DOUBLE_EFFECT)
+        report = reports(record)[ShiftModel.DOUBLE_EFFECT]
         assert report.sigma == pytest.approx(abs(0.8 - 2.0) / 0.05, rel=1e-15)
 
     def test_bad_threshold_rejected(self, by_name):
         with pytest.raises(ConfigurationError):
-            compare(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT, threshold=0.0)
+            double_effect_verdict([by_name["pound-rebka-1960"]], 0.0)
 
     def test_nan_threshold_rejected(self, by_name):
         with pytest.raises(ConfigurationError, match="threshold must be positive"):
-            compare(by_name["pound-rebka-1960"], ShiftModel.DOUBLE_EFFECT,
-                    threshold=float("nan"))
+            double_effect_verdict([by_name["pound-rebka-1960"]], float("nan"))
 
 
 class TestModelAlgebra:
     def test_shipped_geometries(self, registry):
         for record in registry:
-            emitter = float(predict(record, ShiftModel.EMITTER_MASS_DEFECT))
-            photon = float(predict(record, ShiftModel.PHOTON_INTERACTION))
-            double = float(predict(record, ShiftModel.DOUBLE_EFFECT))
-            assert double == emitter + photon
+            shifts = predictions(record)
+            assert shifts[ShiftModel.DOUBLE_EFFECT] == (
+                shifts[ShiftModel.EMITTER_MASS_DEFECT] + shifts[ShiftModel.PHOTON_INTERACTION])
 
     def test_random_two_point_geometries(self, earth, sun):
         rng = random.Random(987)
@@ -227,10 +230,9 @@ class TestModelAlgebra:
                 measured_ratio=1.0,
                 ratio_uncertainty=0.1,
             )
-            emitter = float(predict(record, ShiftModel.EMITTER_MASS_DEFECT))
-            photon = float(predict(record, ShiftModel.PHOTON_INTERACTION))
-            double = float(predict(record, ShiftModel.DOUBLE_EFFECT))
-            assert double == emitter + photon
+            shifts = predictions(record)
+            assert shifts[ShiftModel.DOUBLE_EFFECT] == (
+                shifts[ShiftModel.EMITTER_MASS_DEFECT] + shifts[ShiftModel.PHOTON_INTERACTION])
 
 
 class TestGeometryConsistency:
@@ -245,41 +247,42 @@ class TestGeometryConsistency:
                                 "observe": [{"body": "earth", "r_m": r_lo + height}]}),
         ])
         tower, two_point = load_registry(path, bodies)
+        a, b = predictions(tower), predictions(two_point)
         for model in ShiftModel:
-            a = float(predict(tower, model))
-            b = float(predict(two_point, model))
-            assert a == pytest.approx(b, rel=1e-12)
+            assert a[model] == pytest.approx(b[model], rel=1e-12)
 
     def test_sign_discipline(self, registry):
         for record in registry:
             assert record.measured_ratio > 0.0
-            for model in (ShiftModel.EMITTER_MASS_DEFECT, ShiftModel.PHOTON_INTERACTION):
-                assert float(predict(record, model)) < 0.0
+            for shift in predictions(record).values():
+                assert shift < 0.0
 
 
 class TestDoubleEffectVerdict:
     def test_shipped_registry_verdict(self, registry):
-        summary = double_effect_verdict(registry)
-        assert len(summary.reports) == 9
+        summary = double_effect_verdict(registry, 5.0)
+        assert [(r.experiment, r.model) for r in summary.reports] == [
+            (record.name, model) for record in registry for model in ShiftModel]
         assert summary.single_models_consistent
         assert summary.double_effect_excluded
-        assert summary.ci_exit_code == 0
 
     def test_pound_rebka_alone_still_excludes(self, by_name):
-        summary = double_effect_verdict([by_name["pound-rebka-1960"]])
+        summary = double_effect_verdict([by_name["pound-rebka-1960"]], 5.0)
         double = [r for r in summary.reports if r.model is ShiftModel.DOUBLE_EFFECT][0]
         assert double.sigma == pytest.approx((1.0 - 0.525) / 0.05, rel=1e-12)
         assert double.sigma == pytest.approx(9.5, rel=1e-12)
         assert summary.double_effect_excluded
 
     def test_threshold_is_configurable(self, registry):
-        summary = double_effect_verdict(registry, threshold=200.0)
+        summary = double_effect_verdict(registry, 200.0)
+        assert summary.single_models_consistent
         assert not summary.double_effect_excluded
-        assert summary.ci_exit_code == 1
 
     def test_empty_registry_rejected(self):
-        with pytest.raises(ConfigurationError, match="empty"):
-            double_effect_verdict([])
+        # refused as empty before the threshold is looked at
+        for threshold in (5.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="experiment registry is empty"):
+                double_effect_verdict([], threshold)
 
 
 class TestRecordValidation:

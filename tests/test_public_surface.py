@@ -3,7 +3,9 @@
 Every public function of a `gravshift` module must either run on some path
 of the fixed CLI invocations below or be one of PAPER_CLAIMS: functions that
 state a claim of the paper which no CLI output shows yet.  A public function
-that only tests call restates a formula the CLI already computes.  In the
+that only tests call restates a formula the CLI already computes.  Every
+public method and property of a public class must run on one of those paths
+too, for the same reason.  In the
 same way, every default of a public function or class must be overridden on
 some of those paths: a default that no path overrides is a parameter that
 only tests set.  The non-ray invocations also pin the CLI's default stdout.
@@ -68,6 +70,18 @@ def _public_functions():
     return ((attr, obj) for attr, obj in _public_members() if inspect.isfunction(obj))
 
 
+def _public_methods():
+    """(qualified name, function) for every public method and property of a
+    public class."""
+    for _, obj in _public_members():
+        if inspect.isclass(obj):
+            for key, member in vars(obj).items():
+                fn = member.fget if isinstance(member, property) \
+                    else getattr(member, "__func__", member)
+                if not key.startswith("_") and inspect.isfunction(fn):
+                    yield f"{obj.__module__}.{obj.__qualname__}.{key}", fn
+
+
 def _public_defaults():
     """(function, parameter name, default) for every default of a public
     function, or of a public method or constructor of a public class."""
@@ -126,6 +140,13 @@ def test_every_public_function_is_reached_or_a_paper_claim(cli_trace):
         f"{fn.__module__}.{attr}" for attr, fn in _public_functions()
         if fn.__code__ not in called_code and attr not in PAPER_CLAIMS
     )
+    assert unreached == []
+
+
+def test_every_public_method_is_reached(cli_trace):
+    called_code, _ = cli_trace
+    unreached = sorted(name for name, fn in _public_methods()
+                       if fn.__code__ not in called_code)
     assert unreached == []
 
 

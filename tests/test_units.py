@@ -104,7 +104,7 @@ class TestEnergyToFrequency:
 
     def test_fine_structure_scale_energy(self):
         # 4.528e-5 eV, the n=2 splitting scale
-        nu = (4.528e-5 * CONSTANTS.eV) / CONSTANTS.h
+        nu = Quantity(4.528e-5 * CONSTANTS.eV.value, ENERGY) / CONSTANTS.h
         assert nu.dim == Dimension(time=-1)
         assert nu.value == pytest.approx(4.528e-5 * oracles.EV / oracles.H, rel=1e-12)
         assert nu.value == pytest.approx(1.095e10, rel=1e-3)
