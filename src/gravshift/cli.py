@@ -217,11 +217,11 @@ def _cmd_spectrum(args) -> int:
     else:
         phi = potential_m2_s2(0.0)
     m_eff = effective_mass(rest_mass, phi)
+    # E is linear in the mass, so every level moves by -dm/m = phi/c^2 of itself
+    shift = float(phi / CONSTANTS.c_squared)
     rows = []
     for state in states:
         energy = level_energy(state, m_eff)
-        free_energy = level_energy(state, rest_mass)
-        shift = (energy.value - free_energy.value) / free_energy.value
         rows.append({
             "state": state.label(),
             "E_eV": float(energy / CONSTANTS.eV),

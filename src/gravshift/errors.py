@@ -46,7 +46,8 @@ class ImpactError(GravshiftError, RuntimeError):
     body : str
         Name of the body that was struck.
     closest_approach_m : float
-        Center distance at which the trace stopped.
+        Periapsis the ray would reach if the body did not stop it: its least
+        distance from the body's centre.
     """
 
     def __init__(self, body: str, closest_approach_m: float):

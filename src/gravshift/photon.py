@@ -14,32 +14,33 @@ M at the origin its refractive index is
 
     n(r) = c/c'(r) = 1 - phi(r)/c^2 = 1 + mu/r,      mu = G*M/c^2,
 
-so the bending of a ray passing the body can be computed with the classical
-ray equation d/ds(n * dx/ds) = grad n.  :func:`trace_ray` starts a ray on
-the termination circle of radius factor * b, travelling along +x at height b
-above the body, integrates that system with adaptive Runge-Kutta stepping
-until the ray leaves the circle, and reports the deflection between the
-incoming direction and the exit direction, the transit time integral ds/c',
-and the closest approach.  A point mass and a ray define a plane, so the
-geometry is 2D.
+so a ray passing the body follows the classical ray equation
+d/ds(n * dx/ds) = grad n.  :func:`trace_ray` starts a ray on the termination
+circle of radius factor * b, travelling along +x at height b above the body,
+and reports the deflection between the incoming and the exit direction, the
+transit time integral ds/c' and the closest approach.  A point mass and a ray
+define a plane, so the geometry is 2D.
 
-The solve runs in the Sundman variable tau, with ds = r dtau.  A unit of tau
-covers little path near the body and much far from it, so the adaptive steps
-shrink at the periapsis by themselves and need no cap.  Besides the position
-x and the momentum p = n dx/ds, the solve carries the two integrals that make
-up the time excess, so it is never a difference of two transit times:
+The index is central, so Bouguer's invariant n r sin(psi) = ell holds along
+the ray, psi being the angle between the ray and the radius (Born & Wolf,
+Principles of Optics, 3.2).  At the periapsis sin(psi) = 1 and n r = r + mu,
+so the closest approach is r_min = ell - mu exactly, ell being fixed by the
+start, and whether the ray strikes the body is known before any integration.
 
-    E = int (n - 1) ds             (the slowed light),
+The deflection and the time excess come from one adaptive Runge-Kutta solve
+in the Sundman variable tau, with ds = r dtau, up to the exit from the circle.
+A unit of tau covers little path near the body and much far from it, so the
+steps shrink at the periapsis by themselves and need no cap.  The time excess
+is never a difference of two transit times but the sum of two integrals:
+
+    E = int (n - 1) ds = mu * tau  (the slowed light, as (n - 1) r = mu),
     K = int (1 - cos theta) ds     (the path's excess over its projection),
 
-where theta is the angle of p from +x and 1 - cos theta =
-p_y^2 / (|p| (|p| + p_x)) involves no subtraction.  For the chord D from
-start to exit, the transit time exceeds the straight-line time |D|/c by
-(E + K - (|D| - D_x))/c, with |D| - D_x written the same way.
-
-The closest approach comes from the integrator's own event location: it is
-the least distance from the body's centre over the periapsis events, where
-x.p turns positive, and the two ends of the solve.
+where theta is the angle of p = n dx/ds from +x and 1 - cos theta =
+p_y^2 / (|p| (|p| + p_x)) involves no subtraction; the solve carries K beside
+x and p.  For the chord D from start to exit, the transit time exceeds the
+straight-line time |D|/c by (E + K - (|D| - D_x))/c, with |D| - D_x written
+the same way.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ class RayResult:
     from two transit times, and is never negative because c' <= c; the
     transit time is the straight-line vacuum time plus that excess.
 
-    closest_approach_m is the ray's least distance from the body's centre;
-    an ImpactError carries the same distance.
+    closest_approach_m is the ray's least distance from the body's centre,
+    from Bouguer's invariant; for a ray that strikes the body, an ImpactError
+    carries the same distance, the periapsis the ray would reach unobstructed.
     """
 
     deflection_rad: float
@@ -104,64 +106,49 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
     scale = r_term / 200.0
     r_exit = r_term / scale
     mu = body.mu().value / (CONSTANTS.c.value ** 2 * scale)
-    barrier = body.radius.value * (1.0 - IMPACT_MARGIN) / scale
+    sx, sy = x0 / scale, b / scale
+    p0 = 1.0 + mu / math.hypot(sx, sy)
+    # Bouguer: ell = n r sin(psi) = p0 * sy; a ray with ell <= mu falls to r = 0
+    r_min = max(p0 * sy - mu, 0.0)
+    if r_min * scale < body.radius.value * (1.0 - IMPACT_MARGIN):
+        raise ImpactError(body.name, r_min * scale)
 
     def rhs(tau, state):
-        x, y, px, py, _, _ = state.tolist()
+        x, y, px, py, _ = state.tolist()
         r = math.hypot(x, y)
         w = mu / (r * r)
         p = math.hypot(px, py)
         per_p = r / p
-        # dE/dtau = (n - 1) r = mu
-        return [px * per_p, py * per_p, -w * x, -w * y, mu, _gap(px, py, p) * per_p]
+        return [px * per_p, py * per_p, -w * x, -w * y, _gap(px, py, p) * per_p]
 
     def exit_event(tau, state):
         return math.hypot(state[0], state[1]) - r_exit
 
-    def impact_event(tau, state):
-        return math.hypot(state[0], state[1]) - barrier
+    exit_event.terminal, exit_event.direction = True, 1.0
 
-    def periapsis_event(tau, state):
-        # x.p turns from negative to positive where |x| has a minimum
-        return state[0] * state[2] + state[1] * state[3]
-
-    exit_event.terminal = impact_event.terminal = True
-    exit_event.direction = periapsis_event.direction = 1.0
-    impact_event.direction = -1.0
-
-    sx, sy = x0 / scale, b / scale
-    y0 = [sx, sy, 1.0 + mu / math.hypot(sx, sy), 0.0, 0.0, 0.0]
-    # p and E scale with the bend 2*mu/b, K with its square; a scalar atol
-    # would swamp them (earth's whole p_y is about 1.4e-9)
-    bend = 2.0 * mu / max(sy, barrier)
+    y0 = [sx, sy, p0, 0.0, 0.0]
+    # p scales with the bend 2*mu/b, K with its square; a scalar atol would
+    # swamp them (earth's whole p_y is about 1.4e-9)
+    bend = 2.0 * mu / sy
     atol = rel_tol * 1e-3
-    atols = [atol, atol, atol * bend, atol * bend, atol * bend, atol * bend * bend]
-    # ds >= dtau * barrier above the barrier, so tau_max allows at least 8
-    # termination radii of path
-    tau_max = 8.0 * r_exit / barrier
+    atols = [atol, atol, atol * bend, atol * bend, atol * bend * bend]
+    # ds = r dtau >= r_min dtau, so tau_max allows at least 8 termination
+    # radii of path
+    tau_max = 8.0 * r_exit / r_min
 
     try:
-        sol = solve_ivp(
-            rhs, (0.0, tau_max), y0, method="DOP853",
-            events=[exit_event, impact_event, periapsis_event],
-            rtol=rel_tol, atol=atols,
-        )
+        sol = solve_ivp(rhs, (0.0, tau_max), y0, method="DOP853", events=exit_event,
+                        rtol=rel_tol, atol=atols)
     except ValueError as exc:
         raise ConvergenceError(f"ray integration failed: {exc}") from None
     if sol.status == -1:
         raise ConvergenceError(f"ray integration failed: {sol.message}")
-
-    # the closest approach lies at a periapsis event or at an end of the solve
-    points = [y0, sol.y[:, -1].tolist(), *sol.y_events[2].tolist()]
-    closest = min(math.hypot(s[0], s[1]) for s in points) * scale
-    if len(sol.t_events[1]) > 0 or closest < body.radius.value * (1.0 - IMPACT_MARGIN):
-        raise ImpactError(body.name, closest)
     if len(sol.t_events[0]) == 0:
-        raise ConvergenceError(
-            "ray did not reach the termination radius within 8 termination radii of path"
-        )
+        raise ConvergenceError("ray did not reach the termination radius within 8 "
+                               "termination radii of path")
 
-    x, y, px, py, e, k = sol.y_events[0][0].tolist()
+    x, y, px, py, k = sol.y_events[0][0].tolist()
+    e = mu * float(sol.t_events[0][0])
     deflection = math.atan2(py, px)
     chord_x, chord_y = x - sx, y - sy
     chord = math.hypot(chord_x, chord_y)
@@ -171,7 +158,7 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
         deflection_rad=deflection,
         straight_line_time_s=chord * seconds_per_unit,
         time_excess_s=(e + k - gap) * seconds_per_unit,
-        closest_approach_m=closest,
+        closest_approach_m=r_min * scale,
     )
 
 
@@ -185,13 +172,14 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
     with adaptive stepping at the given relative tolerance (allowed range
     1e-12..1e-6) until the ray exits the termination circle, in one solve.
     The deflection is then within tol * |bend| of the closed-form bend
-    inside that circle.  Raises ImpactError if the ray strikes the body and
-    ConvergenceError if it cannot reach the exit.
+    inside that circle.  Raises ConvergenceError if the ray cannot reach the
+    exit.
 
     A grazing ray whose undeflected line just touches the surface dips below
     it by the periapsis shift G*M/c^2 (about 2e-6 of the solar radius), which
-    is a property of the index medium, not a strike; a ray therefore counts
-    as impacting only when it descends below (1 - IMPACT_MARGIN) * radius.
+    is a property of the index medium, not a strike.  So ImpactError is
+    raised, before any integration and with the unobstructed periapsis, only
+    when the periapsis lies below (1 - IMPACT_MARGIN) * radius.
     """
     b = float(impact_parameter_m)
     if not math.isfinite(b):

@@ -7,6 +7,7 @@ a bug in the library cannot hide in its own oracle.
 """
 
 import math
+from fractions import Fraction
 
 from scipy.integrate import quad
 
@@ -25,12 +26,19 @@ R_EARTH = 6.371e6
 M_SUN = 1.9885e30
 R_SUN = 6.957e8
 AU = 1.495978707e11
+MASS_RADIUS = {"sun": (M_SUN, R_SUN), "earth": (M_EARTH, R_EARTH)}
 
 G_STANDARD = 9.80665  # conventional surface gravity for the g*h cross-check
 
 
 def point_mass_potential(mass_kg: float, r_m: float) -> float:
     return -G * mass_kg / r_m
+
+
+def phi_over_c2_exact(mass_kg: float, r_m: float) -> float:
+    """phi/c^2 = -G*M/(r*c^2) of a point mass, evaluated in exact rationals
+    from the float inputs and rounded once, at the end."""
+    return float(-Fraction(G) * Fraction(mass_kg) / (Fraction(r_m) * Fraction(C) ** 2))
 
 
 def level_energy_direct(Z: int, n: int, j: float, mass_kg: float) -> float:

@@ -31,6 +31,15 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def exact_shift(spec):
+    """phi/c^2 at a one-body point spec, 'body:ALT_m' or 'body:r=R_m', exact
+    from the float distance the CLI forms."""
+    name, _, rest = spec.partition(":")
+    mass, radius = oracles.MASS_RADIUS[name]
+    r = float(rest[2:]) if rest.startswith("r=") else radius + float(rest)
+    return oracles.phi_over_c2_exact(mass, r)
+
+
 class TestConstantsCommand:
     def test_flat_json_dump(self, capsys):
         code, out, _ = run_cli(["constants"], capsys)
@@ -161,6 +170,18 @@ class TestSpectrumCommand:
         assert len(rows) == 2
         for row in rows:
             assert float(row["shift_fractional"]) == pytest.approx(-6.96131e-10, rel=1e-4)
+
+    @pytest.mark.parametrize("at", ["earth:0", "sun:0", "earth:r=1e9", "earth:r=1e15"])
+    def test_shift_is_phi_over_c2_to_a_few_ulps(self, capsys, at):
+        # every line shifts by phi/c^2, down to -4.4e-18 at earth:r=1e15
+        code, out, _ = run_cli(
+            ["spectrum", "--n-range", "1:30", "--at", at, "--format", "json"], capsys)
+        assert code == 0
+        expected = exact_shift(at)
+        rows = json.loads(out)
+        assert len(rows) == 465
+        for row in rows:
+            assert abs(row["shift_fractional"] - expected) <= 4 * math.ulp(expected)
 
     def test_bad_state_spec_rejected(self, capsys):
         code, _, err = run_cli(["spectrum", "--states", "nonsense"], capsys)
@@ -521,6 +542,11 @@ class TestExtremeArguments:
         assert code in (0, 1, 2)
         if code == 0:
             assert re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE) is None
+        if code == 0 and argv[0] == "spectrum":
+            expected = exact_shift(argv[argv.index("--at") + 1]) if "--at" in argv else 0.0
+            for row in parse_csv(out.getvalue()):
+                shift = float(row["shift_fractional"])
+                assert abs(shift - expected) <= 4 * math.ulp(expected)
         assert "quantity value must be finite, got" not in err.getvalue()
 
     @pytest.mark.parametrize("argv, text", [

@@ -5,15 +5,39 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from gravshift.errors import ConfigurationError, DomainError, ImpactError
-from gravshift.photon import trace_ray
+from gravshift.gravity import CelestialBody
+from gravshift.photon import IMPACT_MARGIN, trace_ray
 from gravshift.spectra import ShiftModel, fractional_shift
 from gravshift.units import potential_m2_s2
 
 import oracles
 
-MASS_RADIUS = {"sun": (oracles.M_SUN, oracles.R_SUN),
-               "earth": (oracles.M_EARTH, oracles.R_EARTH)}
+MASS_RADIUS = oracles.MASS_RADIUS
 PHI_SUN = potential_m2_s2(oracles.point_mass_potential(oracles.M_SUN, oracles.R_SUN))
+
+
+def integrated_periapsis(mass_kg, b, factor):
+    """Least distance from the centre (m) of the ray that trace_ray starts,
+    found by integrating d/ds(n dx/ds) = grad n in arc length, in units of b,
+    up to where x.p turns positive.  The body is not an obstacle here, and
+    nothing uses the invariant n r sin(psi)."""
+    k = oracles.G * mass_kg / oracles.C2 / b
+
+    def rhs(s, state):
+        x, y, px, py = state
+        r = math.hypot(x, y)
+        n, g = 1.0 + k / r, k / r ** 3
+        return [px / n, py / n, -g * x, -g * y]
+
+    def periapsis(s, state):
+        return state[0] * state[2] + state[1] * state[3]
+
+    periapsis.terminal, periapsis.direction = True, 1.0
+    start = [-math.sqrt(factor * factor - 1.0), 1.0, 1.0 + k / factor, 0.0]
+    sol = solve_ivp(rhs, (0.0, 4.0 * factor), start, method="DOP853",
+                    rtol=1e-13, atol=1e-16, events=periapsis)
+    x, y, _, _ = sol.y_events[0][0]
+    return math.hypot(x, y) * b
 
 
 class TestPhotonFrequencyShift:
@@ -103,10 +127,23 @@ class TestTraceRay:
         assert abs(result.deflection_arcsec) == pytest.approx(0.8756, rel=1e-3)
 
     def test_grazing_periapsis_dip_matches_index_invariant(self, sun):
-        # n*r*sin(psi) conservation puts the periapsis at b - GM/c^2
+        # the ray dips about GM/c^2 below b; the dip is 1477 m of 7e8, so
+        # 1e-14 of the periapsis is 5e-9 of the dip
         result = trace_ray(sun, oracles.R_SUN, 200.0, 1e-10)
+        expected = integrated_periapsis(oracles.M_SUN, oracles.R_SUN, 200.0)
+        assert abs(result.closest_approach_m - expected) <= 1e-14 * expected
         dip = oracles.R_SUN - result.closest_approach_m
-        assert dip == pytest.approx(oracles.MU_SUN, rel=0.05)
+        assert dip == pytest.approx(oracles.MU_SUN, rel=0.01)
+
+    @pytest.mark.parametrize("name", ["sun", "earth"])
+    @pytest.mark.parametrize("b_radii", [1.0, 3.0, 20.0])
+    @pytest.mark.parametrize("factor", [10.0, 200.0])
+    def test_periapsis_matches_integrated_trajectory(self, bodies, name, b_radii, factor):
+        mass, radius = MASS_RADIUS[name]
+        b = b_radii * radius
+        expected = integrated_periapsis(mass, b, factor)
+        result = trace_ray(bodies[name], b, factor, 1e-6)
+        assert abs(result.closest_approach_m - expected) <= 1e-14 * expected
 
     def test_inverse_impact_parameter_scaling(self, sun):
         near = trace_ray(sun, 10.0 * oracles.R_SUN, 200.0, 1e-10)
@@ -122,10 +159,36 @@ class TestTraceRay:
             assert type(result.closest_approach_m) is float
 
     def test_impact_raises_with_closest_approach(self, sun):
+        # the error carries the periapsis the ray would reach unobstructed
         with pytest.raises(ImpactError) as err:
             trace_ray(sun, 0.5 * oracles.R_SUN, 200.0, 1e-8)
         assert err.value.body == "sun"
-        assert err.value.closest_approach_m < oracles.R_SUN
+        expected = integrated_periapsis(oracles.M_SUN, 0.5 * oracles.R_SUN, 200.0)
+        assert abs(err.value.closest_approach_m - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+    def test_periapsis_at_the_impact_radius(self, sun, side):
+        # the start lies 200 b from the centre, so the ray dips
+        # GM/c^2 * (1 - 1/200) below b to first order
+        target = oracles.R_SUN * (1.0 - IMPACT_MARGIN) * (1.0 + side * 1e-9)
+        b = target + oracles.MU_SUN * (1.0 - 1.0 / 200.0)
+        expected = integrated_periapsis(oracles.M_SUN, b, 200.0)
+        assert expected == pytest.approx(target, rel=1e-12)
+        if side > 0.0:
+            closest = trace_ray(sun, b, 200.0, 1e-8).closest_approach_m
+        else:
+            with pytest.raises(ImpactError) as err:
+                trace_ray(sun, b, 200.0, 1e-8)
+            closest = err.value.closest_approach_m
+        assert abs(closest - expected) <= 1e-14 * expected
+
+    def test_ray_that_falls_to_the_centre_reports_zero(self):
+        # mu = 1477 m exceeds b n(200 b) = 1007 m, so n r sin(psi) never
+        # reaches n r and the ray falls all the way in
+        compact = CelestialBody.from_si("compact", oracles.M_SUN, 1.0)
+        with pytest.raises(ImpactError) as err:
+            trace_ray(compact, 1000.0, 200.0, 1e-8)
+        assert err.value.closest_approach_m == 0.0
 
     def test_successful_graze_respects_margin(self, sun):
         result = trace_ray(sun, oracles.R_SUN, 200.0, 1e-9)
@@ -167,11 +230,13 @@ class TestTraceRay:
             assert abs(result.deflection_rad - reference) <= tol * abs(reference)
 
     def test_one_solve_per_ray(self, sun, monkeypatch):
+        # one event (the exit) and five state components: x, y, p and K
         rtols = []
 
-        def counting_solve_ivp(*args, **kwargs):
+        def counting_solve_ivp(fun, t_span, y0, **kwargs):
+            assert callable(kwargs["events"]) and len(y0) == 5
             rtols.append(kwargs["rtol"])
-            return solve_ivp(*args, **kwargs)
+            return solve_ivp(fun, t_span, y0, **kwargs)
 
         monkeypatch.setattr("gravshift.photon.solve_ivp", counting_solve_ivp)
         trace_ray(sun, 2.0 * oracles.R_SUN, 200.0, 1e-8)
