@@ -17,16 +17,14 @@ import sys
 from fractions import Fraction
 
 from . import experiments as experiments_mod
-from .data import ENV_DATA_DIR
+from .data import data_file
 from .errors import ConfigurationError, DomainError, GravshiftError
 from .gravity import (
     CelestialBody,
     FieldPoint,
-    default_bodies,
     load_bodies,
     lookup_body,
     potential,
-    require_same_bodies,
 )
 from .photon import trace_ray
 from .spectra import (
@@ -119,10 +117,6 @@ def _emit_record(record: dict, fmt: str) -> None:
 # -- shared argument plumbing -------------------------------------------
 
 
-def _registry(args) -> dict[str, CelestialBody]:
-    return load_bodies(args.bodies) if args.bodies else default_bodies()
-
-
 def parse_point_spec(spec: str, bodies: dict[str, CelestialBody],
                      label: str | None = None) -> FieldPoint:
     """Parse 'body:ALT_m' / 'body:r=R_m' point specs, superposed with '+'."""
@@ -159,7 +153,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    bodies = _registry(args)
+    bodies = load_bodies(args.bodies)
     rows = []
     for spec in args.at:
         phi = potential(parse_point_spec(spec, bodies))
@@ -212,8 +206,7 @@ def _cmd_spectrum(args) -> int:
     rest_mass = CONSTANTS.m_electron if args.emitter_mass_kg is None \
         else kilograms(args.emitter_mass_kg)
     if args.at:
-        bodies = _registry(args)
-        phi = potential(parse_point_spec(args.at, bodies))
+        phi = potential(parse_point_spec(args.at, load_bodies(args.bodies)))
     else:
         phi = potential_m2_s2(0.0)
     m_eff = effective_mass(rest_mass, phi)
@@ -252,19 +245,15 @@ def _shift_point(args, side: str, bodies) -> FieldPoint:
 
 
 def _cmd_shift(args) -> int:
-    bodies = _registry(args)
+    bodies = load_bodies(args.bodies)
     emit = _shift_point(args, "emit", bodies)
     obs = _shift_point(args, "obs", bodies)
-    require_same_bodies(emit, obs)
-    phi_emit = potential(emit)
-    phi_obs = potential(obs)
-    model = _MODEL_NAMES[args.model]
-    shift = fractional_shift(model, phi_emit, phi_obs)
+    shift = fractional_shift(_MODEL_NAMES[args.model], emit, obs)
     _emit_record({
         "model": args.model,
-        "phi_emit_m2_s2": phi_emit.value,
-        "phi_obs_m2_s2": phi_obs.value,
-        "fractional_shift": float(shift),
+        "phi_emit_m2_s2": potential(emit).value,
+        "phi_obs_m2_s2": potential(obs).value,
+        "fractional_shift": shift,
     }, args.format)
     return EXIT_OK
 
@@ -297,7 +286,7 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
 
 
 def _cmd_photon(args) -> int:
-    body = lookup_body(_registry(args), args.body)
+    body = lookup_body(load_bodies(args.bodies), args.body)
     radius = body.radius.value
     sweep = args.sweep_m or args.sweep_radii
     if sweep:
@@ -325,11 +314,9 @@ def _cmd_photon(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    bodies = _registry(args)
-    if args.registry == "default":
-        records = experiments_mod.default_registry(bodies)
-    else:
-        records = experiments_mod.load_registry(args.registry, bodies)
+    bodies = load_bodies(args.bodies)
+    registry = data_file("experiments.json") if args.registry == "default" else args.registry
+    records = experiments_mod.load_registry(registry, bodies)
     summary = experiments_mod.double_effect_verdict(records, args.threshold)
     code = EXIT_OK if summary.single_models_consistent and summary.double_effect_excluded \
         else EXIT_FAILURE
@@ -368,22 +355,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gravshift",
         description="Gravitational line-shift models, spectra and experiment comparisons.",
-        epilog=f"Set {ENV_DATA_DIR} to override the directory holding "
-               "bodies.json and experiments.json.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand that reads a body registry takes its path from this one flag
+    with_bodies = argparse.ArgumentParser(add_help=False)
+    with_bodies.add_argument("--bodies", default=data_file("bodies.json"),
+                             help="body registry JSON (default: the packaged bodies.json)")
 
     p = sub.add_parser("constants", help="dump the constant set as flat JSON")
     p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("potential", help="potential at one or more field points")
+    p = sub.add_parser("potential", parents=[with_bodies],
+                       help="potential at one or more field points")
     p.add_argument("--at", action="append", required=True, metavar="SPEC",
                    help="point spec 'body:ALT_m' or 'body:r=R_m'; superpose with '+'")
-    p.add_argument("--bodies", help="body registry JSON (default: packaged)")
     _add_format(p, "text")
     p.set_defaults(func=_cmd_potential)
 
-    p = sub.add_parser("spectrum", help="fine-structure levels at a potential")
+    p = sub.add_parser("spectrum", parents=[with_bodies],
+                       help="fine-structure levels at a potential")
     p.add_argument("--z", type=int, default=1, help="nuclear charge (default 1)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--states", metavar="LIST",
@@ -393,24 +383,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", metavar="SPEC", help="emitter location (default: free, phi = 0)")
     p.add_argument("--emitter-mass-kg", type=float, default=None,
                    help="emitter rest mass (default: electron)")
-    p.add_argument("--bodies", help="body registry JSON (default: packaged)")
     _add_format(p, "csv")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("shift", help="fractional line shift between two points")
+    p = sub.add_parser("shift", parents=[with_bodies],
+                       help="fractional line shift between two points")
     p.add_argument("--model", choices=sorted(_MODEL_NAMES), required=True)
     p.add_argument("--body", help="body for --emit-alt/--obs-alt/--*-r-m forms")
     p.add_argument("--emit", metavar="SPEC", help="emission point spec")
     p.add_argument("--obs", metavar="SPEC", help="observation point spec")
-    p.add_argument("--emit-alt", type=float, help="emission altitude above --body radius (m)")
-    p.add_argument("--obs-alt", type=float, help="observation altitude above --body radius (m)")
+    p.add_argument("--emit-alt", type=float,
+                   help="emission altitude above --body radius (m); radius + altitude "
+                        "is rounded to a float once, and the shift is exact for it")
+    p.add_argument("--obs-alt", type=float,
+                   help="observation altitude above --body radius (m), rounded the "
+                        "same way")
     p.add_argument("--emit-r-m", type=float, help="emission radial distance from --body (m)")
     p.add_argument("--obs-r-m", type=float, help="observation radial distance from --body (m)")
-    p.add_argument("--bodies", help="body registry JSON (default: packaged)")
     _add_format(p, "text")
     p.set_defaults(func=_cmd_shift)
 
-    p = sub.add_parser("photon", help="trace a ray past a body (graded-index bending)")
+    p = sub.add_parser("photon", parents=[with_bodies],
+                       help="trace a ray past a body (graded-index bending)")
     p.add_argument("--body", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--b-m", type=float, help="impact parameter (m)")
@@ -426,17 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "200); the printed deflection is the bend inside that circle, "
                         "short of the asymptotic 2GM/(b c^2) by about 1/(2 factor^2) "
                         "relative (0.50%% at 10, 1.25e-5 at 200)")
-    p.add_argument("--bodies", help="body registry JSON (default: packaged)")
     _add_format(p, "json")
     p.set_defaults(func=_cmd_photon)
 
-    p = sub.add_parser("experiment", help="compare all models against the registry")
+    p = sub.add_parser("experiment", parents=[with_bodies],
+                       help="compare all models against the registry")
     p.add_argument("--registry", default="default",
                    help="experiment registry JSON, or 'default' for the packaged one")
     p.add_argument("--threshold", type=float, default=5.0,
                    help="exclusion threshold in sigma (default 5)")
     p.add_argument("--report", choices=["text", "json"], default="text")
-    p.add_argument("--bodies", help="body registry JSON (default: packaged)")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

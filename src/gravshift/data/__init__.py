@@ -1,35 +1,34 @@
-"""Packaged default registries (bodies, experiments), their lookup rule and reader."""
+"""Packaged default registries (bodies, experiments) and their reader."""
 
 from __future__ import annotations
 
 import json
-import os
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import RegistryError
 
-ENV_DATA_DIR = "GRAVSHIFT_DATA_DIR"
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 
-def data_file(name: str) -> Path:
-    """Resolve a registry file: $GRAVSHIFT_DATA_DIR/<name> if set, else packaged."""
-    override = os.environ.get(ENV_DATA_DIR)
-    if override:
-        return Path(override) / name
-    with resources.as_file(resources.files(__package__) / name) as p:
-        return Path(p)
+def data_file(name: str) -> Traversable:
+    """The packaged registry file ``name``: a ``Path`` when the package sits
+    on a plain file system, else a resource that reads the same way."""
+    return resources.files(__package__) / name
 
 
-def read_entries(path: str | Path, registry: str, items: str, entry: str) -> Iterator[tuple[str, dict]]:
+def read_entries(path: str | Path | Traversable, registry: str, items: str,
+                 entry: str) -> Iterator[tuple[str, dict]]:
     """Yield (location, object) for each entry of a JSON-array registry file.
 
     Read errors, a top level that is not an array and an entry that is not an
     object raise RegistryError, worded with the ``registry``, ``items`` and
     ``entry`` names.
     """
-    path = Path(path)
+    if isinstance(path, str):
+        path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .data import data_file, read_entries
+from .data import read_entries
 from .errors import ConfigurationError, GravshiftError, RegistryError
 from .gravity import (
     CelestialBody,
     FieldPoint,
     lookup_body,
-    potential,
     require_same_bodies,
 )
 from .spectra import ShiftModel, fractional_shift
@@ -43,7 +42,6 @@ __all__ = [
     "ComparisonSummary",
     "double_effect_verdict",
     "load_registry",
-    "default_registry",
 ]
 
 
@@ -104,17 +102,17 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
         raise ConfigurationError("exclusion threshold must be positive")
     reports = []
     for record in records:
-        phi_emit, phi_obs = potential(record.emit), potential(record.observe)
+        single = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, record.emit, record.observe)
         for model in ShiftModel:
-            ratio, unc = record.measured_ratio, record.ratio_uncertainty
+            ratio, unc, predicted = record.measured_ratio, record.ratio_uncertainty, single
             if model is ShiftModel.DOUBLE_EFFECT:
                 # measured shift unchanged, predicted doubled
-                ratio, unc = ratio / 2.0, unc / 2.0
+                ratio, unc, predicted = ratio / 2.0, unc / 2.0, single + single
             sigma = abs(ratio - 1.0) / unc
             reports.append(ComparisonReport(
                 experiment=record.name,
                 model=model,
-                predicted_shift=float(fractional_shift(model, phi_emit, phi_obs)),
+                predicted_shift=predicted,
                 ratio=ratio,
                 ratio_uncertainty=unc,
                 sigma=sigma,
@@ -194,8 +192,3 @@ def load_registry(path: str | Path,
             raise RegistryError(f"{where} ({name}): {exc}") from None
         records.append(record)
     return records
-
-
-def default_registry(bodies: dict[str, CelestialBody]) -> list[ExperimentRecord]:
-    """Packaged records, overridable via GRAVSHIFT_DATA_DIR."""
-    return load_registry(data_file("experiments.json"), bodies)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .data import data_file, read_entries
+from .data import read_entries
 from .errors import ConfigurationError, DomainError, RegistryError
 from .units import (
     CONSTANTS,
@@ -38,7 +38,6 @@ __all__ = [
     "potential",
     "load_bodies",
     "lookup_body",
-    "default_bodies",
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
@@ -109,7 +108,11 @@ class FieldPoint:
     @classmethod
     def at_altitude(cls, body: CelestialBody, altitude_m: float,
                     label: str | None = None) -> "FieldPoint":
-        """Point at body radius + altitude above the single body given."""
+        """Point at body radius + altitude above the single body given.
+
+        R + altitude is rounded to a float once; every potential and shift
+        at the point is that of the rounded radius.
+        """
         r = body.radius.value + float(altitude_m)
         return cls.from_si(label or f"{body.name}+{altitude_m:g}m", [(body, r)])
 
@@ -165,8 +168,3 @@ def lookup_body(bodies: Mapping[str, CelestialBody], name) -> CelestialBody:
     if name not in bodies:
         raise ConfigurationError(f"unknown body {name!r}")
     return bodies[name]
-
-
-def default_bodies() -> dict[str, CelestialBody]:
-    """Packaged Earth/Sun registry, overridable via GRAVSHIFT_DATA_DIR."""
-    return load_bodies(data_file("bodies.json"))

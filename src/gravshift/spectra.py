@@ -34,6 +34,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError
+from .gravity import FieldPoint, potential, require_same_bodies
 from .units import (
     CONSTANTS,
     MASS,
@@ -187,15 +188,20 @@ class ShiftModel(enum.Enum):
     DOUBLE_EFFECT = "double"
 
 
-def fractional_shift(model: ShiftModel, phi_emit: Quantity, phi_obs: Quantity) -> Quantity:
-    """Fractional frequency shift between emission and observation points.
+def fractional_shift(model: ShiftModel, emit: FieldPoint, obs: FieldPoint) -> float:
+    """Fractional frequency shift between an emission and an observation point.
 
     Both single-locus models predict (phi_emit - phi_obs)/c^2; the double
     effect is their arithmetic sum.  Negative = red shift (emitter deeper).
+    The difference is summed body by body as mu*(r_emit - r_obs)/(r_emit*r_obs),
+    so two nearly equal potentials are never subtracted; r_emit - r_obs is
+    exact when the distances are within a factor 2 of each other.
     """
-    weak_field_ratio(phi_emit)
-    weak_field_ratio(phi_obs)
-    single = (phi_emit - phi_obs) / CONSTANTS.c_squared
-    if model is ShiftModel.DOUBLE_EFFECT:
-        return single + single
-    return single
+    require_same_bodies(emit, obs)
+    for point in (emit, obs):
+        weak_field_ratio(potential(point))
+    r_obs = {body.name: r.value for body, r in obs.distances.items()}
+    terms = [body.mu().value / r.value * ((r.value - r_obs[body.name]) / r_obs[body.name])
+             for body, r in emit.distances.items()]
+    single = math.fsum(terms) / CONSTANTS.c_squared.value
+    return single + single if model is ShiftModel.DOUBLE_EFFECT else single

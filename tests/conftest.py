@@ -1,11 +1,12 @@
 import pytest
 
-from gravshift.gravity import FieldPoint, default_bodies
+from gravshift.data import data_file
+from gravshift.gravity import FieldPoint, load_bodies
 
 
 @pytest.fixture(scope="session")
 def bodies():
-    return default_bodies()
+    return load_bodies(data_file("bodies.json"))
 
 
 @pytest.fixture(scope="session")

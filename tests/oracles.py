@@ -41,6 +41,20 @@ def phi_over_c2_exact(mass_kg: float, r_m: float) -> float:
     return float(-Fraction(G) * Fraction(mass_kg) / (Fraction(r_m) * Fraction(C) ** 2))
 
 
+def fractional_shift_exact(pairs) -> tuple[float, float]:
+    """(phi_emit - phi_obs)/c^2 between two points, and the sum of the
+    magnitudes of its per-body terms, each evaluated in exact rationals from
+    the float inputs and rounded once, at the end.
+
+    ``pairs`` holds (mass_kg, r_emit_m, r_obs_m) for each body; its term is
+    G*M*(r_emit - r_obs)/(r_emit*r_obs*c^2).
+    """
+    terms = [Fraction(G) * Fraction(mass) * (Fraction(r_emit) - Fraction(r_obs))
+             / (Fraction(r_emit) * Fraction(r_obs) * Fraction(C) ** 2)
+             for mass, r_emit, r_obs in pairs]
+    return float(sum(terms)), float(sum(abs(t) for t in terms))
+
+
 def level_energy_direct(Z: int, n: int, j: float, mass_kg: float) -> float:
     """Fine-structure binding energy evaluated in one direct expression (J)."""
     return (ALPHA**2 * mass_kg * C2 / 2.0) * (Z**2 / n**2) * (

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -31,13 +32,66 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def exact_shift(spec):
+def parse_table(text, fmt):
+    """The rows of a table printed in any --format, as {column: value}."""
+    if fmt == "json":
+        return json.loads(text)
+    if fmt == "csv":
+        return parse_csv(text)
+    header, *lines = (line.split() for line in text.splitlines())
+    return [dict(zip(header, line)) for line in lines]
+
+
+def parse_record(text, fmt):
+    """A single record printed in any --format, as {key: value}."""
+    if fmt == "text":
+        return dict(line.split() for line in text.splitlines())
+    return parse_table(text, fmt)[0] if fmt == "csv" else json.loads(text)
+
+
+def spec_distances(spec, bodies=oracles.MASS_RADIUS):
+    """{body: distance in m} of a point spec, formed from the float distance
+    or altitude the way the CLI forms it."""
+    distances = {}
+    for part in spec.split("+"):
+        name, _, rest = part.partition(":")
+        distances[name] = float(rest[2:]) if rest.startswith("r=") \
+            else bodies[name][1] + float(rest)
+    return distances
+
+
+def exact_phi_over_c2(spec, bodies=oracles.MASS_RADIUS):
     """phi/c^2 at a one-body point spec, 'body:ALT_m' or 'body:r=R_m', exact
     from the float distance the CLI forms."""
-    name, _, rest = spec.partition(":")
-    mass, radius = oracles.MASS_RADIUS[name]
-    r = float(rest[2:]) if rest.startswith("r=") else radius + float(rest)
-    return oracles.phi_over_c2_exact(mass, r)
+    [(name, r)] = spec_distances(spec, bodies).items()
+    return oracles.phi_over_c2_exact(bodies[name][0], r)
+
+
+def shift_points(argv):
+    """The emit and observe points of a `shift` argv, each {body: distance}."""
+    opts, args = {}, iter(argv[1:])
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        opts[flag] = value if eq else next(args)
+    points = []
+    for side in ("emit", "obs"):
+        if f"--{side}" in opts:
+            points.append(spec_distances(opts[f"--{side}"]))
+        elif f"--{side}-alt" in opts:
+            radius = oracles.MASS_RADIUS[opts["--body"]][1]
+            points.append({opts["--body"]: radius + float(opts[f"--{side}-alt"])})
+        else:
+            points.append({opts["--body"]: float(opts[f"--{side}-r-m"])})
+    return points
+
+
+def assert_exact_shift(printed, model, emit, obs, bodies=oracles.MASS_RADIUS):
+    """A printed shift between two {body: distance} points is within 8 ulps
+    of the sum of its per-body terms of the exact rational value."""
+    exact, scale = oracles.fractional_shift_exact(
+        [(bodies[name][0], r, obs[name]) for name, r in emit.items()])
+    factor = 2.0 if model == "double" else 1.0
+    assert abs(float(printed) - factor * exact) <= 8 * math.ulp(factor * scale)
 
 
 class TestConstantsCommand:
@@ -126,6 +180,24 @@ class TestShiftCommand:
         shift = json.loads(out)["fractional_shift"]
         assert shift == pytest.approx(-2.1127277014e-06, rel=1e-9)
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("model", ["emitter", "photon", "double"])
+    @pytest.mark.parametrize("points", [
+        ["--body", "earth", "--emit-alt", "0", "--obs-alt", "22.5"],
+        ["--body", "earth", "--emit-alt", "0", "--obs-alt", "0.001"],
+        ["--body", "earth", "--emit-r-m", "6.371e6", "--obs-r-m", "6.3710225e6"],
+        ["--body", "sun", "--emit-r-m", "1e12", "--obs-alt", "0"],
+        ["--body", "earth", "--emit", "earth:0", "--obs-alt", "22.5"],
+        ["--emit", "sun:0", "--obs", f"sun:r={oracles.AU}"],
+        ["--emit", f"sun:0+earth:r={oracles.AU}", "--obs", f"sun:r={oracles.AU}+earth:0"],
+    ], ids=["alt", "alt-1mm", "r-m", "far-blue", "spec-and-alt", "spec", "two-body"])
+    def test_every_form_matches_exact_oracle(self, capsys, points, model, fmt):
+        argv = ["shift", "--model", model, *points, "--format", fmt]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert_exact_shift(parse_record(out, fmt)["fractional_shift"], model,
+                           *shift_points(argv))
+
     def test_conflicting_point_flags_rejected(self, capsys):
         code, _, err = run_cli(
             ["shift", "--model", "emitter", "--body", "earth", "--emit-alt", "0",
@@ -177,7 +249,7 @@ class TestSpectrumCommand:
         code, out, _ = run_cli(
             ["spectrum", "--n-range", "1:30", "--at", at, "--format", "json"], capsys)
         assert code == 0
-        expected = exact_shift(at)
+        expected = exact_phi_over_c2(at)
         rows = json.loads(out)
         assert len(rows) == 465
         for row in rows:
@@ -387,13 +459,10 @@ class TestExperimentCommand:
     def test_rows_match_oracle(self, capsys, threshold, excluded, exit_code):
         # sigmas: Pound-Rebka 0.5 and 9.5 (double), Pound-Snider 0.13 and 131.7,
         # Snider solar 0.17 and 16.5
-        g, c2 = oracles.G, oracles.C2
-        tower = -g * oracles.M_EARTH * 22.5 / (oracles.R_EARTH * (oracles.R_EARTH + 22.5)) / c2
-        solar = (oracles.point_mass_potential(oracles.M_SUN, oracles.R_SUN)
-                 + oracles.point_mass_potential(oracles.M_EARTH, oracles.AU)
-                 - oracles.point_mass_potential(oracles.M_SUN, oracles.AU)
-                 - oracles.point_mass_potential(oracles.M_EARTH, oracles.R_EARTH)) / c2
-        shipped = {  # name: (single-locus shift, measured ratio, ratio uncertainty)
+        tower = ({"earth": oracles.R_EARTH}, {"earth": oracles.R_EARTH + 22.5})
+        solar = ({"sun": oracles.R_SUN, "earth": oracles.AU},
+                 {"sun": oracles.AU, "earth": oracles.R_EARTH})
+        shipped = {  # name: ((emit, observe), measured ratio, ratio uncertainty)
             "pound-rebka-1960": (tower, 1.05, 0.10),
             "pound-snider-1965": (tower, 0.9990, 0.0076),
             "snider-solar-1972": (solar, 1.01, 0.06),
@@ -407,11 +476,10 @@ class TestExperimentCommand:
         assert [(r["experiment"], r["model"]) for r in rows] == [
             (name, model) for name in shipped for model in ("emitter", "photon", "double")]
         for row in rows:
-            shift, ratio, unc = shipped[row["experiment"]]
+            points, ratio, unc = shipped[row["experiment"]]
             if row["model"] == "double":
-                shift, ratio, unc = 2.0 * shift, ratio / 2.0, unc / 2.0
-            # the tower shift is a difference of potentials 3e5 times larger
-            assert row["predicted_shift"] == pytest.approx(shift, rel=1e-9)
+                ratio, unc = ratio / 2.0, unc / 2.0
+            assert_exact_shift(row["predicted_shift"], row["model"], *points)
             assert (row["ratio"], row["ratio_uncertainty"]) == (ratio, unc)
             assert row["sigma"] == pytest.approx(abs(ratio - 1.0) / unc, rel=1e-12)
             key = f"{row['experiment']}:{row['model']}"
@@ -542,8 +610,15 @@ class TestExtremeArguments:
         assert code in (0, 1, 2)
         if code == 0:
             assert re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE) is None
+        if code == 0 and argv[0] == "potential":
+            [row] = parse_table(out.getvalue(), argv[-1])
+            expected = exact_phi_over_c2(argv[2])
+            assert abs(float(row["phi_over_c2"]) - expected) <= 4 * math.ulp(expected)
+        if code == 0 and argv[0] == "shift":
+            assert_exact_shift(parse_record(out.getvalue(), "text")["fractional_shift"],
+                               argv[2], *shift_points(argv))
         if code == 0 and argv[0] == "spectrum":
-            expected = exact_shift(argv[argv.index("--at") + 1]) if "--at" in argv else 0.0
+            expected = exact_phi_over_c2(argv[argv.index("--at") + 1]) if "--at" in argv else 0.0
             for row in parse_csv(out.getvalue()):
                 shift = float(row["shift_fractional"])
                 assert abs(shift - expected) <= 4 * math.ulp(expected)
@@ -580,22 +655,76 @@ class TestUsageErrors:
         assert err.value.code == 2
 
 
-class TestDataDirOverride:
-    def test_env_var_redirects_registries(self, tmp_path, monkeypatch, capsys):
-        (tmp_path / "bodies.json").write_text(json.dumps(
-            [{"name": "kerbin", "mass_kg": 5.2915158e22, "radius_m": 6e5}]))
-        (tmp_path / "experiments.json").write_text(json.dumps([{
-            "name": "kerbin-tower",
-            "geometry": {"type": "tower", "body": "kerbin", "height_m": 10.0},
-            "measured_ratio": 1.0,
-            "ratio_uncertainty": 0.5,
-        }]))
-        monkeypatch.setenv("GRAVSHIFT_DATA_DIR", str(tmp_path))
-        code, out, _ = run_cli(["experiment", "--report", "json"], capsys)
+KERBIN = {"name": "kerbin", "mass_kg": 5.2915158e22, "radius_m": 6e5}
+
+
+def tower_on(body):
+    return {"name": f"{body}-tower",
+            "geometry": {"type": "tower", "body": body, "height_m": 10.0},
+            "measured_ratio": 1.0, "ratio_uncertainty": 0.5}
+
+
+class TestRegistryFiles:
+    """--bodies names the body registry of every subcommand that reads one,
+    and --registry the experiment registry."""
+
+    ARGV = {
+        "potential": ["potential", "--at", "{body}:0", "--format", "json"],
+        "spectrum": ["spectrum", "--n-range", "1:1", "--at", "{body}:0", "--format", "json"],
+        "shift": ["shift", "--model", "emitter", "--body", "{body}", "--emit-alt", "0",
+                  "--obs-alt", "10", "--format", "json"],
+        "photon": ["photon", "--body", "{body}", "--b-radii", "2", "--tol", "1e-6"],
+        "experiment": ["experiment", "--registry", "{registry}", "--report", "json"],
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Paths of a body registry holding only kerbin, and of a tower
+        registry on kerbin and on earth."""
+        paths = {name: tmp_path / f"{name}.json" for name in ("bodies", "kerbin", "earth")}
+        paths["bodies"].write_text(json.dumps([KERBIN]))
+        for body in ("kerbin", "earth"):
+            paths[body].write_text(json.dumps([tower_on(body)]))
+        return {name: str(path) for name, path in paths.items()}
+
+    def argv(self, command, body, files):
+        return [arg.format(body=body, registry=files[body]) for arg in self.ARGV[command]] \
+            + ["--bodies", files["bodies"]]
+
+    def test_flags_redirect_registries(self, files, capsys):
+        code, out, _ = run_cli(["experiment", "--bodies", files["bodies"],
+                                "--registry", files["kerbin"], "--report", "json"], capsys)
         payload = json.loads(out)
         assert [r["experiment"] for r in payload["reports"]][0] == "kerbin-tower"
         # a single consistent-with-everything record cannot exclude the double effect
         assert code == 1
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_bodies_flag_resolves_its_body(self, files, command, capsys):
+        kerbin = {"kerbin": (KERBIN["mass_kg"], KERBIN["radius_m"])}
+        phi_over_c2 = exact_phi_over_c2("kerbin:0", kerbin)
+        code, out, err = run_cli(self.argv(command, "kerbin", files), capsys)
+        assert (code, err) == (1 if command == "experiment" else 0, "")
+        payload = json.loads(out)
+        if command == "potential":
+            assert abs(payload[0]["phi_over_c2"] - phi_over_c2) <= 4 * math.ulp(phi_over_c2)
+        elif command == "spectrum":
+            assert abs(payload[0]["shift_fractional"] - phi_over_c2) \
+                <= 4 * math.ulp(phi_over_c2)
+        elif command == "shift":
+            assert_exact_shift(payload["fractional_shift"], "emitter",
+                               {"kerbin": 6e5}, {"kerbin": 6e5 + 10.0}, kerbin)
+        elif command == "photon":
+            assert payload["closest_approach_m"] == pytest.approx(2 * 6e5, rel=1e-9)
+        else:
+            assert_exact_shift(payload["reports"][0]["predicted_shift"], "emitter",
+                               {"kerbin": 6e5}, {"kerbin": 6e5 + 10.0}, kerbin)
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_bodies_flag_refuses_a_packaged_body(self, files, command, capsys):
+        code, out, err = run_cli(self.argv(command, "earth", files), capsys)
+        assert (code, out) == (1, "")
+        assert "unknown body 'earth'" in err
 
 
 class TestProcessLevel:
@@ -607,6 +736,20 @@ class TestProcessLevel:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
+        assert "EXCLUDED" in proc.stdout
+
+    def test_packaged_registries_read_from_a_zip(self, tmp_path):
+        # a zipped package has no file to hand out, only a resource to read
+        archive = tmp_path / "gravshift.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in Path(SRC_DIR, "gravshift").rglob("*"):
+                if "__pycache__" not in path.parts:
+                    zf.write(path, path.relative_to(SRC_DIR))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(archive)
+        proc = subprocess.run([sys.executable, "-m", "gravshift", "experiment"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
         assert "EXCLUDED" in proc.stdout
 
     @pytest.mark.parametrize("argv", [

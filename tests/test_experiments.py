@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from gravshift.data import data_file
 from gravshift.errors import ConfigurationError, RegistryError
 from gravshift.experiments import (
     ExperimentRecord,
-    default_registry,
     double_effect_verdict,
     load_registry,
 )
@@ -19,7 +19,7 @@ import oracles
 
 @pytest.fixture(scope="module")
 def registry(bodies):
-    return default_registry(bodies)
+    return load_registry(data_file("experiments.json"), bodies)
 
 
 @pytest.fixture(scope="module")

@@ -3,11 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gravshift.data import data_file
 from gravshift.errors import ConfigurationError, DomainError, RegistryError
 from gravshift.gravity import (
     CelestialBody,
     FieldPoint,
-    default_bodies,
     load_bodies,
     potential,
     require_same_bodies,
@@ -107,11 +107,10 @@ class TestPotentialDifference:
 
     @staticmethod
     def difference(p1, p2):
-        shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, potential(p1), potential(p2))
-        return shift * CONSTANTS.c_squared
+        return fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, p1, p2) * CONSTANTS.c_squared.value
 
     def test_same_point_is_zero(self, earth_surface):
-        assert self.difference(earth_surface, earth_surface).value == 0.0
+        assert self.difference(earth_surface, earth_surface) == 0.0
 
     def test_tower_descent(self, earth, earth_surface):
         above = FieldPoint.at_altitude(earth, 22.5)
@@ -119,17 +118,17 @@ class TestPotentialDifference:
         expected = oracles.G * oracles.M_EARTH * (
             1.0 / (oracles.R_EARTH + 22.5) - 1.0 / oracles.R_EARTH
         )
-        # the subtraction of two ~6.26e7 potentials leaves ~5e-11 relative noise
-        assert dphi.value == pytest.approx(expected, rel=1e-9)
-        assert dphi.value == pytest.approx(-220.956, rel=1e-5)
+        # the expected value subtracts two reciprocals, which leaves ~5e-11 relative noise
+        assert dphi == pytest.approx(expected, rel=1e-9)
+        assert dphi == pytest.approx(-220.956, rel=1e-5)
         # cross-check against conventional g*h
-        assert abs(dphi.value) == pytest.approx(oracles.G_STANDARD * 22.5, rel=2e-3)
+        assert abs(dphi) == pytest.approx(oracles.G_STANDARD * 22.5, rel=2e-3)
 
     def test_antisymmetric_under_swap(self, earth, earth_surface):
         above = FieldPoint.at_altitude(earth, 22.5)
         forward = self.difference(earth_surface, above)
         backward = self.difference(above, earth_surface)
-        assert forward.value == -backward.value
+        assert forward == -backward
 
 
 class TestBodyValidation:
@@ -148,7 +147,7 @@ class TestBodyValidation:
 
 class TestBodyRegistry:
     def test_default_registry(self):
-        bodies = default_bodies()
+        bodies = load_bodies(data_file("bodies.json"))
         assert set(bodies) == {"earth", "sun"}
         assert bodies["earth"].mass.value == 5.9722e24
         assert bodies["earth"].radius.value == 6.371e6
@@ -185,10 +184,3 @@ class TestBodyRegistry:
     def test_missing_file(self, tmp_path):
         with pytest.raises(RegistryError, match="not found"):
             load_bodies(tmp_path / "nope.json")
-
-    def test_env_dir_override(self, tmp_path, monkeypatch):
-        path = tmp_path / "bodies.json"
-        path.write_text(json.dumps([{"name": "pluto", "mass_kg": 1.303e22, "radius_m": 1.1883e6}]))
-        monkeypatch.setenv("GRAVSHIFT_DATA_DIR", str(tmp_path))
-        bodies = default_bodies()
-        assert set(bodies) == {"pluto"}

@@ -5,15 +5,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from gravshift.errors import ConfigurationError, DomainError, ImpactError
-from gravshift.gravity import CelestialBody
+from gravshift.gravity import CelestialBody, FieldPoint
 from gravshift.photon import IMPACT_MARGIN, trace_ray
 from gravshift.spectra import ShiftModel, fractional_shift
-from gravshift.units import potential_m2_s2
 
 import oracles
 
 MASS_RADIUS = oracles.MASS_RADIUS
-PHI_SUN = potential_m2_s2(oracles.point_mass_potential(oracles.M_SUN, oracles.R_SUN))
 
 
 def integrated_periapsis(mass_kg, b, factor):
@@ -44,23 +42,21 @@ class TestPhotonFrequencyShift:
     """The photon reading's shift, as `shift --model photon` computes it."""
 
     @staticmethod
-    def shift(phi_emit, phi_obs):
-        return float(fractional_shift(ShiftModel.PHOTON_INTERACTION, phi_emit, phi_obs))
+    def shift(emit, obs):
+        return fractional_shift(ShiftModel.PHOTON_INTERACTION, emit, obs)
 
-    def test_equal_potentials(self):
-        assert self.shift(PHI_SUN, PHI_SUN) == 0.0
+    def test_equal_potentials(self, sun):
+        surface = FieldPoint.at_altitude(sun, 0.0)
+        assert self.shift(surface, surface) == 0.0
 
-    def test_tower_ascent_is_red(self):
-        phi_lo = potential_m2_s2(oracles.point_mass_potential(oracles.M_EARTH, oracles.R_EARTH))
-        phi_hi = potential_m2_s2(
-            oracles.point_mass_potential(oracles.M_EARTH, oracles.R_EARTH + 22.5)
-        )
-        fractional = self.shift(phi_lo, phi_hi)
+    def test_tower_ascent_is_red(self, earth):
+        fractional = self.shift(FieldPoint.at_altitude(earth, 0.0),
+                                FieldPoint.at_altitude(earth, 22.5))
         assert fractional == pytest.approx(-oracles.G_STANDARD * 22.5 / oracles.C2, rel=2e-3)
 
-    def test_sun_surface_to_one_au(self):
-        phi2 = potential_m2_s2(oracles.point_mass_potential(oracles.M_SUN, oracles.AU))
-        fractional = self.shift(PHI_SUN, phi2)
+    def test_sun_surface_to_one_au(self, sun):
+        fractional = self.shift(FieldPoint.at_altitude(sun, 0.0),
+                                FieldPoint.from_si("1 AU", [(sun, oracles.AU)]))
         expected = -oracles.G * oracles.M_SUN * (1.0 / oracles.R_SUN - 1.0 / oracles.AU) / oracles.C2
         assert fractional == pytest.approx(expected, rel=1e-12)
         assert fractional == pytest.approx(-2.11e-6, rel=2e-3)

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gravshift.errors import ConfigurationError, DimensionError, DomainError
+from gravshift.gravity import CelestialBody, FieldPoint
 from gravshift.spectra import (
     QuantumState,
     ShiftModel,
@@ -21,6 +24,8 @@ PHI_EARTH = potential_m2_s2(oracles.point_mass_potential(oracles.M_EARTH, oracle
 PHI_SUN = potential_m2_s2(oracles.point_mass_potential(oracles.M_SUN, oracles.R_SUN))
 
 M_FREE = effective_mass(ELECTRON, PHI_ZERO)
+#: a body of G*M/c^2 = 1 m and radius 0.25 m, for points deep in its field
+COMPACT = CelestialBody.from_si("compact", oracles.C2 / oracles.G, 0.25)
 
 GROUND = QuantumState.from_n_j(1, 1, 0.5)
 S2_HALF = QuantumState.from_n_j(1, 2, 0.5)
@@ -218,46 +223,51 @@ class TestTransitionFrequency:
 
 
 class TestFractionalShift:
-    def test_equipotential_is_zero_for_every_model(self):
-        phi = potential_m2_s2(-1e5)
+    def test_equipotential_is_zero_for_every_model(self, earth):
+        point = FieldPoint.at_altitude(earth, 1e3)
         for model in ShiftModel:
-            assert float(fractional_shift(model, phi, phi)) == 0.0
+            assert fractional_shift(model, point, point) == 0.0
 
-    def test_tower_emitter_model(self):
-        phi_above = potential_m2_s2(
-            oracles.point_mass_potential(oracles.M_EARTH, oracles.R_EARTH + 22.5)
-        )
-        shift = float(fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, PHI_EARTH, phi_above))
-        exact = oracles.G * oracles.M_EARTH * (
-            1.0 / (oracles.R_EARTH + 22.5) - 1.0 / oracles.R_EARTH
-        ) / oracles.C2
-        # the subtraction of two ~6.26e7 potentials leaves ~5e-11 relative noise
-        assert shift == pytest.approx(exact, rel=1e-9)
+    def test_tower_emitter_model(self, earth, earth_surface):
+        above = FieldPoint.at_altitude(earth, 22.5)
+        shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, earth_surface, above)
+        exact, scale = oracles.fractional_shift_exact(
+            [(oracles.M_EARTH, oracles.R_EARTH, oracles.R_EARTH + 22.5)])
+        assert abs(shift - exact) <= 8 * math.ulp(scale)
         assert shift == pytest.approx(-oracles.G_STANDARD * 22.5 / oracles.C2, rel=2e-3)
         assert shift < 0.0
 
-    def test_double_effect_is_exactly_twice(self):
-        phi_above = potential_m2_s2(
-            oracles.point_mass_potential(oracles.M_EARTH, oracles.R_EARTH + 22.5)
-        )
-        single = float(fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, PHI_EARTH, phi_above))
-        double = float(fractional_shift(ShiftModel.DOUBLE_EFFECT, PHI_EARTH, phi_above))
+    @pytest.mark.parametrize("obs_alt", [1e-3, 1e4, -1e-3])
+    def test_short_towers_keep_every_digit(self, earth, obs_alt):
+        # no two potentials are subtracted, so a 1 mm tower loses nothing
+        low, high = FieldPoint.at_altitude(earth, 1.0), FieldPoint.at_altitude(earth, 1.0 + obs_alt)
+        shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, low, high)
+        exact, scale = oracles.fractional_shift_exact(
+            [(oracles.M_EARTH, oracles.R_EARTH + 1.0, oracles.R_EARTH + (1.0 + obs_alt))])
+        assert abs(shift - exact) <= 8 * math.ulp(scale)
+
+    def test_double_effect_is_exactly_twice(self, earth, earth_surface):
+        above = FieldPoint.at_altitude(earth, 22.5)
+        single = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, earth_surface, above)
+        double = fractional_shift(ShiftModel.DOUBLE_EFFECT, earth_surface, above)
         assert double == 2.0 * single
 
     @given(x1=ratio_strategy(), x2=ratio_strategy())
     def test_both_single_models_identical(self, x1, x2):
-        phi1 = potential_m2_s2(-x1 * oracles.C2)
-        phi2 = potential_m2_s2(-x2 * oracles.C2)
-        emitter = float(fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, phi1, phi2))
-        photon = float(fractional_shift(ShiftModel.PHOTON_INTERACTION, phi1, phi2))
-        double = float(fractional_shift(ShiftModel.DOUBLE_EFFECT, phi1, phi2))
+        # 1/x metres from a body with G*M/c^2 = 1 m is at phi/c^2 of about -x
+        p1 = FieldPoint.from_si("p1", [(COMPACT, 1.0 / x1)])
+        p2 = FieldPoint.from_si("p2", [(COMPACT, 1.0 / x2)])
+        emitter = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, p1, p2)
+        photon = fractional_shift(ShiftModel.PHOTON_INTERACTION, p1, p2)
+        double = fractional_shift(ShiftModel.DOUBLE_EFFECT, p1, p2)
         assert emitter == photon
         assert double == 2.0 * emitter
 
     def test_strong_field_rejected(self):
-        with pytest.raises(DomainError):
-            fractional_shift(ShiftModel.EMITTER_MASS_DEFECT,
-                             potential_m2_s2(-2.0 * oracles.C2), PHI_ZERO)
+        deep = FieldPoint.from_si("deep", [(COMPACT, 0.5)])
+        far = FieldPoint.from_si("far", [(COMPACT, 10.0)])
+        with pytest.raises(DomainError, match="outside the weak-field domain"):
+            fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, deep, far)
 
 
 class TestLinearityTheorem:
@@ -282,8 +292,7 @@ class TestLinearityTheorem:
         nu_free = transition_frequency(upper, state, M_FREE).value
         nu_shifted = transition_frequency(upper, state, m_shifted).value
         measured = (nu_shifted - nu_free) / nu_free
-        expected = float(fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, phi, PHI_ZERO))
-        assert measured == pytest.approx(expected, rel=1e-12)
+        assert measured == pytest.approx(float(phi / CONSTANTS.c_squared), rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(state=state_strategy(), x=ratio_strategy())
