@@ -1,13 +1,13 @@
 """gravshift: gravitational line-shift models, fine-structure spectra and
-experiment comparisons, with dimension-checked arithmetic throughout.
+experiment comparisons, with dimension-checked potentials, masses and energies.
 
 The package splits along the physics:
 
 units
     Dimension-tagged quantities and the CODATA constant set.
 gravity
-    Field points that carry the bodies acting on them and their Newtonian
-    point-mass potential.
+    Bodies and field points in SI floats, each point carrying the bodies
+    acting on it, and their Newtonian point-mass potential.
 spectra
     Effective emitter mass in a potential, hydrogen-like fine-structure
     levels at that mass, and fractional line shifts under the competing

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -121,7 +122,8 @@ def parse_point_spec(spec: str, bodies: dict[str, CelestialBody],
                      label: str | None = None) -> FieldPoint:
     """Parse 'body:ALT_m' / 'body:r=R_m' point specs, superposed with '+'."""
     pairs = []
-    for part in spec.split("+"):
+    # split where a body name follows the '+', so 1e+3 keeps its exponent
+    for part in re.split(r"\+(?=[A-Za-z_])", spec):
         name, sep, rest = part.partition(":")
         if not sep or not rest:
             raise ConfigurationError(
@@ -132,11 +134,11 @@ def parse_point_spec(spec: str, bodies: dict[str, CelestialBody],
             if rest.startswith("r="):
                 r = float(rest[2:])
             else:
-                r = body.radius.value + float(rest)
+                r = body.radius_m + float(rest)
         except ValueError:
             raise ConfigurationError(f"bad distance in point spec {part!r}") from None
         pairs.append((body, r))
-    return FieldPoint.from_si(label or spec, pairs)
+    return FieldPoint(label or spec, pairs)
 
 
 def _add_format(parser, default: str) -> None:
@@ -241,7 +243,7 @@ def _shift_point(args, side: str, bodies) -> FieldPoint:
     body = lookup_body(bodies, args.body)
     if alt is not None:
         return FieldPoint.at_altitude(body, alt, label=side)
-    return FieldPoint.from_si(side, [(body, r_m)])
+    return FieldPoint(side, ((body, r_m),))
 
 
 def _cmd_shift(args) -> int:
@@ -287,7 +289,7 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
 
 def _cmd_photon(args) -> int:
     body = lookup_body(load_bodies(args.bodies), args.body)
-    radius = body.radius.value
+    radius = body.radius_m
     sweep = args.sweep_m or args.sweep_radii
     if sweep:
         lo, hi, count = _parse_sweep(sweep)
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--b-m", type=float, help="impact parameter (m)")
     group.add_argument("--b-radii", type=float, help="impact parameter (body radii)")
-    group.add_argument("--sweep-m", metavar="MIN:MAX:COUNT", help="sweep b in metres")
+    group.add_argument("--sweep-m", metavar="MIN:MAX:COUNT", help="sweep b (m)")
     group.add_argument("--sweep-radii", metavar="MIN:MAX:COUNT", help="sweep b in body radii")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="integrator relative tolerance in [1e-12, 1e-6] (default 1e-10); "

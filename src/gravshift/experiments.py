@@ -152,7 +152,7 @@ def _resolve_geometry(geometry, name: str,
                     isinstance(p, dict) and "body" in p and "r_m" in p for p in pairs)):
                 raise ConfigurationError(
                     f"geometry {side}: expected an array of {{body, r_m}} objects")
-            points.append(FieldPoint.from_si(f"{name}:{side}", [
+            points.append(FieldPoint(f"{name}:{side}", [
                 (lookup_body(bodies, p["body"]), float(p["r_m"])) for p in pairs]))
         return points[0], points[1]
     raise ConfigurationError(f"unknown geometry type {kind!r}")

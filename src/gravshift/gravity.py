@@ -6,8 +6,8 @@ potential only ever needs those radial distances, so no 3D geometry appears
 here.  Superposition over several bodies lets Sun+Earth configurations be
 expressed with the same single formula phi(r) = -G*M/r per body.
 
-The exterior domain is enforced when a point is built: every distance must
-be at least the body radius.
+Bodies and points hold plain SI floats, and the exterior domain is enforced
+when a point is built: every distance must be at least the body radius.
 """
 
 from __future__ import annotations
@@ -16,20 +16,11 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .data import read_entries
 from .errors import ConfigurationError, DomainError, RegistryError
-from .units import (
-    CONSTANTS,
-    LENGTH,
-    MASS,
-    POTENTIAL,
-    Quantity,
-    ensure_dimension,
-    kilograms,
-    metres,
-)
+from .units import CONSTANTS, POTENTIAL, Quantity
 
 __all__ = [
     "CelestialBody",
@@ -45,65 +36,57 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 
 @dataclass(frozen=True)
 class CelestialBody:
-    """Named point-mass source with an exterior-validity radius."""
+    """Named point-mass source: mass in kg and exterior-validity radius in m,
+    plain SI floats, each finite and positive."""
 
     name: str
-    mass: Quantity
-    radius: Quantity
+    mass_kg: float
+    radius_m: float
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):
             raise ConfigurationError(f"invalid body name {self.name!r}")
-        ensure_dimension(self.mass, MASS, f"mass of {self.name}")
-        ensure_dimension(self.radius, LENGTH, f"radius of {self.name}")
-        if self.mass.value <= 0.0:
-            raise DomainError(f"body {self.name}: mass must be positive")
-        if self.radius.value <= 0.0:
-            raise DomainError(f"body {self.name}: radius must be positive")
+        for field in ("mass_kg", "radius_m"):
+            value = getattr(self, field)
+            # NaN fails both comparisons
+            if not 0.0 < value < math.inf:
+                raise DomainError(
+                    f"body {self.name}: {field} must be positive and finite, got {value!r}"
+                )
 
-    @classmethod
-    def from_si(cls, name: str, mass_kg: float, radius_m: float) -> "CelestialBody":
-        return cls(name, kilograms(mass_kg), metres(radius_m))
-
-    def mu(self) -> Quantity:
+    @property
+    def mu(self) -> float:
         """Standard gravitational parameter G*M (m^3/s^2)."""
-        return CONSTANTS.G * self.mass
+        return CONSTANTS.G.value * self.mass_kg
 
 
 @dataclass(frozen=True)
 class FieldPoint:
-    """A labelled point: each body that acts there, with its radial distance."""
+    """A labelled point: a (body, radial distance in m) pair for each body
+    acting there, each body named once and each distance finite and exterior."""
 
     label: str
-    distances: Mapping[CelestialBody, Quantity]
+    distances: tuple[tuple[CelestialBody, float], ...]
 
     def __post_init__(self) -> None:
-        distances = dict(self.distances)
+        distances = tuple(self.distances)
         if not distances:
             raise ConfigurationError(f"point {self.label!r} names no body")
-        for body, r in distances.items():
-            ensure_dimension(r, LENGTH, f"distance to {body.name}")
-            if r < body.radius:
+        names = set()
+        for body, r in distances:
+            if body.name in names:
+                raise ConfigurationError(f"point {self.label!r} names body {body.name!r} twice")
+            names.add(body.name)
+            if not math.isfinite(r):
                 raise DomainError(
-                    f"point {self.label!r}: r = {r.value:g} m is inside body "
-                    f"{body.name!r} (radius {body.radius.value:g} m); exterior field only"
+                    f"point {self.label!r}: distance to body {body.name!r} is not finite"
+                )
+            if r < body.radius_m:
+                raise DomainError(
+                    f"point {self.label!r}: r = {r:g} m is inside body "
+                    f"{body.name!r} (radius {body.radius_m:g} m); exterior field only"
                 )
         object.__setattr__(self, "distances", distances)
-
-    @classmethod
-    def from_si(cls, label: str,
-                distances_m: Iterable[tuple[CelestialBody, float]]) -> "FieldPoint":
-        """Point from (body, radial distance in m) pairs, each body named once."""
-        distances: dict[CelestialBody, Quantity] = {}
-        for body, r_m in distances_m:
-            if any(b.name == body.name for b in distances):
-                raise ConfigurationError(f"point {label!r} names body {body.name!r} twice")
-            if not math.isfinite(r_m):
-                raise DomainError(
-                    f"point {label!r}: distance to body {body.name!r} is not finite"
-                )
-            distances[body] = metres(r_m)
-        return cls(label, distances)
 
     @classmethod
     def at_altitude(cls, body: CelestialBody, altitude_m: float,
@@ -113,8 +96,8 @@ class FieldPoint:
         R + altitude is rounded to a float once; every potential and shift
         at the point is that of the rounded radius.
         """
-        r = body.radius.value + float(altitude_m)
-        return cls.from_si(label or f"{body.name}+{altitude_m:g}m", [(body, r)])
+        r = body.radius_m + float(altitude_m)
+        return cls(label or f"{body.name}+{altitude_m:g}m", ((body, r),))
 
 
 def require_same_bodies(emit: FieldPoint, obs: FieldPoint) -> None:
@@ -123,9 +106,9 @@ def require_same_bodies(emit: FieldPoint, obs: FieldPoint) -> None:
     A potential difference between them would count some body's term at one
     end only.
     """
-    names = sorted({b.name for p in (emit, obs) for b in p.distances})
+    names = sorted({b.name for p in (emit, obs) for b, _ in p.distances})
     for point in (emit, obs):
-        present = {b.name for b in point.distances}
+        present = {b.name for b, _ in point.distances}
         for name in names:
             if name not in present:
                 raise ConfigurationError(
@@ -135,7 +118,7 @@ def require_same_bodies(emit: FieldPoint, obs: FieldPoint) -> None:
 
 def potential(point: FieldPoint) -> Quantity:
     """Total potential sum_i -G*M_i/r_i at the point; always <= 0."""
-    terms = [(-body.mu() / r).value for body, r in point.distances.items()]
+    terms = [-body.mu / r for body, r in point.distances]
     return Quantity(math.fsum(terms), POTENTIAL)
 
 
@@ -153,7 +136,7 @@ def load_bodies(path: str | Path) -> dict[str, CelestialBody]:
         except KeyError as exc:
             raise RegistryError(f"{where}: missing field {exc.args[0]!r}") from None
         try:
-            body = CelestialBody.from_si(str(name), float(mass_kg), float(radius_m))
+            body = CelestialBody(str(name), float(mass_kg), float(radius_m))
         except (TypeError, ValueError) as exc:
             raise RegistryError(f"{where}: {exc}") from None
         if body.name in registry:

@@ -105,12 +105,12 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
     """One solve in tau, in units of L = r_term/200, from (x0, b) along +x."""
     scale = r_term / 200.0
     r_exit = r_term / scale
-    mu = body.mu().value / (CONSTANTS.c.value ** 2 * scale)
+    mu = body.mu / (CONSTANTS.c.value ** 2 * scale)
     sx, sy = x0 / scale, b / scale
     p0 = 1.0 + mu / math.hypot(sx, sy)
     # Bouguer: ell = n r sin(psi) = p0 * sy; a ray with ell <= mu falls to r = 0
     r_min = max(p0 * sy - mu, 0.0)
-    if r_min * scale < body.radius.value * (1.0 - IMPACT_MARGIN):
+    if r_min * scale < body.radius_m * (1.0 - IMPACT_MARGIN):
         raise ImpactError(body.name, r_min * scale)
 
     def rhs(tau, state):
@@ -179,7 +179,9 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
     it by the periapsis shift G*M/c^2 (about 2e-6 of the solar radius), which
     is a property of the index medium, not a strike.  So ImpactError is
     raised, before any integration and with the unobstructed periapsis, only
-    when the periapsis lies below (1 - IMPACT_MARGIN) * radius.
+    when the periapsis lies below (1 - IMPACT_MARGIN) * radius.  A start on
+    or inside the body is refused the same way: there b <= radius/factor, and
+    the periapsis b - mu*(1 - 1/factor) lies below b.
     """
     b = float(impact_parameter_m)
     if not math.isfinite(b):
@@ -202,9 +204,6 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
     if math.hypot(x0, b) > r_term:
         # rounding can put the start one ulp outside the circle
         x0 = math.nextafter(x0, 0.0)
-    start_r = math.hypot(x0, b)
-    if start_r <= body.radius.value:
-        raise ConfigurationError(f"ray starts inside body {body.name!r} (r = {start_r:g} m)")
     rel_tol = float(rel_tol)
     if not 1e-12 <= rel_tol <= 1e-6:
         raise DomainError(f"relative tolerance {rel_tol:g} outside [1e-12, 1e-6]")

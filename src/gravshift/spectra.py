@@ -200,8 +200,8 @@ def fractional_shift(model: ShiftModel, emit: FieldPoint, obs: FieldPoint) -> fl
     require_same_bodies(emit, obs)
     for point in (emit, obs):
         weak_field_ratio(potential(point))
-    r_obs = {body.name: r.value for body, r in obs.distances.items()}
-    terms = [body.mu().value / r.value * ((r.value - r_obs[body.name]) / r_obs[body.name])
-             for body, r in emit.distances.items()]
+    r_obs = {body.name: r for body, r in obs.distances}
+    terms = [body.mu / r * ((r - r_obs[body.name]) / r_obs[body.name])
+             for body, r in emit.distances]
     single = math.fsum(terms) / CONSTANTS.c_squared.value
     return single + single if model is ShiftModel.DOUBLE_EFFECT else single

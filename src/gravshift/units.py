@@ -1,9 +1,11 @@
 """Dimension-tagged scalar quantities and the physical constants used everywhere.
 
-Every value that crosses a module boundary is a :class:`Quantity`: a float in
-SI units plus a dimension signature (integer exponents over kg, m, s).
-Arithmetic combines signatures, so a dimensionally invalid expression fails at
-construction time instead of producing a silently wrong number.  Only the
+The values that pass between the formulas -- a potential, an emitter mass, a
+level energy -- are :class:`Quantity` objects: a float in SI units plus a
+dimension signature (integer exponents over kg, m, s).  Arithmetic combines
+signatures, so a dimensionally invalid expression fails at construction time
+instead of producing a silently wrong number.  Bodies and field points hold
+plain SI floats; their potential is tagged as it leaves the sum.  Only the
 dimensions actually needed by the formulas are given names; arbitrary integer
 exponents still compose correctly in intermediate products.
 
@@ -28,14 +30,12 @@ __all__ = [
     "CONSTANTS",
     "DIMENSIONLESS",
     "MASS",
-    "LENGTH",
     "VELOCITY",
     "ENERGY",
     "POTENTIAL",
     "ensure_dimension",
     "weak_field_ratio",
     "kilograms",
-    "metres",
     "potential_m2_s2",
 ]
 
@@ -70,7 +70,6 @@ class Dimension:
 
 DIMENSIONLESS = Dimension()
 MASS = Dimension(mass=1)
-LENGTH = Dimension(length=1)
 VELOCITY = Dimension(length=1, time=-1)
 ENERGY = Dimension(mass=1, length=2, time=-2)
 #: Gravitational potential, m^2/s^2 (negative for attractive sources).
@@ -155,10 +154,6 @@ def ensure_dimension(q: Quantity, dim: Dimension, label: str) -> Quantity:
 
 def kilograms(value: float) -> Quantity:
     return Quantity(value, MASS)
-
-
-def metres(value: float) -> Quantity:
-    return Quantity(value, LENGTH)
 
 
 def potential_m2_s2(value: float) -> Quantity:

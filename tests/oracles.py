@@ -84,7 +84,7 @@ def deflection_quadrature(mu_m: float, b_m: float) -> float:
     return 2.0 * k * value
 
 
-MU_SUN = G * M_SUN / C2  # graded-index strength of the Sun, metres
+MU_SUN = G * M_SUN / C2  # graded-index strength of the Sun, m
 
 
 def bent_ray_closed_form(mu_m: float, b_m: float, r_m: float) -> tuple[float, float, float]:

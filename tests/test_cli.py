@@ -18,6 +18,7 @@ from gravshift.cli import main
 from gravshift.units import CONSTANTS
 
 import oracles
+from test_public_surface import GOLDEN_STDOUT
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -53,7 +54,8 @@ def spec_distances(spec, bodies=oracles.MASS_RADIUS):
     """{body: distance in m} of a point spec, formed from the float distance
     or altitude the way the CLI forms it."""
     distances = {}
-    for part in spec.split("+"):
+    # a '+' starts the next part only where a body name follows it
+    for part in re.split(r"\+(?=[A-Za-z_])", spec):
         name, _, rest = part.partition(":")
         distances[name] = float(rest[2:]) if rest.startswith("r=") \
             else bodies[name][1] + float(rest)
@@ -146,6 +148,25 @@ class TestPotentialCommand:
         assert code == 1
         assert out == ""
         assert err == "error: point 'earth:nan': distance to body 'earth' is not finite\n"
+
+    def test_signed_exponent_stays_in_its_distance(self, capsys):
+        rows = []
+        for spec in ("earth:1e+3", "earth:1000"):
+            code, out, err = run_cli(["potential", "--at", spec], capsys)
+            assert (code, err) == (0, "")
+            [row] = parse_table(out, "text")
+            rows.append((row["phi_m2_s2"], row["phi_over_c2"]))
+        assert rows[0] == rows[1]
+
+    def test_signed_exponents_print_the_golden_numbers(self, capsys):
+        def numbers(text):
+            return [(row["phi_m2_s2"], row["phi_over_c2"]) for row in parse_table(text, "text")]
+
+        code, out, _ = run_cli(["potential", "--at", "earth:0", "--at",
+                                "earth:r=7e+6+sun:r=1.495978707e+11"], capsys)
+        assert code == 0
+        golden = "potential --at earth:0 --at earth:r=7e6+sun:r=1.495978707e11"
+        assert numbers(out) == numbers(GOLDEN_STDOUT[golden])
 
 
 class TestShiftCommand:
@@ -719,6 +740,17 @@ class TestRegistryFiles:
         else:
             assert_exact_shift(payload["reports"][0]["predicted_shift"], "emitter",
                                {"kerbin": 6e5}, {"kerbin": 6e5 + 10.0}, kerbin)
+
+    @pytest.mark.parametrize("field", ["mass_kg", "radius_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_body_field_exits_one(self, tmp_path, field, value, capsys):
+        path = tmp_path / "bodies.json"
+        path.write_text(json.dumps([{**KERBIN, field: value}]))
+        code, out, err = run_cli(["potential", "--bodies", str(path), "--at", "kerbin:0"],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert f"body #0: body kerbin: {field} must be positive and finite" in err
+        assert "quantity value must be finite" not in err
 
     @pytest.mark.parametrize("command", list(ARGV))
     def test_bodies_flag_refuses_a_packaged_body(self, files, command, capsys):

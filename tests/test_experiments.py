@@ -58,7 +58,7 @@ def predictions(record):
 
 
 def distances(point):
-    return {body.name: r.value for body, r in point.distances.items()}
+    return {body.name: r for body, r in point.distances}
 
 
 class TestLoadRegistry:
@@ -225,8 +225,8 @@ class TestModelAlgebra:
             r_so = rng.uniform(6.957e8, 1e13)
             record = ExperimentRecord(
                 name=f"random-{k}",
-                emit=FieldPoint.from_si("emit", [(earth, r_e), (sun, r_se)]),
-                observe=FieldPoint.from_si("observe", [(earth, r_o), (sun, r_so)]),
+                emit=FieldPoint("emit", [(earth, r_e), (sun, r_se)]),
+                observe=FieldPoint("observe", [(earth, r_o), (sun, r_so)]),
                 measured_ratio=1.0,
                 ratio_uncertainty=0.1,
             )
@@ -238,7 +238,7 @@ class TestModelAlgebra:
 class TestGeometryConsistency:
     def test_tower_equals_equivalent_two_point(self, tmp_path, bodies):
         base, height = 12.0, 22.5
-        r_lo = bodies["earth"].radius.value + base
+        r_lo = bodies["earth"].radius_m + base
         path = write_registry(tmp_path, [
             entry("tower", {"type": "tower", "body": "earth",
                             "base_altitude_m": base, "height_m": height}),
@@ -301,8 +301,8 @@ class TestRecordValidation:
                            match="point 'x:emit' has no distance for body 'earth'"):
             ExperimentRecord(
                 name="x",
-                emit=FieldPoint.from_si("x:emit", [(sun, 7e8)]),
-                observe=FieldPoint.from_si("x:observe", [(sun, 7e8), (earth, 7e6)]),
+                emit=FieldPoint("x:emit", [(sun, 7e8)]),
+                observe=FieldPoint("x:observe", [(sun, 7e8), (earth, 7e6)]),
                 measured_ratio=1.0,
                 ratio_uncertainty=0.1,
             )

@@ -56,17 +56,29 @@ class TestPhotonFrequencyShift:
 
     def test_sun_surface_to_one_au(self, sun):
         fractional = self.shift(FieldPoint.at_altitude(sun, 0.0),
-                                FieldPoint.from_si("1 AU", [(sun, oracles.AU)]))
+                                FieldPoint("1 AU", [(sun, oracles.AU)]))
         expected = -oracles.G * oracles.M_SUN * (1.0 / oracles.R_SUN - 1.0 / oracles.AU) / oracles.C2
         assert fractional == pytest.approx(expected, rel=1e-12)
         assert fractional == pytest.approx(-2.11e-6, rel=2e-3)
 
 
 class TestRayPathValidation:
-    def test_start_inside_body_rejected(self, sun):
-        # the termination circle, 200 * 1e6 m, lies inside the sun
-        with pytest.raises(ConfigurationError, match="starts inside body 'sun'"):
-            trace_ray(sun, 1e6, 200.0, 1e-6)
+    @settings(deadline=None)
+    @given(
+        body=st.sampled_from([("sun", oracles.M_SUN, oracles.R_SUN),
+                              ("earth", oracles.M_EARTH, oracles.R_EARTH),
+                              ("compact", oracles.M_SUN, 1.0),
+                              ("pebble", 1.0, 1.0)]),
+        depth=st.floats(min_value=1e-6, max_value=1.0),
+        factor=st.floats(min_value=10.0, max_value=200.0),
+    )
+    def test_start_inside_body_rejected(self, body, depth, factor):
+        # the termination circle, of radius depth * R, lies on or inside the
+        # body, so b <= R/factor and the periapsis, below b, is an impact
+        name, mass_kg, radius_m = body
+        with pytest.raises(ImpactError, match=f"impacted body '{name}'"):
+            trace_ray(CelestialBody(name, mass_kg, radius_m), depth * radius_m / factor,
+                      factor, 1e-6)
 
     def test_start_rounding_stays_inside_termination_circle(self, sun):
         # the third ray of `--sweep-radii 1:20:8`; the rounded start used to
@@ -181,7 +193,7 @@ class TestTraceRay:
     def test_ray_that_falls_to_the_centre_reports_zero(self):
         # mu = 1477 m exceeds b n(200 b) = 1007 m, so n r sin(psi) never
         # reaches n r and the ray falls all the way in
-        compact = CelestialBody.from_si("compact", oracles.M_SUN, 1.0)
+        compact = CelestialBody("compact", oracles.M_SUN, 1.0)
         with pytest.raises(ImpactError) as err:
             trace_ray(compact, 1000.0, 200.0, 1e-8)
         assert err.value.closest_approach_m == 0.0
@@ -219,7 +231,7 @@ class TestTraceRay:
     def test_error_bar_covers_solver_error(self, bodies, name, b_radii, factor):
         # the same error bar, against the tightest solve instead of the oracle
         body = bodies[name]
-        b = b_radii * body.radius.value
+        b = b_radii * body.radius_m
         reference = trace_ray(body, b, factor, 1e-12).deflection_rad
         for tol in (1e-6, 1e-8, 1e-10):
             result = trace_ray(body, b, factor, tol)

@@ -25,7 +25,7 @@ PHI_SUN = potential_m2_s2(oracles.point_mass_potential(oracles.M_SUN, oracles.R_
 
 M_FREE = effective_mass(ELECTRON, PHI_ZERO)
 #: a body of G*M/c^2 = 1 m and radius 0.25 m, for points deep in its field
-COMPACT = CelestialBody.from_si("compact", oracles.C2 / oracles.G, 0.25)
+COMPACT = CelestialBody("compact", oracles.C2 / oracles.G, 0.25)
 
 GROUND = QuantumState.from_n_j(1, 1, 0.5)
 S2_HALF = QuantumState.from_n_j(1, 2, 0.5)
@@ -254,9 +254,9 @@ class TestFractionalShift:
 
     @given(x1=ratio_strategy(), x2=ratio_strategy())
     def test_both_single_models_identical(self, x1, x2):
-        # 1/x metres from a body with G*M/c^2 = 1 m is at phi/c^2 of about -x
-        p1 = FieldPoint.from_si("p1", [(COMPACT, 1.0 / x1)])
-        p2 = FieldPoint.from_si("p2", [(COMPACT, 1.0 / x2)])
+        # 1/x m from a body with G*M/c^2 = 1 m is at phi/c^2 of about -x
+        p1 = FieldPoint("p1", [(COMPACT, 1.0 / x1)])
+        p2 = FieldPoint("p2", [(COMPACT, 1.0 / x2)])
         emitter = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, p1, p2)
         photon = fractional_shift(ShiftModel.PHOTON_INTERACTION, p1, p2)
         double = fractional_shift(ShiftModel.DOUBLE_EFFECT, p1, p2)
@@ -264,8 +264,8 @@ class TestFractionalShift:
         assert double == 2.0 * emitter
 
     def test_strong_field_rejected(self):
-        deep = FieldPoint.from_si("deep", [(COMPACT, 0.5)])
-        far = FieldPoint.from_si("far", [(COMPACT, 10.0)])
+        deep = FieldPoint("deep", [(COMPACT, 0.5)])
+        far = FieldPoint("far", [(COMPACT, 10.0)])
         with pytest.raises(DomainError, match="outside the weak-field domain"):
             fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, deep, far)
 
