@@ -104,13 +104,16 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
                rel_tol: float) -> RayResult:
     """One solve in tau, in units of L = r_term/200, from (x0, b) along +x."""
     scale = r_term / 200.0
+    mu = body.mu / (CONSTANTS.c.value ** 2 * scale) if scale > 0.0 else math.inf
+    if not math.isfinite(mu):
+        # b so small that mu overflows: ell = p0 * sy <= mu, the ray falls to r = 0
+        raise ImpactError(body.name, 0.0)
     r_exit = r_term / scale
-    mu = body.mu / (CONSTANTS.c.value ** 2 * scale)
     sx, sy = x0 / scale, b / scale
     p0 = 1.0 + mu / math.hypot(sx, sy)
     # Bouguer: ell = n r sin(psi) = p0 * sy; a ray with ell <= mu falls to r = 0
     r_min = max(p0 * sy - mu, 0.0)
-    if r_min * scale < body.radius_m * (1.0 - IMPACT_MARGIN):
+    if not r_min * scale >= body.radius_m * (1.0 - IMPACT_MARGIN):
         raise ImpactError(body.name, r_min * scale)
 
     def rhs(tau, state):
@@ -181,7 +184,7 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
     raised, before any integration and with the unobstructed periapsis, only
     when the periapsis lies below (1 - IMPACT_MARGIN) * radius.  A start on
     or inside the body is refused the same way: there b <= radius/factor, and
-    the periapsis b - mu*(1 - 1/factor) lies below b.
+    the periapsis b - mu*(1 - 1/factor) lies below b, or is 0 once mu overflows.
     """
     b = float(impact_parameter_m)
     if not math.isfinite(b):

@@ -399,6 +399,16 @@ class TestPhotonCommand:
         assert code == 1
         assert "impact" in err
 
+    @pytest.mark.parametrize("body", ["sun", "earth"])
+    @pytest.mark.parametrize("ray", [["--b-m", "5e-324"], ["--b-radii", "5e-324"],
+                                     ["--b-m", "5e-324", "--term-factor", "10"]])
+    def test_subnormal_impact_parameter_is_an_impact(self, capsys, body, ray):
+        # mu overflows (or the length unit underflows to 0) for so small a b
+        code, out, err = run_cli(["photon", "--body", body, "--tol", "1e-6", *ray], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: ray impacted body '{body}' (closest approach 0.000000e+00 m)\n"
+
     @pytest.mark.parametrize("count", ["10001", "1000000000000000000000"])
     def test_sweep_count_is_capped(self, capsys, count):
         # refused before any b value is built or traced

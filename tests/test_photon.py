@@ -63,12 +63,14 @@ class TestPhotonFrequencyShift:
 
 
 class TestRayPathValidation:
+    BODIES = [("sun", oracles.M_SUN, oracles.R_SUN),
+              ("earth", oracles.M_EARTH, oracles.R_EARTH),
+              ("compact", oracles.M_SUN, 1.0),
+              ("pebble", 1.0, 1.0)]
+
     @settings(deadline=None)
     @given(
-        body=st.sampled_from([("sun", oracles.M_SUN, oracles.R_SUN),
-                              ("earth", oracles.M_EARTH, oracles.R_EARTH),
-                              ("compact", oracles.M_SUN, 1.0),
-                              ("pebble", 1.0, 1.0)]),
+        body=st.sampled_from(BODIES),
         depth=st.floats(min_value=1e-6, max_value=1.0),
         factor=st.floats(min_value=10.0, max_value=200.0),
     )
@@ -79,6 +81,17 @@ class TestRayPathValidation:
         with pytest.raises(ImpactError, match=f"impacted body '{name}'"):
             trace_ray(CelestialBody(name, mass_kg, radius_m), depth * radius_m / factor,
                       factor, 1e-6)
+
+    @pytest.mark.parametrize("body", BODIES)
+    @pytest.mark.parametrize("factor", [10.0, 200.0])
+    @pytest.mark.parametrize("b", [5e-324, 1e-320, 1e-306])
+    def test_underflowing_impact_parameter_rejected(self, body, factor, b):
+        # so small a b makes mu = G*M/(c^2 L) overflow, or L = factor*b/200
+        # underflow to 0; the ray is still refused as an impact, not handed
+        # to the integrator
+        name, mass_kg, radius_m = body
+        with pytest.raises(ImpactError, match=f"impacted body '{name}'"):
+            trace_ray(CelestialBody(name, mass_kg, radius_m), b, factor, 1e-6)
 
     def test_start_rounding_stays_inside_termination_circle(self, sun):
         # the third ray of `--sweep-radii 1:20:8`; the rounded start used to
