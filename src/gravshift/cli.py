@@ -316,9 +316,7 @@ def _cmd_photon(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    bodies = load_bodies(args.bodies)
-    registry = data_file("experiments.json") if args.registry == "default" else args.registry
-    records = experiments_mod.load_registry(registry, bodies)
+    records = experiments_mod.load_registry(args.registry, load_bodies(args.bodies))
     summary = experiments_mod.double_effect_verdict(records, args.threshold)
     code = EXIT_OK if summary.single_models_consistent and summary.double_effect_excluded \
         else EXIT_FAILURE
@@ -362,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     # every subcommand that reads a body registry takes its path from this one flag
     with_bodies = argparse.ArgumentParser(add_help=False)
     with_bodies.add_argument("--bodies", default=data_file("bodies.json"),
-                             help="body registry JSON (default: the packaged bodies.json)")
+                             help="body registry: a JSON array of {name, mass_kg, radius_m} "
+                                  "objects (default: the packaged bodies.json)")
 
     p = sub.add_parser("constants", help="dump the constant set as flat JSON")
     p.set_defaults(func=_cmd_constants)
@@ -427,8 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", parents=[with_bodies],
                        help="compare all models against the registry")
-    p.add_argument("--registry", default="default",
-                   help="experiment registry JSON, or 'default' for the packaged one")
+    p.add_argument("--registry", default=data_file("experiments.json"),
+                   help="experiment registry: a JSON array of {name, geometry, "
+                        "measured_ratio, ratio_uncertainty} objects (default: the "
+                        "packaged experiments.json)")
     p.add_argument("--threshold", type=float, default=5.0,
                    help="exclusion threshold in sigma (default 5)")
     p.add_argument("--report", choices=["text", "json"], default="text")

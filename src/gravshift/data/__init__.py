@@ -1,4 +1,8 @@
-"""Packaged default registries (bodies, experiments) and their reader."""
+"""Packaged default registries (bodies, experiments) and their reader.
+
+A registry file is a JSON array of objects, each with a string ``name``
+unique in the file; its numbers are JSON numbers, in SI units.
+"""
 
 from __future__ import annotations
 
@@ -19,14 +23,11 @@ def data_file(name: str) -> Traversable:
     return resources.files(__package__) / name
 
 
-def read_entries(path: str | Path | Traversable, registry: str, items: str,
-                 entry: str) -> Iterator[tuple[str, dict]]:
-    """Yield (location, object) for each entry of a JSON-array registry file.
-
-    Read errors, a top level that is not an array and an entry that is not an
-    object raise RegistryError, worded with the ``registry``, ``items`` and
-    ``entry`` names.
-    """
+def read_records(path: str | Path | Traversable, registry: str, entry: str,
+                 fields: tuple[str, ...]) -> Iterator[tuple[str, dict]]:
+    """Yield (location, object) for each record of a registry file; a read
+    error, a non-array, a record that is no object, lacks ``name`` or one of
+    ``fields`` or has a name that is no string or is repeated is refused."""
     if isinstance(path, str):
         path = Path(path)
     try:
@@ -37,10 +38,35 @@ def read_entries(path: str | Path | Traversable, registry: str, items: str,
         raise RegistryError(
             f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # bad bytes, digits or nesting
+        raise RegistryError(f"{path}: invalid JSON: {exc}") from None
+    except OSError as exc:
+        raise RegistryError(f"{path}: {exc.strerror}") from None
     if not isinstance(raw, list):
-        raise RegistryError(f"{path}: expected a JSON array of {items}")
+        raise RegistryError(f"{path}: expected a JSON array of objects")
+    names: set[str] = set()
     for i, obj in enumerate(raw):
         where = f"{path}: {entry} #{i}"
         if not isinstance(obj, dict):
             raise RegistryError(f"{where}: expected an object")
+        for field in ("name", *fields):
+            if field not in obj:
+                raise RegistryError(f"{where}: missing field {field!r}")
+        name = obj["name"]
+        if not isinstance(name, str):
+            raise RegistryError(f"{where}: name must be a string, got {json.dumps(name)}")
+        if name in names:
+            raise RegistryError(f"{where}: duplicate {entry} name {name!r}")
+        names.add(name)
         yield where, obj
+
+
+def number(value, label: str) -> float:
+    """A JSON number as a float; NaN and the infinities pass, for the
+    caller's range check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise RegistryError(f"{label} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise RegistryError(f"{label} is beyond the float range") from None

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .data import read_entries
+from .data import number, read_records
 from .errors import ConfigurationError, GravshiftError, RegistryError
 from .gravity import (
     CelestialBody,
@@ -138,8 +138,8 @@ def _resolve_geometry(geometry, name: str,
     kind = geometry["type"]
     if kind == "tower":
         body = lookup_body(bodies, geometry["body"])
-        base = float(geometry.get("base_altitude_m", 0.0))
-        height = float(geometry["height_m"])
+        base = number(geometry.get("base_altitude_m", 0.0), "base_altitude_m")
+        height = number(geometry["height_m"], "height_m")
         if not height > 0.0:  # also refuses NaN
             raise ConfigurationError("tower height must be positive")
         return (FieldPoint.at_altitude(body, base, f"{name}:emit"),
@@ -153,42 +153,34 @@ def _resolve_geometry(geometry, name: str,
                 raise ConfigurationError(
                     f"geometry {side}: expected an array of {{body, r_m}} objects")
             points.append(FieldPoint(f"{name}:{side}", [
-                (lookup_body(bodies, p["body"]), float(p["r_m"])) for p in pairs]))
+                (lookup_body(bodies, p["body"]), number(p["r_m"], "r_m")) for p in pairs]))
         return points[0], points[1]
     raise ConfigurationError(f"unknown geometry type {kind!r}")
 
 
 def load_registry(path: str | Path,
                   bodies: dict[str, CelestialBody]) -> list[ExperimentRecord]:
-    """Read and validate a JSON array of experiment records.
+    """Read a registry file (see `gravshift.data`) of experiment records.
 
     Each record's geometry becomes its emit and observe points, resolved
     against ``bodies``.
     """
     records: list[ExperimentRecord] = []
-    seen: set[str] = set()
-    for where, entry in read_entries(path, "experiment registry", "experiment records",
-                                     "record"):
-        for fieldname in ("name", "geometry", "measured_ratio", "ratio_uncertainty"):
-            if fieldname not in entry:
-                raise RegistryError(f"{where}: missing field {fieldname!r}")
-        name = str(entry["name"])
-        if name in seen:
-            raise RegistryError(f"{where}: duplicate experiment name {name!r}")
-        seen.add(name)
+    for where, entry in read_records(path, "experiment registry", "record",
+                                     ("geometry", "measured_ratio", "ratio_uncertainty")):
+        name = entry["name"]
         try:
             emit, observe = _resolve_geometry(entry["geometry"], name, bodies)
-            record = ExperimentRecord(
+            records.append(ExperimentRecord(
                 name=name,
                 emit=emit,
                 observe=observe,
-                measured_ratio=float(entry["measured_ratio"]),
-                ratio_uncertainty=float(entry["ratio_uncertainty"]),
-            )
+                measured_ratio=number(entry["measured_ratio"], "measured_ratio"),
+                ratio_uncertainty=number(entry["ratio_uncertainty"], "ratio_uncertainty"),
+            ))
         except KeyError as exc:
             raise RegistryError(
                 f"{where} ({name}): missing geometry field {exc.args[0]!r}") from None
-        except (TypeError, ValueError, GravshiftError) as exc:
+        except GravshiftError as exc:
             raise RegistryError(f"{where} ({name}): {exc}") from None
-        records.append(record)
     return records

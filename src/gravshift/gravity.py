@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .data import read_entries
-from .errors import ConfigurationError, DomainError, RegistryError
+from .data import number, read_records
+from .errors import ConfigurationError, DomainError, GravshiftError, RegistryError
 from .units import CONSTANTS, POTENTIAL, Quantity
 
 __all__ = [
@@ -96,7 +96,7 @@ class FieldPoint:
         R + altitude is rounded to a float once; every potential and shift
         at the point is that of the rounded radius.
         """
-        r = body.radius_m + float(altitude_m)
+        r = body.radius_m + altitude_m
         return cls(label or f"{body.name}+{altitude_m:g}m", ((body, r),))
 
 
@@ -126,21 +126,14 @@ def potential(point: FieldPoint) -> Quantity:
 
 
 def load_bodies(path: str | Path) -> dict[str, CelestialBody]:
-    """Read a JSON array of {name, mass_kg, radius_m} into a name-keyed registry."""
+    """Read a registry file (see `gravshift.data`) of bodies into a name-keyed dict."""
     registry: dict[str, CelestialBody] = {}
-    for where, entry in read_entries(path, "body registry", "bodies", "body"):
+    for where, entry in read_records(path, "body registry", "body", ("mass_kg", "radius_m")):
         try:
-            name = entry["name"]
-            mass_kg = entry["mass_kg"]
-            radius_m = entry["radius_m"]
-        except KeyError as exc:
-            raise RegistryError(f"{where}: missing field {exc.args[0]!r}") from None
-        try:
-            body = CelestialBody(str(name), float(mass_kg), float(radius_m))
-        except (TypeError, ValueError) as exc:
+            body = CelestialBody(entry["name"], number(entry["mass_kg"], "mass_kg"),
+                                 number(entry["radius_m"], "radius_m"))
+        except GravshiftError as exc:
             raise RegistryError(f"{where}: {exc}") from None
-        if body.name in registry:
-            raise RegistryError(f"{where}: duplicate body name {body.name!r}")
         registry[body.name] = body
     return registry
 

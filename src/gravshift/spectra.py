@@ -99,13 +99,6 @@ class QuantumState:
         """Principal quantum number n' + j + 1/2 (exact: j is half-odd-integer)."""
         return self.n_prime + int(self.j + 0.5)
 
-    @classmethod
-    def from_n_j(cls, Z: int, n: int, j: float) -> "QuantumState":
-        n_prime = n - float(j) - 0.5
-        if n_prime < 0 or n_prime != int(n_prime):
-            raise ConfigurationError(f"no state with n={n}, j={j}: n' would be {n_prime}")
-        return cls(Z=Z, n_prime=int(n_prime), j=float(j))
-
     def label(self) -> str:
         tj = int(2 * self.j)
         return f"Z={self.Z} n={self.n} j={tj}/2 n'={self.n_prime}"
@@ -113,12 +106,7 @@ class QuantumState:
 
 def states_for_n(Z: int, n: int) -> list[QuantumState]:
     """All (n', j) states sharing the principal number n; exactly n of them."""
-    states = []
-    tj = 1
-    while (tj / 2.0) + 0.5 <= n:
-        states.append(QuantumState.from_n_j(Z, n, tj / 2.0))
-        tj += 2
-    return states
+    return [QuantumState(Z, n - 1 - k, k + 0.5) for k in range(n)]
 
 
 def _specific_level_energy(state: QuantumState) -> Quantity:

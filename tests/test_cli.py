@@ -688,6 +688,16 @@ class TestUsageErrors:
 
 KERBIN = {"name": "kerbin", "mass_kg": 5.2915158e22, "radius_m": 6e5}
 
+#: registry values that are not JSON numbers in the float range, each with
+#: the refusal that follows its field name
+BAD_NUMBERS = [
+    (True, "{} must be a number, got true"),
+    ("5.29e22", '{} must be a number, got "5.29e22"'),
+    (None, "{} must be a number, got null"),
+    (10**400, "{} is beyond the float range"),
+]
+BAD_NUMBER_IDS = ["true", "string", "null", "10**400"]
+
 
 def tower_on(body):
     return {"name": f"{body}-tower",
@@ -752,15 +762,52 @@ class TestRegistryFiles:
                                {"kerbin": 6e5}, {"kerbin": 6e5 + 10.0}, kerbin)
 
     @pytest.mark.parametrize("field", ["mass_kg", "radius_m"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_body_field_exits_one(self, tmp_path, field, value, capsys):
+    @pytest.mark.parametrize("value, reason", [
+        (math.nan, "body kerbin: {} must be positive and finite"),
+        (math.inf, "body kerbin: {} must be positive and finite"),
+        (-math.inf, "body kerbin: {} must be positive and finite"),
+        *BAD_NUMBERS,
+    ], ids=["nan", "inf", "-inf", *BAD_NUMBER_IDS])
+    def test_non_finite_body_field_exits_one(self, tmp_path, field, value, reason, capsys):
         path = tmp_path / "bodies.json"
         path.write_text(json.dumps([{**KERBIN, field: value}]))
         code, out, err = run_cli(["potential", "--bodies", str(path), "--at", "kerbin:0"],
                                  capsys)
         assert (code, out) == (1, "")
-        assert f"body #0: body kerbin: {field} must be positive and finite" in err
+        assert f"{path}: body #0: {reason.format(field)}" in err
         assert "quantity value must be finite" not in err
+        assert "Traceback" not in err
+
+    def test_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys):
+        # json refuses more than 4300 digits where Python limits them, and
+        # the float conversion refuses them where it does not
+        path = tmp_path / "bodies.json"
+        path.write_text('[{"name": "kerbin", "mass_kg": %s, "radius_m": 6e5}]' % ("1" * 5000))
+        code, out, err = run_cli(["potential", "--bodies", str(path), "--at", "kerbin:0"],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert f"error: {path}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("x", [0.5, 0.9, 1 - 2**-52, 1e-17, 1e-300])
+    def test_compact_body_prints_phi_over_c2_to_a_few_ulps(self, tmp_path, x, capsys):
+        # a 1 m body of G*M/(R*c^2) = x: points near the weak-field limit of 1,
+        # and points so weak that 1 + phi/c^2 rounds to 1
+        mass = x * oracles.C2 / oracles.G
+        path = tmp_path / "bodies.json"
+        path.write_text(json.dumps([{"name": "compact", "mass_kg": mass, "radius_m": 1.0}]))
+        expected = oracles.phi_over_c2_exact(mass, 1.0)
+        for argv, key in ((["potential"], "phi_over_c2"),
+                          (["spectrum", "--n-range", "1:2"], "shift_fractional")):
+            code, out, err = run_cli(argv + ["--bodies", str(path), "--at", "compact:0",
+                                             "--format", "json"], capsys)
+            if argv[0] == "spectrum" and x == 1 - 2**-52 and code == 1:
+                # phi/c^2 may round to -1 there
+                assert "outside the weak-field domain" in err
+                continue
+            assert (code, err) == (0, "")
+            for row in json.loads(out):
+                assert abs(row[key] - expected) <= 4 * math.ulp(expected)
 
     @pytest.mark.parametrize("command", list(ARGV))
     def test_bodies_flag_refuses_a_packaged_body(self, files, command, capsys):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from gravshift.gravity import FieldPoint
 from gravshift.spectra import ShiftModel
 
 import oracles
+from test_cli import BAD_NUMBER_IDS, BAD_NUMBERS
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,38 @@ class TestLoadRegistry:
         path = tmp_path / "r.json"
         path.write_text(json.dumps([entry]))
         with pytest.raises(RegistryError, match=r"record #0 \(bad\): .* must be finite"):
+            load_registry(path, bodies)
+
+    @pytest.mark.parametrize("field", ["height_m", "base_altitude_m", "r_m",
+                                       "measured_ratio", "ratio_uncertainty"])
+    @pytest.mark.parametrize("value, reason", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
+    def test_non_number_rejected(self, tmp_path, bodies, field, value, reason):
+        tower = {"type": "tower", "body": "earth", "height_m": 10.0}
+        if field == "r_m":
+            record = entry("bad", {"type": "two_point", "emit": [{"body": "sun", "r_m": 7e8}],
+                                   "observe": [{"body": "sun", "r_m": value}]})
+        elif field in ("height_m", "base_altitude_m"):
+            record = entry("bad", {**tower, field: value})
+        else:
+            record = {**entry("bad", tower), field: value}
+        path = write_registry(tmp_path, [record])
+        with pytest.raises(RegistryError, match=re.escape(
+                f"{path}: record #0 (bad): {reason.format(field)}")):
+            load_registry(path, bodies)
+
+    def test_repeated_name_rejected(self, tmp_path, bodies):
+        tower = {"type": "tower", "body": "earth", "height_m": 10.0}
+        path = write_registry(tmp_path, [entry("twin", tower), entry("twin", tower)])
+        with pytest.raises(RegistryError, match=re.escape(
+                f"{path}: record #1: duplicate record name 'twin'")):
+            load_registry(path, bodies)
+
+    @pytest.mark.parametrize("name, shown", [(None, "null"), (7, "7"), (["x"], '["x"]')])
+    def test_non_string_name_rejected(self, tmp_path, bodies, name, shown):
+        path = write_registry(tmp_path, [entry(
+            name, {"type": "tower", "body": "earth", "height_m": 10.0})])
+        with pytest.raises(RegistryError, match=re.escape(
+                f"{path}: record #0: name must be a string, got {shown}")):
             load_registry(path, bodies)
 
     def test_unknown_geometry_type_rejected(self, tmp_path, bodies):

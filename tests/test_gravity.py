@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,3 +196,11 @@ class TestBodyRegistry:
     def test_missing_file(self, tmp_path):
         with pytest.raises(RegistryError, match="not found"):
             load_bodies(tmp_path / "nope.json")
+
+    def test_unreadable_file_names_itself(self, tmp_path):
+        # a directory, and arrays nested past the decoder's recursion limit
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        for path in (tmp_path, deep):
+            with pytest.raises(RegistryError, match=f"^{re.escape(str(path))}: "):
+                load_bodies(path)

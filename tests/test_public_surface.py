@@ -50,7 +50,7 @@ ARGV = [
      "--format", "text"],
     ["experiment"],
     ["experiment", "--report", "json", "--threshold", "3"],
-    ["experiment", "--registry", "default", "--report", "text"],
+    ["experiment", "--report", "text"],
 ]
 
 

@@ -27,9 +27,9 @@ M_FREE = effective_mass(ELECTRON, PHI_ZERO)
 #: a body of G*M/c^2 = 1 m and radius 0.25 m, for points deep in its field
 COMPACT = CelestialBody("compact", oracles.C2 / oracles.G, 0.25)
 
-GROUND = QuantumState.from_n_j(1, 1, 0.5)
-S2_HALF = QuantumState.from_n_j(1, 2, 0.5)
-S2_THREEHALF = QuantumState.from_n_j(1, 2, 1.5)
+GROUND = QuantumState(1, 0, 0.5)
+S2_HALF = QuantumState(1, 1, 0.5)
+S2_THREEHALF = QuantumState(1, 0, 1.5)
 
 
 def ratio_strategy():
@@ -40,13 +40,13 @@ def ratio_strategy():
 
 
 def state_strategy():
+    # one of the n states (n' = n - 1 - k, j = k + 1/2) of a principal number n
+    n = st.shared(st.integers(min_value=1, max_value=6), key="n")
     return st.builds(
-        QuantumState.from_n_j,
+        lambda Z, n, k: QuantumState(Z, n - 1 - k, k + 0.5),
         st.integers(min_value=1, max_value=40),
-        st.shared(st.integers(min_value=1, max_value=6), key="n"),
-        st.shared(st.integers(min_value=1, max_value=6), key="n").flatmap(
-            lambda n: st.integers(min_value=0, max_value=n - 1).map(lambda k: k + 0.5)
-        ),
+        n,
+        n.flatmap(lambda n: st.integers(min_value=0, max_value=n - 1)),
     )
 
 
@@ -136,10 +136,6 @@ class TestQuantumState:
         with pytest.raises(DomainError, match="perturbative"):
             level_energy(QuantumState(Z=138, n_prime=0, j=0.5), M_FREE)
 
-    def test_from_n_j_rejects_j_too_large(self):
-        with pytest.raises(ConfigurationError):
-            QuantumState.from_n_j(1, 1, 1.5)
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_enumeration_yields_n_states(self, n):
         states = states_for_n(1, n)
@@ -180,7 +176,7 @@ class TestLevelEnergy:
 
     def test_binding_decreases_with_n_at_fixed_j(self):
         energies = [
-            level_energy(QuantumState.from_n_j(1, n, 0.5), M_FREE).value
+            level_energy(QuantumState(1, n - 1, 0.5), M_FREE).value
             for n in (1, 2, 3, 4)
         ]
         assert energies == sorted(energies, reverse=True)
@@ -210,7 +206,7 @@ class TestTransitionFrequency:
             transition_frequency(GROUND, S2_HALF, M_FREE)
 
     def test_z_mismatch_rejected(self):
-        other = QuantumState.from_n_j(2, 2, 0.5)
+        other = QuantumState(2, 1, 0.5)
         with pytest.raises(ConfigurationError):
             transition_frequency(other, GROUND, M_FREE)
 
@@ -285,7 +281,7 @@ class TestLinearityTheorem:
         j_upper = state.j + other_j_shift
         if j_upper < 0.5 or j_upper + 0.5 > n_upper:
             j_upper = 0.5
-        upper = QuantumState.from_n_j(state.Z, n_upper, j_upper)
+        upper = QuantumState(state.Z, int(n_upper - j_upper - 0.5), j_upper)
 
         phi = potential_m2_s2(-x * oracles.C2)
         m_shifted = effective_mass(ELECTRON, phi)
