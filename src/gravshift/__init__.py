@@ -4,7 +4,7 @@ experiment comparisons, with dimension-checked potentials, masses and energies.
 The package splits along the physics:
 
 units
-    Dimension-tagged quantities and the CODATA constant set.
+    Dimension-tagged quantities and the CODATA constant set in SI floats.
 gravity
     Bodies and field points in SI floats, each point carrying the bodies
     acting on it, and their Newtonian point-mass potential.

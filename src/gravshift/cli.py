@@ -162,7 +162,7 @@ def _cmd_potential(args) -> int:
         rows.append({
             "point": spec,
             "phi_m2_s2": phi.value,
-            "phi_over_c2": float(phi / CONSTANTS.c_squared),
+            "phi_over_c2": phi.value / CONSTANTS.c_squared,
         })
     _emit_rows(["point", "phi_m2_s2", "phi_over_c2"], rows, args.format)
     return EXIT_OK
@@ -203,24 +203,23 @@ def _parse_states(args) -> list[QuantumState]:
 
 def _cmd_spectrum(args) -> int:
     states = _parse_states(args)
-    if args.emitter_mass_kg is not None and not math.isfinite(args.emitter_mass_kg):
+    if not math.isfinite(args.emitter_mass_kg):
         raise DomainError("emitter rest mass must be finite")
-    rest_mass = CONSTANTS.m_electron if args.emitter_mass_kg is None \
-        else kilograms(args.emitter_mass_kg)
+    rest_mass = kilograms(args.emitter_mass_kg)
     if args.at:
         phi = potential(parse_point_spec(args.at, load_bodies(args.bodies)))
     else:
         phi = potential_m2_s2(0.0)
     m_eff = effective_mass(rest_mass, phi)
     # E is linear in the mass, so every level moves by -dm/m = phi/c^2 of itself
-    shift = float(phi / CONSTANTS.c_squared)
+    shift = phi.value / CONSTANTS.c_squared
     rows = []
     for state in states:
-        energy = level_energy(state, m_eff)
+        energy = level_energy(state, m_eff).value
         rows.append({
             "state": state.label(),
-            "E_eV": float(energy / CONSTANTS.eV),
-            "nu_Hz": float((energy / CONSTANTS.h).value),
+            "E_eV": energy / CONSTANTS.eV,
+            "nu_Hz": energy / CONSTANTS.h,
             "shift_fractional": shift,
         })
     _emit_rows(["state", "E_eV", "nu_Hz", "shift_fractional"], rows, args.format)
@@ -382,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n-range", metavar="LO:HI",
                        help="all states with principal number in the range")
     p.add_argument("--at", metavar="SPEC", help="emitter location (default: free, phi = 0)")
-    p.add_argument("--emitter-mass-kg", type=float, default=None,
+    p.add_argument("--emitter-mass-kg", type=float, default=CONSTANTS.m_electron,
                    help="emitter rest mass (default: electron)")
     _add_format(p, "csv")
     p.set_defaults(func=_cmd_spectrum)

@@ -12,6 +12,7 @@ when a point is built: every distance must be at least the body radius.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ class CelestialBody:
     @property
     def mu(self) -> float:
         """Standard gravitational parameter G*M (m^3/s^2)."""
-        return CONSTANTS.G.value * self.mass_kg
+        return CONSTANTS.G * self.mass_kg
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,10 @@ def load_bodies(path: str | Path) -> dict[str, CelestialBody]:
 
 
 def lookup_body(bodies: Mapping[str, CelestialBody], name) -> CelestialBody:
-    """The body of the registry named ``name``; refuses a name it lacks."""
-    name = str(name)
+    """The body of the registry named ``name``; refuses a name that is no
+    string or that the registry lacks."""
+    if not isinstance(name, str):
+        raise ConfigurationError(f"body must be a string, got {json.dumps(name)}")
     if name not in bodies:
         raise ConfigurationError(f"unknown body {name!r}")
     return bodies[name]

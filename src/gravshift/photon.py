@@ -104,7 +104,7 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
                rel_tol: float) -> RayResult:
     """One solve in tau, in units of L = r_term/200, from (x0, b) along +x."""
     scale = r_term / 200.0
-    mu = body.mu / (CONSTANTS.c.value ** 2 * scale) if scale > 0.0 else math.inf
+    mu = body.mu / (CONSTANTS.c ** 2 * scale) if scale > 0.0 else math.inf
     if not math.isfinite(mu):
         # b so small that mu overflows: ell = p0 * sy <= mu, the ray falls to r = 0
         raise ImpactError(body.name, 0.0)
@@ -134,7 +134,10 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
     # swamp them (earth's whole p_y is about 1.4e-9)
     bend = 2.0 * mu / sy
     atol = rel_tol * 1e-3
-    atols = [atol, atol, atol * bend, atol * bend, atol * bend * bend]
+    # below a bend of about 1e-150 atol * bend^2 underflows, and a zero
+    # tolerance on K (which starts at 0) makes every step NaN: the solve never ends
+    atols = [max(a, math.ulp(0.0))
+             for a in (atol, atol, atol * bend, atol * bend, atol * bend * bend)]
     # ds = r dtau >= r_min dtau, so tau_max allows at least 8 termination
     # radii of path
     tau_max = 8.0 * r_exit / r_min
@@ -156,7 +159,7 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
     chord_x, chord_y = x - sx, y - sy
     chord = math.hypot(chord_x, chord_y)
     gap = _gap(chord_x, chord_y, chord)
-    seconds_per_unit = scale / CONSTANTS.c.value
+    seconds_per_unit = scale / CONSTANTS.c
     return RayResult(
         deflection_rad=deflection,
         straight_line_time_s=chord * seconds_per_unit,

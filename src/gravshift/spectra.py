@@ -19,6 +19,8 @@ Because E is homogeneous of degree one in the mass, every line shifts by the
 same fraction phi/c^2 -- that linearity is the heart of the model, and the
 implementation keeps it numerically faithful by computing a mass-independent
 specific energy factor per state and multiplying by the mass exactly once.
+That arithmetic is on floats: the public functions check the dimension of the
+mass they take and tag the energy or frequency they return.
 
 Fractional line shifts between two locations come in three flavours: the
 emitter-mass-defect shift, the in-flight photon-interaction shift (same
@@ -39,6 +41,7 @@ from .units import (
     CONSTANTS,
     MASS,
     POTENTIAL,
+    Dimension,
     Quantity,
     ensure_dimension,
     weak_field_ratio,
@@ -109,7 +112,7 @@ def states_for_n(Z: int, n: int) -> list[QuantumState]:
     return [QuantumState(Z, n - 1 - k, k + 0.5) for k in range(n)]
 
 
-def _specific_level_energy(state: QuantumState) -> Quantity:
+def _specific_level_energy(state: QuantumState) -> float:
     """Binding energy per unit emitter mass (m^2/s^2); mass-independent.
 
     Keeping the mass out of this factor means level energies and transition
@@ -119,15 +122,14 @@ def _specific_level_energy(state: QuantumState) -> Quantity:
     perturbative domain alpha*Z < 1 is enforced.
     """
     # compared as int against float, so no Z is too large to test
-    if state.Z >= 1.0 / CONSTANTS.alpha.value:
+    if state.Z >= 1.0 / CONSTANTS.alpha:
         raise DomainError(f"alpha*Z >= 1 at Z = {state.Z}: outside the perturbative domain")
-    a2 = CONSTANTS.alpha.value ** 2
+    a2 = CONSTANTS.alpha ** 2
     z2 = float(state.Z * state.Z)
     # k underflows to 0 long before n = 1e300; the clamp keeps float(n) finite
     n = float(min(state.n, 10**300))
     bracket = 1.0 + (a2 * z2 / n) * (1.0 / (state.j + 0.5) - 3.0 / (4.0 * n))
-    k = (a2 * CONSTANTS.c.value ** 2 / 2.0) * (z2 / (n * n)) * bracket
-    return Quantity(k, POTENTIAL)
+    return (a2 * CONSTANTS.c ** 2 / 2.0) * (z2 / (n * n)) * bracket
 
 
 def level_energy(state: QuantumState, m_eff: Quantity) -> Quantity:
@@ -139,12 +141,12 @@ def level_energy(state: QuantumState, m_eff: Quantity) -> Quantity:
     """
     ensure_dimension(m_eff, MASS, "m_eff")
     k = _specific_level_energy(state)
-    energy = m_eff.value * k.value
-    if energy < sys.float_info.min or not math.isfinite(energy / CONSTANTS.h.value):
+    energy = m_eff.value * k
+    if energy < sys.float_info.min or not math.isfinite(energy / CONSTANTS.h):
         flow = "underflows" if energy < sys.float_info.min else "overflows"
         raise DomainError(f"level energy of {state.label()} {flow} at mass {m_eff.value:g} "
                           "kg: E must be a normal float and E/h finite")
-    return m_eff * k
+    return m_eff * Quantity(k, POTENTIAL)
 
 
 def transition_frequency(s_upper: QuantumState, s_lower: QuantumState,
@@ -160,12 +162,12 @@ def transition_frequency(s_upper: QuantumState, s_lower: QuantumState,
             f"transition states must share Z (got {s_upper.Z} and {s_lower.Z})"
         )
     dk = _specific_level_energy(s_lower) - _specific_level_energy(s_upper)
-    if dk.value <= 0.0:
+    if dk <= 0.0:
         raise DomainError(
             "non-positive photon energy: the lower state must bind more deeply "
             f"({s_lower.label()} vs {s_upper.label()})"
         )
-    return (m_eff * dk) / CONSTANTS.h
+    return Quantity(m_eff.value * dk / CONSTANTS.h, Dimension(time=-1))
 
 
 class ShiftModel(enum.Enum):
@@ -189,7 +191,11 @@ def fractional_shift(model: ShiftModel, emit: FieldPoint, obs: FieldPoint) -> fl
     for point in (emit, obs):
         weak_field_ratio(potential(point))
     r_obs = {body.name: r for body, r in obs.distances}
-    terms = [body.mu / r * ((r - r_obs[body.name]) / r_obs[body.name])
-             for body, r in emit.distances]
-    single = math.fsum(terms) / CONSTANTS.c_squared.value
+    terms = []
+    for body, r in emit.distances:
+        near, far = sorted((r, r_obs[body.name]))
+        # mu/near times a ratio of magnitude below 1 underflows only where the
+        # term itself does; mu/far can underflow while the term is normal
+        terms.append(body.mu / near * ((r - r_obs[body.name]) / far))
+    single = math.fsum(terms) / CONSTANTS.c_squared
     return single + single if model is ShiftModel.DOUBLE_EFFECT else single

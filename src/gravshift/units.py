@@ -4,12 +4,13 @@ The values that pass between the formulas -- a potential, an emitter mass, a
 level energy -- are :class:`Quantity` objects: a float in SI units plus a
 dimension signature (integer exponents over kg, m, s).  Arithmetic combines
 signatures, so a dimensionally invalid expression fails at construction time
-instead of producing a silently wrong number.  Bodies and field points hold
-plain SI floats; their potential is tagged as it leaves the sum.  Only the
-dimensions actually needed by the formulas are given names; arbitrary integer
-exponents still compose correctly in intermediate products.
+instead of producing a silently wrong number.  Signatures are checked where a
+value enters or leaves a formula; inside one, as in bodies and field points,
+the arithmetic is on plain SI floats.  Only the dimensions actually needed by
+the formulas are given names; arbitrary integer exponents still compose
+correctly in intermediate products.
 
-Constants are stored as CODATA 2018 literals in the one set
+Constants are CODATA 2018 literals, plain floats in SI units, in the one set
 :data:`CONSTANTS`, which every operation of the package reads.  The
 fine-structure constant is stored directly (never derived from the
 elementary charge), and the electronvolt appears only as an I/O conversion
@@ -30,8 +31,6 @@ __all__ = [
     "CONSTANTS",
     "DIMENSIONLESS",
     "MASS",
-    "VELOCITY",
-    "ENERGY",
     "POTENTIAL",
     "ensure_dimension",
     "weak_field_ratio",
@@ -70,8 +69,6 @@ class Dimension:
 
 DIMENSIONLESS = Dimension()
 MASS = Dimension(mass=1)
-VELOCITY = Dimension(length=1, time=-1)
-ENERGY = Dimension(mass=1, length=2, time=-2)
 #: Gravitational potential, m^2/s^2 (negative for attractive sources).
 POTENTIAL = Dimension(length=2, time=-2)
 
@@ -80,9 +77,9 @@ POTENTIAL = Dimension(length=2, time=-2)
 class Quantity:
     """A finite SI value tagged with a :class:`Dimension`.
 
-    Addition, subtraction and comparison require matching dimensions;
-    multiplication and division compose them.  Construction rejects NaN and
-    infinities so they cannot propagate through a calculation.
+    Addition and comparison require matching dimensions; multiplication and
+    division compose them.  Construction rejects NaN and infinities so they
+    cannot propagate through a calculation.
     """
 
     value: float
@@ -109,10 +106,6 @@ class Quantity:
         self._check_same(other, "add")
         return Quantity(self.value + other.value, self.dim)
 
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._check_same(other, "subtract")
-        return Quantity(self.value - other.value, self.dim)
-
     def __mul__(self, other):
         if isinstance(other, Quantity):
             return Quantity(self.value * other.value, self.dim * other.dim)
@@ -123,30 +116,19 @@ class Quantity:
             return Quantity(self.value / other.value, self.dim / other.dim)
         return NotImplemented
 
-    def __neg__(self) -> "Quantity":
-        return Quantity(-self.value, self.dim)
-
     # -- comparison ----------------------------------------------------
 
     def __lt__(self, other: "Quantity") -> bool:
         self._check_same(other, "compare")
         return self.value < other.value
 
-    def __float__(self) -> float:
-        if self.dim != DIMENSIONLESS:
-            raise DimensionError(
-                f"only dimensionless quantities convert to bare floats, got {self.dim}"
-            )
-        return self.value
 
-
-def ensure_dimension(q: Quantity, dim: Dimension, label: str) -> Quantity:
+def ensure_dimension(q: Quantity, dim: Dimension, label: str) -> None:
     """Raise DimensionError unless ``q`` carries dimension ``dim``."""
     if not isinstance(q, Quantity):
         raise DimensionError(f"{label} must be a Quantity, got {type(q).__name__}")
     if q.dim != dim:
         raise DimensionError(f"{label} must have dimension {dim}, got {q.dim}")
-    return q
 
 
 # -- factories ---------------------------------------------------------
@@ -165,54 +147,54 @@ def potential_m2_s2(value: float) -> Quantity:
 
 @dataclass(frozen=True)
 class ConstantSet:
-    """CODATA 2018 constants as dimension-tagged quantities.
+    """CODATA 2018 constants as plain floats in SI units.
 
     Attributes
     ----------
-    G : Quantity
+    G : float
         Gravitational constant, m^3 kg^-1 s^-2.
-    c : Quantity
+    c : float
         Speed of light in vacuum, m/s.
-    h, hbar : Quantity
+    h, hbar : float
         Planck constant and reduced Planck constant, J s.
-    alpha : Quantity
+    alpha : float
         Fine-structure constant (dimensionless, stored literally).
-    m_electron : Quantity
+    m_electron : float
         Electron rest mass, kg.
-    eV : Quantity
+    eV : float
         Electronvolt, J (I/O conversion factor only).
     """
 
-    G: Quantity
-    c: Quantity
-    h: Quantity
-    hbar: Quantity
-    alpha: Quantity
-    m_electron: Quantity
-    eV: Quantity
+    G: float
+    c: float
+    h: float
+    hbar: float
+    alpha: float
+    m_electron: float
+    eV: float
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name).value <= 0.0:
-                raise DomainError(f"constant {f.name} must be strictly positive")
+            if not 0.0 < getattr(self, f.name) < math.inf:  # also refuses NaN
+                raise DomainError(f"constant {f.name} must be strictly positive and finite")
 
     @property
-    def c_squared(self) -> Quantity:
+    def c_squared(self) -> float:
         return self.c * self.c
 
     def as_si_dict(self) -> dict[str, float]:
         """Flat mapping of constant name to SI value, for report emission."""
-        return {f.name: getattr(self, f.name).value for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 CONSTANTS = ConstantSet(
-    G=Quantity(6.67430e-11, Dimension(mass=-1, length=3, time=-2)),
-    c=Quantity(299792458.0, VELOCITY),
-    h=Quantity(6.62607015e-34, Dimension(mass=1, length=2, time=-1)),
-    hbar=Quantity(1.054571817e-34, Dimension(mass=1, length=2, time=-1)),
-    alpha=Quantity(7.2973525693e-3, DIMENSIONLESS),
-    m_electron=Quantity(9.1093837015e-31, MASS),
-    eV=Quantity(1.602176634e-19, ENERGY),
+    G=6.67430e-11,
+    c=299792458.0,
+    h=6.62607015e-34,
+    hbar=1.054571817e-34,
+    alpha=7.2973525693e-3,
+    m_electron=9.1093837015e-31,
+    eV=1.602176634e-19,
 )
 
 
@@ -222,7 +204,7 @@ CONSTANTS = ConstantSet(
 def weak_field_ratio(phi: Quantity) -> float:
     """phi/c^2 as a float, guarded to the weak-field domain |phi|/c^2 < 1."""
     ensure_dimension(phi, POTENTIAL, "phi")
-    ratio = float(phi / CONSTANTS.c_squared)
+    ratio = phi.value / CONSTANTS.c_squared
     if abs(ratio) >= 1.0:
         raise DomainError(
             f"|phi|/c^2 = {abs(ratio):.3g} >= 1: outside the weak-field domain"

@@ -62,6 +62,20 @@ def level_energy_direct(Z: int, n: int, j: float, mass_kg: float) -> float:
     )
 
 
+def level_energy_exact(Z: int, n: int, j: float, mass_kg: float, pairs) -> Fraction:
+    """The binding energy of level_energy_direct (J) at the effective mass
+    m*(1 + phi/c^2), in exact rationals from the float inputs, unrounded.
+
+    ``pairs`` holds (mass_kg, r_m) for each body acting at the emitter, whose
+    potential is phi = -sum G*M/r; no pairs means phi = 0.
+    """
+    alpha2, c2 = Fraction(ALPHA) ** 2, Fraction(C) ** 2
+    phi = -sum((Fraction(G) * Fraction(m) / Fraction(r) for m, r in pairs), Fraction(0))
+    m_eff = Fraction(mass_kg) * (1 + phi / c2)
+    bracket = 1 + alpha2 * Z**2 / n * (1 / (Fraction(j) + Fraction(1, 2)) - Fraction(3, 4 * n))
+    return alpha2 * m_eff * c2 / 2 * Fraction(Z**2, n**2) * bracket
+
+
 def fine_structure_splitting_direct(Z: int, n: int, j_low: float, j_high: float,
                                     mass_kg: float) -> float:
     """Splitting via the bracket difference, never subtracting big energies (J)."""

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import zipfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from gravshift import cli
 from gravshift.cli import main
+from gravshift.data import data_file
 from gravshift.units import CONSTANTS
 
 import oracles
@@ -69,7 +71,7 @@ def exact_phi_over_c2(spec, bodies=oracles.MASS_RADIUS):
     return oracles.phi_over_c2_exact(bodies[name][0], r)
 
 
-def shift_points(argv):
+def shift_points(argv, bodies=oracles.MASS_RADIUS):
     """The emit and observe points of a `shift` argv, each {body: distance}."""
     opts, args = {}, iter(argv[1:])
     for arg in args:
@@ -78,13 +80,20 @@ def shift_points(argv):
     points = []
     for side in ("emit", "obs"):
         if f"--{side}" in opts:
-            points.append(spec_distances(opts[f"--{side}"]))
+            points.append(spec_distances(opts[f"--{side}"], bodies))
         elif f"--{side}-alt" in opts:
-            radius = oracles.MASS_RADIUS[opts["--body"]][1]
+            radius = bodies[opts["--body"]][1]
             points.append({opts["--body"]: radius + float(opts[f"--{side}-alt"])})
         else:
             points.append({opts["--body"]: float(opts[f"--{side}-r-m"])})
     return points
+
+
+#: G*M/(R*c^2) of 1 m bodies: points near the weak-field limit of 1, and
+#: points so weak that 1 + phi/c^2 rounds to 1
+COMPACT_X = [0.5, 0.9, 1 - 2**-52, 1e-17, 1e-300]
+#: {name: (mass_kg, radius_m)} of a 1 m body for each of COMPACT_X
+COMPACT = {f"compact{i}": (x * oracles.C2 / oracles.G, 1.0) for i, x in enumerate(COMPACT_X)}
 
 
 def assert_exact_shift(printed, model, emit, obs, bodies=oracles.MASS_RADIUS):
@@ -275,6 +284,31 @@ class TestSpectrumCommand:
         assert len(rows) == 465
         for row in rows:
             assert abs(row["shift_fractional"] - expected) <= 4 * math.ulp(expected)
+
+    @pytest.mark.parametrize("mass", [None, 1.67262192369e-27], ids=["electron", "nucleon"])
+    @pytest.mark.parametrize("at", [None, "earth:0", "sun:r=1.495978707e11",
+                                    "earth:r=7e6+sun:r=1.495978707e11"])
+    @pytest.mark.parametrize("z", [1, 2, 10, 50, 92, 137])
+    def test_energies_and_frequencies_to_a_few_ulps(self, capsys, z, at, mass):
+        # each printed E_eV and nu_Hz against the alpha^4 level at m*(1 + phi/c^2)
+        argv = ["spectrum", "--z", str(z), "--n-range", "1:30"]
+        argv += [] if at is None else ["--at", at]
+        argv += [] if mass is None else ["--emitter-mass-kg", repr(mass)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        pairs = [] if at is None else [
+            (oracles.MASS_RADIUS[name][0], r) for name, r in spec_distances(at).items()]
+        rows = parse_csv(out)
+        assert len(rows) == 465
+        for row in rows:
+            fields = dict(part.split("=") for part in row["state"].split())
+            two_j = int(fields["j"].split("/")[0])
+            energy = oracles.level_energy_exact(
+                z, int(fields["n"]), two_j / 2, mass or oracles.M_ELECTRON, pairs)
+            for column, unit in (("E_eV", oracles.EV), ("nu_Hz", oracles.H)):
+                expected = float(energy / Fraction(unit))
+                assert abs(float(row[column]) - expected) <= 8 * math.ulp(expected), \
+                    (row["state"], column)
 
     def test_bad_state_spec_rejected(self, capsys):
         code, _, err = run_cli(["spectrum", "--states", "nonsense"], capsys)
@@ -588,11 +622,13 @@ class TestExtremeArguments:
     """Extreme values through every subcommand: each run prints finite numbers
     or is refused with a message that names what failed."""
 
-    BODIES = st.sampled_from(["earth", "sun"])
+    #: every draw reads the packaged bodies and the compact ones from one file
+    MASS_RADIUS = {**oracles.MASS_RADIUS, **COMPACT}
+    BODIES = st.sampled_from(list(MASS_RADIUS))
     VALUES = st.sampled_from(
         [0.0, 5e-324, 1e-300, 1e308, sys.float_info.max, -sys.float_info.max,
          math.nan, math.inf, -math.inf]
-        + [v for r in (oracles.R_EARTH, oracles.R_SUN)
+        + [v for r in (oracles.R_EARTH, oracles.R_SUN, 1.0)
            for v in (r, -r, math.nextafter(r, 0.0), math.nextafter(r, math.inf))])
 
     ARGV = st.one_of(
@@ -629,13 +665,22 @@ class TestExtremeArguments:
                       VALUES.map(lambda x: ["--b-radii", "3", f"--term-factor={x!r}"]))),
     )
 
+    @pytest.fixture(scope="class")
+    def bodies_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("extreme") / "bodies.json"
+        path.write_text(json.dumps(
+            json.loads(data_file("bodies.json").read_text(encoding="utf-8"))
+            + [{"name": name, "mass_kg": mass, "radius_m": radius}
+               for name, (mass, radius) in COMPACT.items()]))
+        return str(path)
+
     @settings(max_examples=300, deadline=None)
     @given(argv=ARGV)
-    def test_finite_output_or_named_refusal(self, argv):
+    def test_finite_output_or_named_refusal(self, bodies_file, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(argv)
+                code = main(argv + ["--bodies", bodies_file])
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 1, 2)
@@ -643,13 +688,15 @@ class TestExtremeArguments:
             assert re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE) is None
         if code == 0 and argv[0] == "potential":
             [row] = parse_table(out.getvalue(), argv[-1])
-            expected = exact_phi_over_c2(argv[2])
+            expected = exact_phi_over_c2(argv[2], self.MASS_RADIUS)
             assert abs(float(row["phi_over_c2"]) - expected) <= 4 * math.ulp(expected)
         if code == 0 and argv[0] == "shift":
             assert_exact_shift(parse_record(out.getvalue(), "text")["fractional_shift"],
-                               argv[2], *shift_points(argv))
+                               argv[2], *shift_points(argv, self.MASS_RADIUS),
+                               self.MASS_RADIUS)
         if code == 0 and argv[0] == "spectrum":
-            expected = exact_phi_over_c2(argv[argv.index("--at") + 1]) if "--at" in argv else 0.0
+            expected = exact_phi_over_c2(argv[argv.index("--at") + 1], self.MASS_RADIUS) \
+                if "--at" in argv else 0.0
             for row in parse_csv(out.getvalue()):
                 shift = float(row["shift_fractional"])
                 assert abs(shift - expected) <= 4 * math.ulp(expected)
@@ -789,7 +836,7 @@ class TestRegistryFiles:
         assert f"error: {path}: " in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("x", [0.5, 0.9, 1 - 2**-52, 1e-17, 1e-300])
+    @pytest.mark.parametrize("x", COMPACT_X)
     def test_compact_body_prints_phi_over_c2_to_a_few_ulps(self, tmp_path, x, capsys):
         # a 1 m body of G*M/(R*c^2) = x: points near the weak-field limit of 1,
         # and points so weak that 1 + phi/c^2 rounds to 1
@@ -808,6 +855,22 @@ class TestRegistryFiles:
             assert (code, err) == (0, "")
             for row in json.loads(out):
                 assert abs(row[key] - expected) <= 4 * math.ulp(expected)
+
+    @pytest.mark.parametrize("body, shown", [(None, "null"), (["earth"], '["earth"]')],
+                             ids=["null", "list"])
+    @pytest.mark.parametrize("geometry", [
+        lambda body: {"type": "tower", "body": body, "height_m": 10.0},
+        lambda body: {"type": "two_point", "emit": [{"body": body, "r_m": 7e6}],
+                      "observe": [{"body": "earth", "r_m": 8e6}]},
+    ], ids=["tower", "two_point"])
+    def test_body_name_that_is_no_string_exits_one(self, tmp_path, geometry, body, shown,
+                                                   capsys):
+        path = tmp_path / "experiments.json"
+        path.write_text(json.dumps([{"name": "x", "geometry": geometry(body),
+                                     "measured_ratio": 1.0, "ratio_uncertainty": 0.5}]))
+        code, out, err = run_cli(["experiment", "--registry", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: record #0 (x): body must be a string, got {shown}\n"
 
     @pytest.mark.parametrize("command", list(ARGV))
     def test_bodies_flag_refuses_a_packaged_body(self, files, command, capsys):

@@ -14,11 +14,11 @@ from gravshift.spectra import (
     states_for_n,
     transition_frequency,
 )
-from gravshift.units import CONSTANTS, kilograms, potential_m2_s2
+from gravshift.units import CONSTANTS, Dimension, kilograms, potential_m2_s2
 
 import oracles
 
-ELECTRON = CONSTANTS.m_electron
+ELECTRON = kilograms(CONSTANTS.m_electron)
 PHI_ZERO = potential_m2_s2(0.0)
 PHI_EARTH = potential_m2_s2(oracles.point_mass_potential(oracles.M_EARTH, oracles.R_EARTH))
 PHI_SUN = potential_m2_s2(oracles.point_mass_potential(oracles.M_SUN, oracles.R_SUN))
@@ -147,7 +147,7 @@ class TestQuantumState:
 class TestLevelEnergy:
     def test_ground_state(self):
         e = level_energy(GROUND, M_FREE)
-        e_ev = float(e / CONSTANTS.eV)
+        e_ev = e.value / CONSTANTS.eV
         assert e_ev == pytest.approx(
             oracles.level_energy_direct(1, 1, 0.5, oracles.M_ELECTRON) / oracles.EV,
             rel=1e-12,
@@ -157,12 +157,15 @@ class TestLevelEnergy:
         assert e.value == pytest.approx(rydberg * (1.0 + oracles.ALPHA**2 / 4.0), rel=1e-12)
         assert e_ev == pytest.approx(13.6059, rel=1e-5)
 
+    def test_tagged_as_an_energy(self):
+        assert level_energy(GROUND, M_FREE).dim == Dimension(mass=1, length=2, time=-2)
+
     def test_n2_fine_structure_splitting(self):
-        split = level_energy(S2_HALF, M_FREE) - level_energy(S2_THREEHALF, M_FREE)
+        split = level_energy(S2_HALF, M_FREE).value - level_energy(S2_THREEHALF, M_FREE).value
         expected = oracles.fine_structure_splitting_direct(1, 2, 0.5, 1.5, oracles.M_ELECTRON)
-        assert split.value == pytest.approx(expected, rel=1e-9)
-        assert split.value / oracles.EV == pytest.approx(4.53e-5, rel=5e-3)
-        assert split.value / oracles.H == pytest.approx(10.95e9, rel=5e-4)
+        assert split == pytest.approx(expected, rel=1e-9)
+        assert split / oracles.EV == pytest.approx(4.53e-5, rel=5e-3)
+        assert split / oracles.H == pytest.approx(10.95e9, rel=5e-4)
 
     def test_linear_in_effective_mass(self):
         half = effective_mass(kilograms(oracles.M_ELECTRON / 2.0), PHI_ZERO)
@@ -196,6 +199,9 @@ class TestTransitionFrequency:
         ) / oracles.H
         assert nu.value == pytest.approx(expected, rel=1e-12)
         assert nu.value == pytest.approx(2.466e15, rel=1e-3)
+
+    def test_tagged_as_a_frequency(self):
+        assert transition_frequency(S2_HALF, GROUND, M_FREE).dim == Dimension(time=-1)
 
     def test_same_state_rejected(self):
         with pytest.raises(DomainError):
@@ -240,6 +246,17 @@ class TestFractionalShift:
         shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, low, high)
         exact, scale = oracles.fractional_shift_exact(
             [(oracles.M_EARTH, oracles.R_EARTH + 1.0, oracles.R_EARTH + (1.0 + obs_alt))])
+        assert abs(shift - exact) <= 8 * math.ulp(scale)
+
+    @pytest.mark.parametrize("r_emit, r_obs", [(1e308, 1.0), (1.0, 1e308), (1e300, 1e16)])
+    def test_feeble_body_far_away_keeps_its_shift(self, r_emit, r_obs):
+        # G*M/c^2 = 1e-300 m: mu/1e308 m underflows to 0, the shift does not
+        feeble = CelestialBody("feeble", 1e-300 * oracles.C2 / oracles.G, 1.0)
+        shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT,
+                                 FieldPoint("emit", [(feeble, r_emit)]),
+                                 FieldPoint("obs", [(feeble, r_obs)]))
+        exact, scale = oracles.fractional_shift_exact([(feeble.mass_kg, r_emit, r_obs)])
+        assert shift != 0.0
         assert abs(shift - exact) <= 8 * math.ulp(scale)
 
     def test_double_effect_is_exactly_twice(self, earth, earth_surface):
@@ -288,7 +305,7 @@ class TestLinearityTheorem:
         nu_free = transition_frequency(upper, state, M_FREE).value
         nu_shifted = transition_frequency(upper, state, m_shifted).value
         measured = (nu_shifted - nu_free) / nu_free
-        assert measured == pytest.approx(float(phi / CONSTANTS.c_squared), rel=1e-12)
+        assert measured == pytest.approx(phi.value / CONSTANTS.c_squared, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(state=state_strategy(), x=ratio_strategy())
@@ -297,7 +314,7 @@ class TestLinearityTheorem:
         e_free = level_energy(state, M_FREE).value
         e_shifted = level_energy(state, effective_mass(ELECTRON, phi)).value
         measured = (e_shifted - e_free) / e_free
-        assert measured == pytest.approx(float(phi / CONSTANTS.c_squared), rel=1e-12)
+        assert measured == pytest.approx(phi.value / CONSTANTS.c_squared, rel=1e-12)
 
 
 class TestEmitter:
@@ -315,7 +332,7 @@ class TestEmitter:
         deep = transition_frequency(S2_HALF, GROUND, effective_mass(nucleon, PHI_EARTH))
         assert deep < free
         assert (deep.value - free.value) / free.value == pytest.approx(
-            float(PHI_EARTH / CONSTANTS.c_squared), rel=1e-6)
+            PHI_EARTH.value / CONSTANTS.c_squared, rel=1e-6)
 
     def test_rejects_non_positive_mass(self):
         with pytest.raises(DomainError):
@@ -331,7 +348,7 @@ class TestEmitter:
     def test_smallest_normal_mass_keeps_the_shift(self):
         rest = kilograms(2.3e-308)
         ratio = effective_mass(rest, PHI_SUN).value / rest.value
-        assert ratio - 1.0 == pytest.approx(float(PHI_SUN / CONSTANTS.c_squared), rel=1e-6)
+        assert ratio - 1.0 == pytest.approx(PHI_SUN.value / CONSTANTS.c_squared, rel=1e-6)
 
     def test_overflowing_level_energy_is_named(self):
         with pytest.raises(DomainError, match="level energy of .* overflows"):
