@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -36,7 +37,7 @@ from .spectra import (
     level_energy,
     states_for_n,
 )
-from .units import CONSTANTS, kilograms, potential_m2_s2
+from .units import CONSTANTS, MASS, POTENTIAL, Quantity
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -46,8 +47,6 @@ MAX_SWEEP_RAYS = 10_000
 #: Most states one spectrum lists (about --n-range 1:446, seconds of work); a
 #: range above it is refused before any state is built.
 MAX_STATES = 100_000
-
-_MODEL_NAMES = {m.value: m for m in ShiftModel}
 
 
 def _fmt(x: float) -> str:
@@ -150,7 +149,7 @@ def _add_format(parser, default: str) -> None:
 
 
 def _cmd_constants(args) -> int:
-    print(_format_json(CONSTANTS.as_si_dict()))
+    print(_format_json(dataclasses.asdict(CONSTANTS)))
     return EXIT_OK
 
 
@@ -205,11 +204,11 @@ def _cmd_spectrum(args) -> int:
     states = _parse_states(args)
     if not math.isfinite(args.emitter_mass_kg):
         raise DomainError("emitter rest mass must be finite")
-    rest_mass = kilograms(args.emitter_mass_kg)
+    rest_mass = Quantity(args.emitter_mass_kg, MASS)
     if args.at:
         phi = potential(parse_point_spec(args.at, load_bodies(args.bodies)))
     else:
-        phi = potential_m2_s2(0.0)
+        phi = Quantity(0.0, POTENTIAL)
     m_eff = effective_mass(rest_mass, phi)
     # E is linear in the mass, so every level moves by -dm/m = phi/c^2 of itself
     shift = phi.value / CONSTANTS.c_squared
@@ -249,7 +248,7 @@ def _cmd_shift(args) -> int:
     bodies = load_bodies(args.bodies)
     emit = _shift_point(args, "emit", bodies)
     obs = _shift_point(args, "obs", bodies)
-    shift = fractional_shift(_MODEL_NAMES[args.model], emit, obs)
+    shift = fractional_shift(ShiftModel(args.model), emit, obs)
     _emit_record({
         "model": args.model,
         "phi_emit_m2_s2": potential(emit).value,
@@ -388,7 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift", parents=[with_bodies],
                        help="fractional line shift between two points")
-    p.add_argument("--model", choices=sorted(_MODEL_NAMES), required=True)
+    p.add_argument("--model", choices=sorted(m.value for m in ShiftModel), required=True,
+                   help="shift model; each prints the first-order shift (phi_emit - "
+                        "phi_obs)/c^2, doubled for 'double'.  The emitter model's exact "
+                        "ratio nu_emit/nu_obs - 1, which spectrum implies, divides it by "
+                        "1 + phi_obs/c^2: 1.06e-8 relative at the Snider points")
     p.add_argument("--body", help="body for --emit-alt/--obs-alt/--*-r-m forms")
     p.add_argument("--emit", metavar="SPEC", help="emission point spec")
     p.add_argument("--obs", metavar="SPEC", help="observation point spec")

@@ -46,6 +46,7 @@ the same way.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.integrate import solve_ivp
@@ -133,6 +134,12 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
     # p scales with the bend 2*mu/b, K with its square; a scalar atol would
     # swamp them (earth's whole p_y is about 1.4e-9)
     bend = 2.0 * mu / sy
+    if bend < sys.float_info.min:
+        # a subnormal bend keeps too few bits to meet tol * |bend|
+        raise DomainError(
+            f"bend {bend:g} rad is below the smallest normal float "
+            f"({sys.float_info.min:g}); it would be lost to rounding"
+        )
     atol = rel_tol * 1e-3
     # below a bend of about 1e-150 atol * bend^2 underflows, and a zero
     # tolerance on K (which starts at 0) makes every step NaN: the solve never ends
@@ -188,6 +195,8 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
     when the periapsis lies below (1 - IMPACT_MARGIN) * radius.  A start on
     or inside the body is refused the same way: there b <= radius/factor, and
     the periapsis b - mu*(1 - 1/factor) lies below b, or is 0 once mu overflows.
+    A bend 2*mu/b below the smallest normal float raises DomainError: it keeps
+    too few bits for the error bar.
     """
     b = float(impact_parameter_m)
     if not math.isfinite(b):

@@ -183,6 +183,9 @@ def fractional_shift(model: ShiftModel, emit: FieldPoint, obs: FieldPoint) -> fl
 
     Both single-locus models predict (phi_emit - phi_obs)/c^2; the double
     effect is their arithmetic sum.  Negative = red shift (emitter deeper).
+    The shift is first order: with x = phi/c^2, the emitter model's exact
+    ratio of the level frequencies at the two points, less 1, is
+    (x_emit - x_obs)/(1 + x_obs), 1.06e-8 relative apart at the Snider points.
     The difference is summed body by body as mu*(r_emit - r_obs)/(r_emit*r_obs),
     so two nearly equal potentials are never subtracted; r_emit - r_obs is
     exact when the distances are within a factor 2 of each other.

@@ -20,7 +20,7 @@ factor -- internally everything is SI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
 
@@ -34,8 +34,6 @@ __all__ = [
     "POTENTIAL",
     "ensure_dimension",
     "weak_field_ratio",
-    "kilograms",
-    "potential_m2_s2",
 ]
 
 
@@ -131,17 +129,6 @@ def ensure_dimension(q: Quantity, dim: Dimension, label: str) -> None:
         raise DimensionError(f"{label} must have dimension {dim}, got {q.dim}")
 
 
-# -- factories ---------------------------------------------------------
-
-
-def kilograms(value: float) -> Quantity:
-    return Quantity(value, MASS)
-
-
-def potential_m2_s2(value: float) -> Quantity:
-    return Quantity(value, POTENTIAL)
-
-
 # -- constants ---------------------------------------------------------
 
 
@@ -173,18 +160,9 @@ class ConstantSet:
     m_electron: float
     eV: float
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not 0.0 < getattr(self, f.name) < math.inf:  # also refuses NaN
-                raise DomainError(f"constant {f.name} must be strictly positive and finite")
-
     @property
     def c_squared(self) -> float:
         return self.c * self.c
-
-    def as_si_dict(self) -> dict[str, float]:
-        """Flat mapping of constant name to SI value, for report emission."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 CONSTANTS = ConstantSet(

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,6 +24,8 @@ import oracles
 from test_public_surface import GOLDEN_STDOUT
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+README = Path(__file__).resolve().parent.parent / "README.md"
+SUBCOMMANDS = ["constants", "potential", "spectrum", "shift", "photon", "experiment"]
 
 
 def run_cli(argv, capsys):
@@ -111,7 +114,7 @@ class TestConstantsCommand:
         assert code == 0
         payload = json.loads(out)
         assert list(payload) == ["G", "c", "h", "hbar", "alpha", "m_electron", "eV"]
-        assert payload == CONSTANTS.as_si_dict()
+        assert payload == dataclasses.asdict(CONSTANTS)
 
     def test_seventeen_digit_round_trip(self, capsys):
         _, out, _ = run_cli(["constants"], capsys)
@@ -227,6 +230,24 @@ class TestShiftCommand:
         assert code == 0
         assert_exact_shift(parse_record(out, fmt)["fractional_shift"], model,
                            *shift_points(argv))
+
+    def test_printed_shift_is_first_order_in_the_observer_potential(self, capsys):
+        # the exact ratio nu_e/nu_o - 1 = (x_e - x_o)/(1 + x_o) that spectrum
+        # implies, x = phi/c^2, differs from the printed x_e - x_o by x_o of itself
+        emit, obs = f"sun:0+earth:r={oracles.AU}", f"sun:r={oracles.AU}+earth:0"
+        _, out, _ = run_cli(["shift", "--model", "emitter", "--emit", emit, "--obs", obs,
+                             "--format", "json"], capsys)
+        record = json.loads(out)
+        nu = {}
+        for side, spec in (("emit", emit), ("obs", obs)):
+            _, out, _ = run_cli(["spectrum", "--n-range", "1:1", "--at", spec,
+                                 "--format", "json"], capsys)
+            [row] = json.loads(out)
+            nu[side] = Fraction(row["nu_Hz"])
+        ratio = nu["emit"] / nu["obs"]
+        relative = (Fraction(record["fractional_shift"]) - ratio + 1) / (ratio - 1)
+        assert float(relative) == pytest.approx(
+            record["phi_obs_m2_s2"] / oracles.C2, abs=2e-10)
 
     def test_conflicting_point_flags_rejected(self, capsys):
         code, _, err = run_cli(
@@ -442,6 +463,20 @@ class TestPhotonCommand:
         assert code == 1
         assert out == ""
         assert err == f"error: ray impacted body '{body}' (closest approach 0.000000e+00 m)\n"
+
+    @pytest.mark.parametrize("mu", [1e-320, 1e-315, 1.1e-308])
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-12"])
+    def test_subnormal_bend_exits_one(self, tmp_path, capsys, mu, tol):
+        # a 1 m body of G*M/c^2 = mu traced at b = 1 m bends by 2*mu, a
+        # subnormal; at 1e-320 the printed deflection was 0.07% off at tol 1e-12
+        path = tmp_path / "bodies.json"
+        path.write_text(json.dumps(
+            [{"name": "feeble", "mass_kg": mu * oracles.C2 / oracles.G, "radius_m": 1.0}]))
+        code, out, err = run_cli(["photon", "--bodies", str(path), "--body", "feeble",
+                                  "--b-m", "1", "--tol", tol], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bend ") and err.endswith("lost to rounding\n")
 
     @pytest.mark.parametrize("count", ["10001", "1000000000000000000000"])
     def test_sweep_count_is_capped(self, capsys, count):
@@ -731,6 +766,25 @@ class TestUsageErrors:
             main(["shift", "--model", "quintuple", "--body", "earth",
                   "--emit-alt", "0", "--obs-alt", "1"])
         assert err.value.code == 2
+
+
+class TestDocumentation:
+    @pytest.mark.parametrize("argv", [[], *([name] for name in SUBCOMMANDS)],
+                             ids=["gravshift", *SUBCOMMANDS])
+    def test_help_exits_zero_with_text(self, capsys, argv):
+        # argparse expands '%' in help text only when it prints the help
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip()
+
+    def test_readme_examples_match_golden_stdout(self):
+        examples = re.findall(r"```console\n\$ gravshift ([^\n]*)\n(.*?)```",
+                              README.read_text(encoding="utf-8"), re.S)
+        assert [argv.split()[0] for argv, _ in examples] == \
+            [name for name in SUBCOMMANDS if name != "photon"]
+        for argv, out in examples:
+            assert out == GOLDEN_STDOUT[argv], argv
 
 
 KERBIN = {"name": "kerbin", "mass_kg": 5.2915158e22, "radius_m": 6e5}

@@ -250,12 +250,12 @@ class TestTraceRay:
             result = trace_ray(body, b, factor, tol)
             assert abs(result.deflection_rad - reference) <= tol * abs(reference)
 
-    @pytest.mark.parametrize("x", [1e-155, 1e-200, 1e-300])
+    @pytest.mark.parametrize("x", [1e-155, 1e-200, 1e-300, 1.12e-308])
     @pytest.mark.parametrize("tol", [1e-6, 1e-12])
     def test_feeble_body_keeps_the_error_bar(self, x, tol):
         # a 1 m body of G*M/(R*c^2) = x: below a bend of about 1e-150 the
         # tolerance of the time-excess component underflowed to 0, and the
-        # solve never ended
+        # solve never ended; the bend 2.24e-308 of the last is just normal
         body = CelestialBody("feeble", x * oracles.C2 / oracles.G, 1.0)
         expected, _, excess = oracles.bent_ray_closed_form(body.mu / oracles.C2, 1.0, 200.0)
         result = trace_ray(body, 1.0, 200.0, tol)

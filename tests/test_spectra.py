@@ -14,9 +14,18 @@ from gravshift.spectra import (
     states_for_n,
     transition_frequency,
 )
-from gravshift.units import CONSTANTS, Dimension, kilograms, potential_m2_s2
+from gravshift.units import CONSTANTS, MASS, POTENTIAL, Dimension, Quantity
 
 import oracles
+
+
+def kilograms(value):
+    return Quantity(value, MASS)
+
+
+def potential_m2_s2(value):
+    return Quantity(value, POTENTIAL)
+
 
 ELECTRON = kilograms(CONSTANTS.m_electron)
 PHI_ZERO = potential_m2_s2(0.0)

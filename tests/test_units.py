@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,11 +15,11 @@ from gravshift.units import (
 
 class TestConstants:
     def test_all_strictly_positive(self):
-        for value in CONSTANTS.as_si_dict().values():
+        for value in dataclasses.asdict(CONSTANTS).values():
             assert value > 0.0
 
     def test_codata_values(self):
-        d = CONSTANTS.as_si_dict()
+        d = dataclasses.asdict(CONSTANTS)
         assert d["G"] == 6.67430e-11
         assert d["c"] == 299792458.0
         assert d["h"] == 6.62607015e-34
@@ -32,11 +31,6 @@ class TestConstants:
     def test_alpha_consistent_with_fine_structure_scale(self):
         # alpha is stored, not derived; sanity check it is the usual ~1/137
         assert CONSTANTS.alpha == pytest.approx(1.0 / 137.0359991, rel=1e-6)
-
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
-    def test_rejects_non_positive_or_non_finite(self, bad):
-        with pytest.raises(DomainError, match="constant G must be"):
-            dataclasses.replace(CONSTANTS, G=bad)
 
     def test_c_squared_is_c_times_c(self):
         assert CONSTANTS.c_squared == 299792458.0 * 299792458.0
