@@ -28,7 +28,7 @@ from .gravity import (
     lookup_body,
     potential,
 )
-from .photon import trace_ray
+from .photon import RayResult, trace_ray
 from .spectra import (
     QuantumState,
     ShiftModel,
@@ -168,7 +168,7 @@ def _cmd_potential(args) -> int:
 
 
 def _parse_states(args) -> list[QuantumState]:
-    if args.states:
+    if args.states is not None:
         states = []
         for chunk in args.states.split(","):
             np_txt, sep, j_txt = chunk.partition(":")
@@ -205,7 +205,7 @@ def _cmd_spectrum(args) -> int:
     if not math.isfinite(args.emitter_mass_kg):
         raise DomainError("emitter rest mass must be finite")
     rest_mass = Quantity(args.emitter_mass_kg, MASS)
-    if args.at:
+    if args.at is not None:
         phi = potential(parse_point_spec(args.at, load_bodies(args.bodies)))
     else:
         phi = Quantity(0.0, POTENTIAL)
@@ -258,18 +258,6 @@ def _cmd_shift(args) -> int:
     return EXIT_OK
 
 
-def _trace_record(body, b_m: float, args) -> dict:
-    result = trace_ray(body, b_m, args.term_factor, args.tol)
-    return {
-        "b_m": b_m,
-        "deflection_rad": result.deflection_rad,
-        "deflection_arcsec": result.deflection_arcsec,
-        "transit_time_s": result.transit_time_s,
-        "time_excess_s": result.time_excess_s,
-        "closest_approach_m": result.closest_approach_m,
-    }
-
-
 def _parse_sweep(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -288,28 +276,27 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
 def _cmd_photon(args) -> int:
     body = lookup_body(load_bodies(args.bodies), args.body)
     radius = body.radius_m
-    sweep = args.sweep_m or args.sweep_radii
-    if sweep:
+    sweep = args.sweep_m if args.sweep_m is not None else args.sweep_radii
+    if sweep is not None:
         lo, hi, count = _parse_sweep(sweep)
-        unit = 1.0 if args.sweep_m else radius
+        unit = 1.0 if args.sweep_m is not None else radius
         step = (hi - lo) / (count - 1)
         b_values = [(lo + i * step) * unit for i in range(count)]
         rows, refused = [], 0
         for b in b_values:
             try:
-                rows.append(_trace_record(body, b, args))
+                ray = trace_ray(body, b, args.term_factor, args.tol)
+                rows.append({"b_m": b, **dataclasses.asdict(ray)})
             except GravshiftError as exc:
                 # keep the rays that trace; name each refused b on stderr
                 print(f"error: b_m {_fmt(b)}: {exc}", file=sys.stderr)
                 refused += 1
-        columns = ["b_m", "deflection_rad", "deflection_arcsec", "transit_time_s",
-                   "time_excess_s", "closest_approach_m"]
+        columns = ["b_m", *(f.name for f in dataclasses.fields(RayResult))]
         _emit_rows(columns, rows, args.format)
         return EXIT_FAILURE if refused else EXIT_OK
     b_m = args.b_m if args.b_m is not None else args.b_radii * radius
-    record = _trace_record(body, b_m, args)
-    del record["b_m"]
-    _emit_record(record, args.format)
+    ray = trace_ray(body, b_m, args.term_factor, args.tol)
+    _emit_record(dataclasses.asdict(ray), args.format)
     return EXIT_OK
 
 

@@ -64,16 +64,17 @@ IMPACT_MARGIN = 1e-5
 
 @dataclass(frozen=True)
 class RayResult:
-    """Outcome of one trace.
+    """Outcome of one trace: one field per value `gravshift photon` prints.
 
     deflection_rad is the signed angle from the incoming direction to the
     direction where the ray crosses the termination circle: the bend inside
     that circle, not the asymptotic bend.  It falls short of the asymptotic
     2*mu/b by about 1/(2*factor^2) relative, with factor = termination
-    radius / b: 0.50% at factor 10 and 1.25e-5 at factor 200.  Times are
-    seconds.  time_excess_s is integrated along the ray, not differenced
-    from two transit times, and is never negative because c' <= c; the
-    transit time is the straight-line vacuum time plus that excess.
+    radius / b: 0.50% at factor 10 and 1.25e-5 at factor 200.
+    deflection_arcsec is the same angle in arcseconds.  Times are seconds.
+    time_excess_s is integrated along the ray, not differenced from two
+    transit times, and is never negative because c' <= c; transit_time_s is
+    the vacuum time along the chord from start to exit plus that excess.
 
     closest_approach_m is the ray's least distance from the body's centre,
     from Bouguer's invariant; for a ray that strikes the body, an ImpactError
@@ -81,17 +82,10 @@ class RayResult:
     """
 
     deflection_rad: float
-    straight_line_time_s: float
+    deflection_arcsec: float
+    transit_time_s: float
     time_excess_s: float
     closest_approach_m: float
-
-    @property
-    def transit_time_s(self) -> float:
-        return self.straight_line_time_s + self.time_excess_s
-
-    @property
-    def deflection_arcsec(self) -> float:
-        return self.deflection_rad * RADIANS_TO_ARCSEC
 
 
 def _gap(par: float, perp: float, norm: float) -> float:
@@ -167,10 +161,12 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
     chord = math.hypot(chord_x, chord_y)
     gap = _gap(chord_x, chord_y, chord)
     seconds_per_unit = scale / CONSTANTS.c
+    excess = (e + k - gap) * seconds_per_unit
     return RayResult(
         deflection_rad=deflection,
-        straight_line_time_s=chord * seconds_per_unit,
-        time_excess_s=(e + k - gap) * seconds_per_unit,
+        deflection_arcsec=deflection * RADIANS_TO_ARCSEC,
+        transit_time_s=chord * seconds_per_unit + excess,
+        time_excess_s=excess,
         closest_approach_m=r_min * scale,
     )
 

@@ -142,3 +142,11 @@ def bent_ray_closed_form(mu_m: float, b_m: float, r_m: float) -> tuple[float, fl
                    + mu_m * math.acosh(u / ell)
                    + mu_m ** 2 / ell * (math.pi / 2.0 - math.asin(a) - delta / 2.0))
     return delta, ell - mu_m, 2.0 * half_excess / C
+
+
+def chord_time(b_m: float, r_m: float, delta: float) -> float:
+    """Vacuum time (s) along the chord of a ray that enters the circle of
+    radius R parallel to +x at height b and leaves it bent by delta.  Both
+    ends lie on the circle, at polar angles pi - asin(b/R) and asin(b/R) +
+    delta, so the chord is 2*R*cos(asin(b/R) + delta/2)."""
+    return 2.0 * r_m * math.cos(math.asin(b_m / r_m) + delta / 2.0) / C

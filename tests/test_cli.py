@@ -489,25 +489,48 @@ class TestPhotonCommand:
 
     @pytest.mark.parametrize("name", ["sun", "earth"])
     @pytest.mark.parametrize("tol", ["1e-6", "1e-10"])
-    def test_sweep_rows_match_closed_form(self, capsys, name, tol):
+    @pytest.mark.parametrize("factor", ["10", "200"])
+    def test_sweep_rows_match_closed_form(self, capsys, name, tol, factor):
         # every printed number against the closed-form ray inside the
-        # termination circle, 200 b by default
+        # termination circle, factor * b
         mass = {"sun": oracles.M_SUN, "earth": oracles.M_EARTH}[name]
         mu = oracles.G * mass / oracles.C2
         code, out, _ = run_cli(
             ["photon", "--body", name, "--sweep-radii", "1:20:5", "--tol", tol,
-             "--format", "json"], capsys)
+             "--term-factor", factor, "--format", "json"], capsys)
         assert code == 0
         rows = json.loads(out)
         assert len(rows) == 5
         for row in rows:
             b = row["b_m"]
-            delta, r_min, excess = oracles.bent_ray_closed_form(mu, b, 200.0 * b)
+            r_term = float(factor) * b
+            delta, r_min, excess = oracles.bent_ray_closed_form(mu, b, r_term)
             assert abs(row["deflection_rad"] - delta) <= float(tol) * abs(delta)
             assert row["deflection_arcsec"] == pytest.approx(
                 row["deflection_rad"] * 206264.80624709636, rel=1e-12)
             assert row["closest_approach_m"] == pytest.approx(r_min, rel=1e-9)
             assert row["time_excess_s"] == pytest.approx(excess, rel=1e-5)
+            transit = oracles.chord_time(b, r_term, delta) + excess
+            assert abs(row["transit_time_s"] - transit) <= \
+                8 * math.ulp(transit) + float(tol) * excess
+
+    @pytest.mark.parametrize("fmt, header", [
+        ("csv", "b_m,deflection_rad,deflection_arcsec,transit_time_s,time_excess_s,"
+                "closest_approach_m\n"),
+        ("text", "b_m  deflection_rad  deflection_arcsec  transit_time_s  time_excess_s  "
+                 "closest_approach_m\n"),
+        ("json", "[]\n"),
+    ])
+    def test_sweep_with_every_ray_refused_prints_the_header_alone(self, capsys, fmt, header):
+        code, out, err = run_cli(
+            ["photon", "--body", "earth", "--sweep-radii", "0.1:0.2:2", "--format", fmt],
+            capsys)
+        assert code == 1
+        assert out == header
+        lines = err.splitlines()
+        assert len(lines) == 2
+        for line, b in zip(lines, (0.1 * oracles.R_EARTH, 0.2 * oracles.R_EARTH)):
+            assert line.startswith(f"error: b_m {b:.17g}: ray impacted body 'earth'")
 
     @pytest.mark.parametrize("factor", ["1000", "1e9"])
     def test_term_factor_above_200_exits_one(self, capsys, factor):
@@ -748,6 +771,24 @@ class TestExtremeArguments:
         assert code == 1
         assert out == ""
         assert text in err
+
+    @pytest.mark.parametrize("argv, err_text", [
+        (["spectrum", "--n-range", "1:1", "--at", ""],
+         "error: bad point spec '': expected 'body:ALT_m' or 'body:r=R_m'\n"),
+        (["spectrum", "--states", ""],
+         "error: bad state '': expected N_PRIME:J (e.g. 0:1/2)\n"),
+        (["photon", "--body", "sun", "--sweep-m", ""],
+         "error: bad sweep '': expected MIN:MAX:COUNT\n"),
+        (["photon", "--body", "sun", "--sweep-radii", ""],
+         "error: bad sweep '': expected MIN:MAX:COUNT\n"),
+    ], ids=["spectrum-at", "spectrum-states", "photon-sweep-m", "photon-sweep-radii"])
+    def test_empty_flag_value_is_refused(self, capsys, argv, err_text):
+        # an empty value is a given value, not an absent one: no fallback to
+        # the free emitter or the n range, and no traceback
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == err_text
 
 
 class TestUsageErrors:

@@ -174,8 +174,9 @@ class TestTraceRay:
     def test_transit_time_never_undercuts_straight_line(self, sun):
         for b in (oracles.R_SUN, 3.0 * oracles.R_SUN):
             result = trace_ray(sun, b, 200.0, 1e-9)
+            delta, _, _ = oracles.bent_ray_closed_form(oracles.MU_SUN, b, 200.0 * b)
             assert result.time_excess_s >= 0.0
-            assert result.transit_time_s >= result.straight_line_time_s
+            assert result.transit_time_s > oracles.chord_time(b, 200.0 * b, delta)
             assert type(result.transit_time_s) is float
             assert type(result.closest_approach_m) is float
 
