@@ -64,11 +64,7 @@ def _format_json(obj, indent: int = 0) -> str:
         return str(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if obj is None:
-        return "null"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [f"{inner}{json.dumps(str(k))}: {_format_json(v, indent + 1)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
@@ -305,27 +301,12 @@ def _cmd_experiment(args) -> int:
     summary = experiments_mod.double_effect_verdict(records, args.threshold)
     code = EXIT_OK if summary.single_models_consistent and summary.double_effect_excluded \
         else EXIT_FAILURE
-    rows = [{
-        "experiment": r.experiment,
-        "model": r.model.value,
-        "predicted_shift": r.predicted_shift,
-        "ratio": r.ratio,
-        "ratio_uncertainty": r.ratio_uncertainty,
-        "sigma": r.sigma,
-        "verdict": "excluded" if r.excluded else "consistent",
-    } for r in summary.reports]
     if args.report == "json":
-        print(_format_json({
-            "threshold": args.threshold,
-            "reports": rows,
-            "single_models_consistent": summary.single_models_consistent,
-            "double_effect_excluded": summary.double_effect_excluded,
-            "exit_code": code,
-        }))
+        print(_format_json({"threshold": args.threshold, **dataclasses.asdict(summary),
+                            "exit_code": code}))
     else:
-        columns = ["experiment", "model", "predicted_shift", "ratio",
-                   "ratio_uncertainty", "sigma", "verdict"]
-        _emit_rows(columns, rows, "text")
+        _emit_rows([f.name for f in dataclasses.fields(experiments_mod.ComparisonReport)],
+                   [dataclasses.asdict(r) for r in summary.reports], "text")
         print()
         print(f"single-locus models consistent: {'yes' if summary.single_models_consistent else 'no'}")
         excl = "EXCLUDED" if summary.double_effect_excluded else "not excluded"

@@ -25,10 +25,13 @@ def data_file(name: str) -> Traversable:
 
 def read_records(path: str | Path | Traversable, registry: str, entry: str,
                  fields: tuple[str, ...]) -> Iterator[tuple[str, dict]]:
-    """Yield (location, object) for each record of a registry file; a read
-    error, a non-array, a record that is no object, lacks ``name`` or one of
+    """Yield (location, object) for each record of a registry file; an empty
+    path (which ``Path`` reads as the current directory), a read error, a
+    non-array, a record that is no object, lacks ``name`` or one of
     ``fields`` or has a name that is no string or is repeated is refused."""
     if isinstance(path, str):
+        if not path:
+            raise RegistryError(f"bad {registry} path ''")
         path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))

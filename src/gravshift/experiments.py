@@ -72,17 +72,24 @@ class ExperimentRecord:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """One printed row of ``gravshift experiment``: a record against a model,
+    one field per column, in print order; ``model`` is the model's name and
+    ``verdict`` is "excluded" or "consistent"."""
+
     experiment: str
-    model: ShiftModel
+    model: str
     predicted_shift: float
     ratio: float
     ratio_uncertainty: float
     sigma: float
-    excluded: bool
+    verdict: str
 
 
 @dataclass(frozen=True)
 class ComparisonSummary:
+    """The printed body of ``gravshift experiment``: every row, then the two
+    verdicts the exit code is read from."""
+
     reports: tuple[ComparisonReport, ...]
     single_models_consistent: bool
     double_effect_excluded: bool
@@ -111,19 +118,20 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
             sigma = abs(ratio - 1.0) / unc
             reports.append(ComparisonReport(
                 experiment=record.name,
-                model=model,
+                model=model.value,
                 predicted_shift=predicted,
                 ratio=ratio,
                 ratio_uncertainty=unc,
                 sigma=sigma,
-                excluded=sigma > threshold,
+                verdict="excluded" if sigma > threshold else "consistent",
             ))
+    double = ShiftModel.DOUBLE_EFFECT.value
     return ComparisonSummary(
         reports=tuple(reports),
         single_models_consistent=not any(
-            r.excluded for r in reports if r.model is not ShiftModel.DOUBLE_EFFECT),
+            r.verdict == "excluded" for r in reports if r.model != double),
         double_effect_excluded=any(
-            r.excluded for r in reports if r.model is ShiftModel.DOUBLE_EFFECT),
+            r.verdict == "excluded" for r in reports if r.model == double),
     )
 
 

@@ -132,20 +132,25 @@ def _specific_level_energy(state: QuantumState) -> float:
     return (a2 * CONSTANTS.c ** 2 / 2.0) * (z2 / (n * n)) * bracket
 
 
-def level_energy(state: QuantumState, m_eff: Quantity) -> Quantity:
-    """Positive binding energy of the state at the given effective mass.
-
-    Refused where E is not a normal float, whose shift would be lost to
-    rounding, and where E/h overflows, so the energy converts to a finite
-    frequency and, as h < 1 eV, to a finite value in eV.
-    """
-    ensure_dimension(m_eff, MASS, "m_eff")
-    k = _specific_level_energy(state)
-    energy = m_eff.value * k
+def _energy(mass: float, k: float, what: str, *states: QuantumState) -> float:
+    """E = mass*k, refused where E is not a normal float, whose shift would
+    be lost to rounding, and where E/h overflows, so the energy converts to a
+    finite frequency and, as h < 1 eV, to a finite value in eV.  The message
+    names ``what`` of ``states``, labelled only on refusal."""
+    energy = mass * k
     if energy < sys.float_info.min or not math.isfinite(energy / CONSTANTS.h):
         flow = "underflows" if energy < sys.float_info.min else "overflows"
-        raise DomainError(f"level energy of {state.label()} {flow} at mass {m_eff.value:g} "
-                          "kg: E must be a normal float and E/h finite")
+        raise DomainError(f"{what} of {' -> '.join(s.label() for s in states)} {flow} at "
+                          f"mass {mass:g} kg: E must be a normal float and E/h finite")
+    return energy
+
+
+def level_energy(state: QuantumState, m_eff: Quantity) -> Quantity:
+    """Positive binding energy of the state at the given effective mass;
+    refused where it is not a normal float or its frequency overflows."""
+    ensure_dimension(m_eff, MASS, "m_eff")
+    k = _specific_level_energy(state)
+    _energy(m_eff.value, k, "level energy", state)
     return m_eff * Quantity(k, POTENTIAL)
 
 
@@ -154,7 +159,8 @@ def transition_frequency(s_upper: QuantumState, s_lower: QuantumState,
     """Photon frequency nu = (E_b(lower) - E_b(upper))/h for a downward jump.
 
     The lower state must bind more deeply than the upper one, and both must
-    share the nuclear charge Z.
+    share the nuclear charge Z.  The photon energy is refused where a level
+    energy would be: below the smallest normal float or with nu overflowing.
     """
     ensure_dimension(m_eff, MASS, "m_eff")
     if s_upper.Z != s_lower.Z:
@@ -167,7 +173,8 @@ def transition_frequency(s_upper: QuantumState, s_lower: QuantumState,
             "non-positive photon energy: the lower state must bind more deeply "
             f"({s_lower.label()} vs {s_upper.label()})"
         )
-    return Quantity(m_eff.value * dk / CONSTANTS.h, Dimension(time=-1))
+    energy = _energy(m_eff.value, dk, "photon energy", s_upper, s_lower)
+    return Quantity(energy / CONSTANTS.h, Dimension(time=-1))
 
 
 class ShiftModel(enum.Enum):

@@ -781,14 +781,35 @@ class TestExtremeArguments:
          "error: bad sweep '': expected MIN:MAX:COUNT\n"),
         (["photon", "--body", "sun", "--sweep-radii", ""],
          "error: bad sweep '': expected MIN:MAX:COUNT\n"),
-    ], ids=["spectrum-at", "spectrum-states", "photon-sweep-m", "photon-sweep-radii"])
+        (["potential", "--at", "earth:0", "--bodies", ""],
+         "error: bad body registry path ''\n"),
+        (["experiment", "--registry", ""],
+         "error: bad experiment registry path ''\n"),
+    ], ids=["spectrum-at", "spectrum-states", "photon-sweep-m", "photon-sweep-radii",
+            "potential-bodies", "experiment-registry"])
     def test_empty_flag_value_is_refused(self, capsys, argv, err_text):
         # an empty value is a given value, not an absent one: no fallback to
-        # the free emitter or the n range, and no traceback
+        # the free emitter, the n range or the current directory, and no traceback
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
         assert err == err_text
+
+    @pytest.mark.parametrize("argv, err_text", [
+        (["potential", "--at", "earth:abc"], "bad distance in point spec 'earth:abc'"),
+        (["spectrum", "--n-range", "x:y"], "bad --n-range 'x:y': expected LO:HI"),
+        (["spectrum", "--n-range", "3:1"], "bad --n-range '3:1'"),
+        (["spectrum", "--n-range", "0:2"], "bad --n-range '0:2'"),
+        (["shift", "--model", "emitter", "--emit-alt", "0", "--obs-alt", "1"],
+         "--emit-alt/--emit-r-m need --body"),
+        (["photon", "--body", "sun", "--sweep-m", "a:b:c"], "bad sweep 'a:b:c'"),
+    ], ids=["potential-at", "spectrum-n-range-text", "spectrum-n-range-reversed",
+            "spectrum-n-range-zero", "shift-alt-without-body", "photon-sweep-text"])
+    def test_malformed_flag_value_is_refused(self, capsys, argv, err_text):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {err_text}\n"
 
 
 class TestUsageErrors:

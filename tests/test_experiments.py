@@ -52,7 +52,7 @@ def tower_record(earth, height, measured_ratio, ratio_uncertainty=0.1):
 
 def reports(record):
     """The rows of the one record against each model at 5 sigma, keyed by model."""
-    return {r.model: r for r in double_effect_verdict([record], 5.0).reports}
+    return {ShiftModel(r.model): r for r in double_effect_verdict([record], 5.0).reports}
 
 
 def predictions(record):
@@ -147,6 +147,24 @@ class TestLoadRegistry:
         with pytest.raises(RegistryError, match="spiral"):
             load_registry(path, bodies)
 
+    @pytest.mark.parametrize("entries, reason", [
+        ({"name": "bad"}, "expected a JSON array of objects"),
+        ([1], "record #0: expected an object"),
+        ([entry("bad", 5)], "record #0 (bad): geometry must be an object with a 'type' field"),
+        ([entry("bad", {"type": "two_point", "emit": [{"body": "sun"}],
+                        "observe": [{"body": "sun", "r_m": 7e8}]})],
+         "record #0 (bad): geometry emit: expected an array of {body, r_m} objects"),
+        ([entry("bad", {"type": "tower", "body": "earth"})],
+         "record #0 (bad): missing geometry field 'height_m'"),
+        ([entry("", {"type": "tower", "body": "earth", "height_m": 10.0})],
+         "record #0 (): experiment name must be non-empty"),
+    ], ids=["object", "number-record", "number-geometry", "side-without-r_m",
+            "tower-without-height", "empty-name"])
+    def test_malformed_record_rejected(self, tmp_path, bodies, entries, reason):
+        path = write_registry(tmp_path, entries)
+        with pytest.raises(RegistryError, match=re.escape(f"{path}: {reason}")):
+            load_registry(path, bodies)
+
     def test_missing_field_rejected(self, tmp_path, bodies):
         path = write_registry(tmp_path, [{"name": "bad"}])
         with pytest.raises(RegistryError, match="geometry"):
@@ -203,7 +221,7 @@ class TestCompare:
         report = reports(by_name["pound-rebka-1960"])[ShiftModel.EMITTER_MASS_DEFECT]
         assert report.sigma == abs(1.05 - 1.0) / 0.10
         assert report.sigma == pytest.approx(0.5, rel=1e-12)
-        assert not report.excluded
+        assert report.verdict == "consistent"
 
     def test_pound_snider_double(self, by_name):
         report = reports(by_name["pound-snider-1965"])[ShiftModel.DOUBLE_EFFECT]
@@ -211,13 +229,13 @@ class TestCompare:
         assert report.ratio_uncertainty == 0.0038
         assert report.sigma == pytest.approx((1.0 - 0.4995) / 0.0038, rel=1e-12)
         assert report.sigma == pytest.approx(131.7, rel=1e-3)
-        assert report.excluded
+        assert report.verdict == "excluded"
 
     def test_snider_solar_emitter(self, by_name):
         report = reports(by_name["snider-solar-1972"])[ShiftModel.EMITTER_MASS_DEFECT]
         assert report.sigma == pytest.approx((1.01 - 1.0) / 0.06, rel=1e-12)
         assert report.sigma == pytest.approx(0.167, rel=3e-3)
-        assert not report.excluded
+        assert report.verdict == "consistent"
 
     @given(
         rho=st.floats(min_value=0.1, max_value=3.0),
@@ -296,13 +314,13 @@ class TestDoubleEffectVerdict:
     def test_shipped_registry_verdict(self, registry):
         summary = double_effect_verdict(registry, 5.0)
         assert [(r.experiment, r.model) for r in summary.reports] == [
-            (record.name, model) for record in registry for model in ShiftModel]
+            (record.name, model.value) for record in registry for model in ShiftModel]
         assert summary.single_models_consistent
         assert summary.double_effect_excluded
 
     def test_pound_rebka_alone_still_excludes(self, by_name):
         summary = double_effect_verdict([by_name["pound-rebka-1960"]], 5.0)
-        double = [r for r in summary.reports if r.model is ShiftModel.DOUBLE_EFFECT][0]
+        double = [r for r in summary.reports if r.model == ShiftModel.DOUBLE_EFFECT.value][0]
         assert double.sigma == pytest.approx((1.0 - 0.525) / 0.05, rel=1e-12)
         assert double.sigma == pytest.approx(9.5, rel=1e-12)
         assert summary.double_effect_excluded

@@ -232,6 +232,18 @@ class TestTransitionFrequency:
             == transition_frequency(S2_HALF, GROUND, M_FREE).value / 2.0
         )
 
+    @pytest.mark.parametrize("mass_kg", [2.3e-308, 1e-300])
+    def test_subnormal_photon_energy_rejected(self, mass_kg):
+        # m*dk is subnormal for neighbours near n = 1e7: at 2.3e-308 kg the
+        # earth-surface shift came out 0, at 1e-300 kg 2.9e-7 off phi/c^2
+        upper, lower = QuantumState(1, 10**7, 0.5), QuantumState(1, 10**7 - 1, 0.5)
+        with pytest.raises(DomainError, match="photon energy of .* underflows at mass"):
+            transition_frequency(upper, lower, kilograms(mass_kg))
+
+    def test_overflowing_frequency_is_named(self):
+        with pytest.raises(DomainError, match="photon energy of .* overflows at mass 1e"):
+            transition_frequency(S2_HALF, GROUND, kilograms(1e308))
+
 
 class TestFractionalShift:
     def test_equipotential_is_zero_for_every_model(self, earth):
