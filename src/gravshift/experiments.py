@@ -105,8 +105,9 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
     """
     if not records:
         raise ConfigurationError("experiment registry is empty")
-    if not threshold > 0.0:  # also refuses NaN, which every sigma would pass
-        raise ConfigurationError("exclusion threshold must be positive")
+    # NaN and infinity exclude nothing, and JSON has a token for neither
+    if not 0.0 < threshold < math.inf:
+        raise ConfigurationError("exclusion threshold must be positive and finite")
     reports = []
     for record in records:
         single = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, record.emit, record.observe)

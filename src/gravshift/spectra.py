@@ -149,9 +149,8 @@ def level_energy(state: QuantumState, m_eff: Quantity) -> Quantity:
     """Positive binding energy of the state at the given effective mass;
     refused where it is not a normal float or its frequency overflows."""
     ensure_dimension(m_eff, MASS, "m_eff")
-    k = _specific_level_energy(state)
-    _energy(m_eff.value, k, "level energy", state)
-    return m_eff * Quantity(k, POTENTIAL)
+    energy = _energy(m_eff.value, _specific_level_energy(state), "level energy", state)
+    return Quantity(energy, MASS * POTENTIAL)
 
 
 def transition_frequency(s_upper: QuantumState, s_lower: QuantumState,

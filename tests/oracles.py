@@ -16,6 +16,7 @@ G = 6.67430e-11
 C = 299792458.0
 C2 = C * C
 H = 6.62607015e-34
+HBAR = 1.054571817e-34
 ALPHA = 7.2973525693e-3
 M_ELECTRON = 9.1093837015e-31
 EV = 1.602176634e-19
@@ -35,10 +36,10 @@ def point_mass_potential(mass_kg: float, r_m: float) -> float:
     return -G * mass_kg / r_m
 
 
-def phi_over_c2_exact(mass_kg: float, r_m: float) -> float:
-    """phi/c^2 = -G*M/(r*c^2) of a point mass, evaluated in exact rationals
-    from the float inputs and rounded once, at the end."""
-    return float(-Fraction(G) * Fraction(mass_kg) / (Fraction(r_m) * Fraction(C) ** 2))
+def potential_exact(pairs) -> Fraction:
+    """phi = -sum G*M/r (m^2/s^2) over the (mass_kg, r_m) pairs of the bodies
+    acting at a point, in exact rationals from the float inputs, unrounded."""
+    return -sum((Fraction(G) * Fraction(mass) / Fraction(r) for mass, r in pairs), Fraction(0))
 
 
 def fractional_shift_exact(pairs) -> tuple[float, float]:
@@ -62,15 +63,11 @@ def level_energy_direct(Z: int, n: int, j: float, mass_kg: float) -> float:
     )
 
 
-def level_energy_exact(Z: int, n: int, j: float, mass_kg: float, pairs) -> Fraction:
+def level_energy_exact(Z: int, n: int, j: float, mass_kg: float, phi: Fraction) -> Fraction:
     """The binding energy of level_energy_direct (J) at the effective mass
-    m*(1 + phi/c^2), in exact rationals from the float inputs, unrounded.
-
-    ``pairs`` holds (mass_kg, r_m) for each body acting at the emitter, whose
-    potential is phi = -sum G*M/r; no pairs means phi = 0.
-    """
+    m*(1 + phi/c^2), in exact rationals from the float inputs, unrounded;
+    ``phi`` is the exact potential at the emitter (see potential_exact)."""
     alpha2, c2 = Fraction(ALPHA) ** 2, Fraction(C) ** 2
-    phi = -sum((Fraction(G) * Fraction(m) / Fraction(r) for m, r in pairs), Fraction(0))
     m_eff = Fraction(mass_kg) * (1 + phi / c2)
     bracket = 1 + alpha2 * Z**2 / n * (1 / (Fraction(j) + Fraction(1, 2)) - Fraction(3, 4 * n))
     return alpha2 * m_eff * c2 / 2 * Fraction(Z**2, n**2) * bracket

@@ -1,6 +1,4 @@
 import contextlib
-import csv
-import dataclasses
 import io
 import json
 import math
@@ -18,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from gravshift import cli
 from gravshift.cli import main
 from gravshift.data import data_file
-from gravshift.units import CONSTANTS
 
 import oracles
+from printed_columns import check_stdout, parse_stdout
 from test_public_surface import GOLDEN_STDOUT
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -34,62 +32,9 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def parse_csv(text):
-    return list(csv.DictReader(io.StringIO(text)))
-
-
-def parse_table(text, fmt):
-    """The rows of a table printed in any --format, as {column: value}."""
-    if fmt == "json":
-        return json.loads(text)
-    if fmt == "csv":
-        return parse_csv(text)
-    header, *lines = (line.split() for line in text.splitlines())
-    return [dict(zip(header, line)) for line in lines]
-
-
-def parse_record(text, fmt):
-    """A single record printed in any --format, as {key: value}."""
-    if fmt == "text":
-        return dict(line.split() for line in text.splitlines())
-    return parse_table(text, fmt)[0] if fmt == "csv" else json.loads(text)
-
-
-def spec_distances(spec, bodies=oracles.MASS_RADIUS):
-    """{body: distance in m} of a point spec, formed from the float distance
-    or altitude the way the CLI forms it."""
-    distances = {}
-    # a '+' starts the next part only where a body name follows it
-    for part in re.split(r"\+(?=[A-Za-z_])", spec):
-        name, _, rest = part.partition(":")
-        distances[name] = float(rest[2:]) if rest.startswith("r=") \
-            else bodies[name][1] + float(rest)
-    return distances
-
-
-def exact_phi_over_c2(spec, bodies=oracles.MASS_RADIUS):
-    """phi/c^2 at a one-body point spec, 'body:ALT_m' or 'body:r=R_m', exact
-    from the float distance the CLI forms."""
-    [(name, r)] = spec_distances(spec, bodies).items()
-    return oracles.phi_over_c2_exact(bodies[name][0], r)
-
-
-def shift_points(argv, bodies=oracles.MASS_RADIUS):
-    """The emit and observe points of a `shift` argv, each {body: distance}."""
-    opts, args = {}, iter(argv[1:])
-    for arg in args:
-        flag, eq, value = arg.partition("=")
-        opts[flag] = value if eq else next(args)
-    points = []
-    for side in ("emit", "obs"):
-        if f"--{side}" in opts:
-            points.append(spec_distances(opts[f"--{side}"], bodies))
-        elif f"--{side}-alt" in opts:
-            radius = bodies[opts["--body"]][1]
-            points.append({opts["--body"]: radius + float(opts[f"--{side}-alt"])})
-        else:
-            points.append({opts["--body"]: float(opts[f"--{side}-r-m"])})
-    return points
+def rows(argv, out):
+    """The printed rows of a run, as {column: value}."""
+    return parse_stdout(argv, out)[1]
 
 
 #: G*M/(R*c^2) of 1 m bodies: points near the weak-field limit of 1, and
@@ -97,47 +42,85 @@ def shift_points(argv, bodies=oracles.MASS_RADIUS):
 COMPACT_X = [0.5, 0.9, 1 - 2**-52, 1e-17, 1e-300]
 #: {name: (mass_kg, radius_m)} of a 1 m body for each of COMPACT_X
 COMPACT = {f"compact{i}": (x * oracles.C2 / oracles.G, 1.0) for i, x in enumerate(COMPACT_X)}
+#: the packaged bodies and the compact ones, as the file COMPACT_BODIES holds them
+BODIES = {**oracles.MASS_RADIUS, **COMPACT}
+#: stands in an argv for the path of that file
+COMPACT_BODIES = "<compact bodies>"
 
 
-def assert_exact_shift(printed, model, emit, obs, bodies=oracles.MASS_RADIUS):
-    """A printed shift between two {body: distance} points is within 8 ulps
-    of the sum of its per-body terms of the exact rational value."""
-    exact, scale = oracles.fractional_shift_exact(
-        [(bodies[name][0], r, obs[name]) for name, r in emit.items()])
-    factor = 2.0 if model == "double" else 1.0
-    assert abs(float(printed) - factor * exact) <= 8 * math.ulp(factor * scale)
+@pytest.fixture(scope="module")
+def compact_bodies(tmp_path_factory):
+    path = tmp_path_factory.mktemp("compact") / "bodies.json"
+    path.write_text(json.dumps(
+        json.loads(data_file("bodies.json").read_text(encoding="utf-8"))
+        + [{"name": name, "mass_kg": mass, "radius_m": radius}
+           for name, (mass, radius) in COMPACT.items()]))
+    return str(path)
 
 
-class TestConstantsCommand:
-    def test_flat_json_dump(self, capsys):
-        code, out, _ = run_cli(["constants"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert list(payload) == ["G", "c", "h", "hbar", "alpha", "m_electron", "eV"]
-        assert payload == dataclasses.asdict(CONSTANTS)
+SHIFT_POINTS = [
+    ["--body", "earth", "--emit-alt", "0", "--obs-alt", "22.5"],
+    ["--body", "earth", "--emit-alt", "0", "--obs-alt", "0.001"],
+    ["--body", "earth", "--emit-r-m", "6.371e6", "--obs-r-m", "6.3710225e6"],
+    ["--body", "sun", "--emit-r-m", "1e12", "--obs-alt", "0"],
+    ["--body", "earth", "--emit", "earth:0", "--obs-alt", "22.5"],
+    ["--emit", "sun:0", "--obs", f"sun:r={oracles.AU}"],
+    ["--emit", f"sun:0+earth:r={oracles.AU}", "--obs", f"sun:r={oracles.AU}+earth:0"],
+    ["--body", "earth", "--emit-alt", "100", "--obs-alt", "100"],
+]
+SPECTRUM_POINTS = [None, "earth:0", "sun:r=1.495978707e11", "earth:r=7e6+sun:r=1.495978707e11"]
+EARTH_RAY = ["photon", "--body", "earth", "--b-radii", "5", "--tol", "1e-6", "--term-factor", "10"]
 
-    def test_seventeen_digit_round_trip(self, capsys):
-        _, out, _ = run_cli(["constants"], capsys)
-        assert json.loads(out)["G"] == 6.67430e-11
+#: argv whose every printed value TestOracles holds to its oracle, in every
+#: format and across the ranges that stress each column; the golden argv of
+#: test_public_surface are held there
+CASES = [
+    ["potential", "--at", "earth:0", "--format", "json"],
+    ["potential", "--at", f"sun:r={oracles.AU}+earth:0", "--format", "json"],
+    *(["shift", "--model", model, *points, "--format", fmt]
+      for points in SHIFT_POINTS for model in ("emitter", "photon", "double")
+      for fmt in ("text", "csv", "json")),
+    ["spectrum", "--z", "1", "--states", "0:1/2,1:1/2", "--at", "earth:0"],
+    # every line shifts by phi/c^2, down to -4.4e-18 at earth:r=1e15
+    *(["spectrum", "--n-range", "1:30", "--at", at, "--format", "json"]
+      for at in ("earth:0", "sun:0", "earth:r=1e9", "earth:r=1e15")),
+    *(["spectrum", "--z", str(z), "--n-range", "1:30",
+       *([] if at is None else ["--at", at]),
+       *([] if mass is None else ["--emitter-mass-kg", repr(mass)])]
+      for z in (1, 2, 10, 50, 92, 137) for at in SPECTRUM_POINTS
+      for mass in (None, 1.67262192369e-27)),
+    # the largest mass whose frequency is finite
+    ["spectrum", "--n-range", "1:1", "--emitter-mass-kg", "1e262"],
+    # phi/c^2 = -0.9: the rounding of G*M is amplified 9 times in m*(1 + phi/c^2)
+    ["spectrum", "--z", "48", "--n-range", "12:29", "--at", "compact1:1e-300",
+     "--bodies", COMPACT_BODIES],
+    ["photon", "--body", "sun", "--b-radii", "2", "--tol", "1e-8"],
+    *([*EARTH_RAY, "--format", fmt] for fmt in ("json", "csv", "text")),
+    ["photon", "--body", "sun", "--sweep-radii", "5:10:2", "--tol", "1e-7", "--format", "csv"],
+    ["photon", "--body", "earth", "--sweep-m", "2e7:4e7:2", "--tol", "1e-6", "--format", "text"],
+    # the ray inside the termination circle, factor * b
+    *(["photon", "--body", name, "--sweep-radii", "1:20:5", "--tol", tol,
+       "--term-factor", factor, "--format", "json"]
+      for name in ("sun", "earth") for tol in ("1e-6", "1e-10") for factor in ("10", "200")),
+    # a threshold nothing passes excludes no model: exit 1
+    ["experiment", "--threshold", "1000"],
+    # sigmas: Pound-Rebka 0.5 and 9.5 (double), Pound-Snider 0.13 and 131.7,
+    # Snider solar 0.17 and 16.5; a sigma equal to the threshold is consistent
+    *(["experiment", "--report", "json", "--threshold", threshold]
+      for threshold in ("0.25", "3", "5", "9.4999999999999982", "10", "16.5", "200")),
+]
+
+
+class TestOracles:
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_stdout_matches_the_oracles(self, capsys, compact_bodies, argv):
+        argv = [compact_bodies if arg == COMPACT_BODIES else arg for arg in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert out and err == ""
+        check_stdout(argv, code, out, BODIES)
 
 
 class TestPotentialCommand:
-    def test_single_point(self, capsys):
-        code, out, _ = run_cli(["potential", "--at", "earth:0", "--format", "json"], capsys)
-        assert code == 0
-        rows = json.loads(out)
-        assert rows[0]["phi_m2_s2"] == pytest.approx(-6.2565145911e7, rel=1e-9)
-        assert rows[0]["phi_over_c2"] == pytest.approx(-6.9613113105e-10, rel=1e-9)
-
-    def test_absolute_radius_and_superposition(self, capsys):
-        spec = f"sun:r={oracles.AU}+earth:0"
-        code, out, _ = run_cli(["potential", "--at", spec, "--format", "json"], capsys)
-        assert code == 0
-        phi = json.loads(out)[0]["phi_m2_s2"]
-        expected = (-oracles.G * oracles.M_SUN / oracles.AU
-                    - oracles.G * oracles.M_EARTH / oracles.R_EARTH)
-        assert phi == pytest.approx(expected, rel=1e-12)
-
     def test_interior_point_exits_one(self, capsys):
         code, _, err = run_cli(["potential", "--at", "earth:r=1"], capsys)
         assert code == 1
@@ -162,17 +145,17 @@ class TestPotentialCommand:
         assert err == "error: point 'earth:nan': distance to body 'earth' is not finite\n"
 
     def test_signed_exponent_stays_in_its_distance(self, capsys):
-        rows = []
+        printed = []
         for spec in ("earth:1e+3", "earth:1000"):
             code, out, err = run_cli(["potential", "--at", spec], capsys)
             assert (code, err) == (0, "")
-            [row] = parse_table(out, "text")
-            rows.append((row["phi_m2_s2"], row["phi_over_c2"]))
-        assert rows[0] == rows[1]
+            [row] = rows(["potential"], out)
+            printed.append((row["phi_m2_s2"], row["phi_over_c2"]))
+        assert printed[0] == printed[1]
 
     def test_signed_exponents_print_the_golden_numbers(self, capsys):
         def numbers(text):
-            return [(row["phi_m2_s2"], row["phi_over_c2"]) for row in parse_table(text, "text")]
+            return [(row["phi_m2_s2"], row["phi_over_c2"]) for row in rows(["potential"], text)]
 
         code, out, _ = run_cli(["potential", "--at", "earth:0", "--at",
                                 "earth:r=7e+6+sun:r=1.495978707e+11"], capsys)
@@ -182,21 +165,6 @@ class TestPotentialCommand:
 
 
 class TestShiftCommand:
-    def test_tower_example(self, capsys):
-        code, out, _ = run_cli(
-            ["shift", "--body", "earth", "--emit-alt", "0", "--obs-alt", "22.5",
-             "--model", "emitter", "--format", "json"], capsys)
-        assert code == 0
-        shift = json.loads(out)["fractional_shift"]
-        assert shift == pytest.approx(-oracles.G_STANDARD * 22.5 / oracles.C2, rel=2e-3)
-
-    def test_equal_altitudes_give_zero(self, capsys):
-        code, out, _ = run_cli(
-            ["shift", "--model", "emitter", "--emit-alt", "100", "--obs-alt", "100",
-             "--body", "earth", "--format", "json"], capsys)
-        assert code == 0
-        assert json.loads(out)["fractional_shift"] == 0.0
-
     def test_double_model_doubles(self, capsys):
         args = ["shift", "--body", "earth", "--emit-alt", "0", "--obs-alt", "22.5",
                 "--format", "json"]
@@ -204,32 +172,6 @@ class TestShiftCommand:
         _, double_out, _ = run_cli(args + ["--model", "double"], capsys)
         assert json.loads(double_out)["fractional_shift"] == \
             2.0 * json.loads(single_out)["fractional_shift"]
-
-    def test_point_spec_form(self, capsys):
-        code, out, _ = run_cli(
-            ["shift", "--model", "photon", "--emit", "sun:0",
-             "--obs", f"sun:r={oracles.AU}", "--format", "json"], capsys)
-        assert code == 0
-        shift = json.loads(out)["fractional_shift"]
-        assert shift == pytest.approx(-2.1127277014e-06, rel=1e-9)
-
-    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-    @pytest.mark.parametrize("model", ["emitter", "photon", "double"])
-    @pytest.mark.parametrize("points", [
-        ["--body", "earth", "--emit-alt", "0", "--obs-alt", "22.5"],
-        ["--body", "earth", "--emit-alt", "0", "--obs-alt", "0.001"],
-        ["--body", "earth", "--emit-r-m", "6.371e6", "--obs-r-m", "6.3710225e6"],
-        ["--body", "sun", "--emit-r-m", "1e12", "--obs-alt", "0"],
-        ["--body", "earth", "--emit", "earth:0", "--obs-alt", "22.5"],
-        ["--emit", "sun:0", "--obs", f"sun:r={oracles.AU}"],
-        ["--emit", f"sun:0+earth:r={oracles.AU}", "--obs", f"sun:r={oracles.AU}+earth:0"],
-    ], ids=["alt", "alt-1mm", "r-m", "far-blue", "spec-and-alt", "spec", "two-body"])
-    def test_every_form_matches_exact_oracle(self, capsys, points, model, fmt):
-        argv = ["shift", "--model", model, *points, "--format", fmt]
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        assert_exact_shift(parse_record(out, fmt)["fractional_shift"], model,
-                           *shift_points(argv))
 
     def test_printed_shift_is_first_order_in_the_observer_potential(self, capsys):
         # the exact ratio nu_e/nu_o - 1 = (x_e - x_o)/(1 + x_o) that spectrum
@@ -274,63 +216,6 @@ class TestShiftCommand:
 
 
 class TestSpectrumCommand:
-    def test_csv_header_and_ground_state(self, capsys):
-        code, out, _ = run_cli(["spectrum", "--z", "1", "--n-range", "1:2"], capsys)
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "state,E_eV,nu_Hz,shift_fractional"
-        rows = parse_csv(out)
-        assert len(rows) == 3
-        assert float(rows[0]["E_eV"]) == pytest.approx(13.6059, rel=1e-5)
-        assert float(rows[0]["shift_fractional"]) == 0.0
-
-    def test_states_list_with_potential(self, capsys):
-        code, out, _ = run_cli(
-            ["spectrum", "--z", "1", "--states", "0:1/2,1:1/2", "--at", "earth:0"],
-            capsys)
-        assert code == 0
-        rows = parse_csv(out)
-        assert len(rows) == 2
-        for row in rows:
-            assert float(row["shift_fractional"]) == pytest.approx(-6.96131e-10, rel=1e-4)
-
-    @pytest.mark.parametrize("at", ["earth:0", "sun:0", "earth:r=1e9", "earth:r=1e15"])
-    def test_shift_is_phi_over_c2_to_a_few_ulps(self, capsys, at):
-        # every line shifts by phi/c^2, down to -4.4e-18 at earth:r=1e15
-        code, out, _ = run_cli(
-            ["spectrum", "--n-range", "1:30", "--at", at, "--format", "json"], capsys)
-        assert code == 0
-        expected = exact_phi_over_c2(at)
-        rows = json.loads(out)
-        assert len(rows) == 465
-        for row in rows:
-            assert abs(row["shift_fractional"] - expected) <= 4 * math.ulp(expected)
-
-    @pytest.mark.parametrize("mass", [None, 1.67262192369e-27], ids=["electron", "nucleon"])
-    @pytest.mark.parametrize("at", [None, "earth:0", "sun:r=1.495978707e11",
-                                    "earth:r=7e6+sun:r=1.495978707e11"])
-    @pytest.mark.parametrize("z", [1, 2, 10, 50, 92, 137])
-    def test_energies_and_frequencies_to_a_few_ulps(self, capsys, z, at, mass):
-        # each printed E_eV and nu_Hz against the alpha^4 level at m*(1 + phi/c^2)
-        argv = ["spectrum", "--z", str(z), "--n-range", "1:30"]
-        argv += [] if at is None else ["--at", at]
-        argv += [] if mass is None else ["--emitter-mass-kg", repr(mass)]
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        pairs = [] if at is None else [
-            (oracles.MASS_RADIUS[name][0], r) for name, r in spec_distances(at).items()]
-        rows = parse_csv(out)
-        assert len(rows) == 465
-        for row in rows:
-            fields = dict(part.split("=") for part in row["state"].split())
-            two_j = int(fields["j"].split("/")[0])
-            energy = oracles.level_energy_exact(
-                z, int(fields["n"]), two_j / 2, mass or oracles.M_ELECTRON, pairs)
-            for column, unit in (("E_eV", oracles.EV), ("nu_Hz", oracles.H)):
-                expected = float(energy / Fraction(unit))
-                assert abs(float(row[column]) - expected) <= 8 * math.ulp(expected), \
-                    (row["state"], column)
-
     def test_bad_state_spec_rejected(self, capsys):
         code, _, err = run_cli(["spectrum", "--states", "nonsense"], capsys)
         assert code == 1
@@ -376,13 +261,6 @@ class TestSpectrumCommand:
         assert err == (f"error: level energy of Z=1 n=1 j=1/2 n'=0 overflows at mass "
                        f"{float(mass):g} kg: E must be a normal float and E/h finite\n")
 
-    def test_largest_mass_below_the_frequency_overflow_prints(self, capsys):
-        code, out, _ = run_cli(
-            ["spectrum", "--n-range", "1:1", "--emitter-mass-kg", "1e262"], capsys)
-        assert code == 0
-        (row,) = parse_csv(out)
-        assert float(row["nu_Hz"]) == pytest.approx(3.6115349459238202e307, rel=1e-12)
-
     @pytest.mark.parametrize("mass", ["nan", "inf"])
     def test_non_finite_emitter_mass_exits_one(self, capsys, mass):
         code, out, err = run_cli(
@@ -404,46 +282,21 @@ class TestSpectrumCommand:
         monkeypatch.setattr(cli, "MAX_STATES", 6)
         code, out, _ = run_cli(["spectrum", "--n-range", "1:3"], capsys)
         assert code == 0
-        assert len(parse_csv(out)) == 6
+        assert len(rows(["spectrum"], out)) == 6
         code, out, err = run_cli(["spectrum", "--n-range", "1:4"], capsys)
         assert code == 1
         assert err == "error: bad --n-range '1:4': more than 6 states\n"
 
 
 class TestPhotonCommand:
-    def test_single_trace_keys(self, capsys):
-        code, out, _ = run_cli(
-            ["photon", "--body", "sun", "--b-radii", "2", "--tol", "1e-8"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert list(payload) == ["deflection_rad", "deflection_arcsec",
-                                 "transit_time_s", "time_excess_s", "closest_approach_m"]
-        assert abs(payload["deflection_rad"]) == pytest.approx(
-            oracles.deflection_quadrature(oracles.MU_SUN, 2.0 * oracles.R_SUN), rel=1e-3)
-        assert payload["time_excess_s"] > 0.0
-
-    def test_sweep_emits_csv(self, capsys):
-        code, out, _ = run_cli(
-            ["photon", "--body", "sun", "--sweep-radii", "5:10:2", "--tol", "1e-7",
-             "--format", "csv"], capsys)
-        assert code == 0
-        rows = parse_csv(out)
-        assert [float(r["b_m"]) for r in rows] == [5.0 * oracles.R_SUN, 10.0 * oracles.R_SUN]
-        assert abs(float(rows[0]["deflection_rad"])) > abs(float(rows[1]["deflection_rad"]))
-
     def test_sweep_keeps_rays_that_trace(self, capsys):
         # the ray at 0.9 radii strikes the sun; the other three trace fine
-        code, out, err = run_cli(
-            ["photon", "--body", "sun", "--sweep-radii", "0.9:3:4", "--tol", "1e-6",
-             "--format", "csv"], capsys)
+        argv = ["photon", "--body", "sun", "--sweep-radii", "0.9:3:4", "--tol", "1e-6",
+                "--format", "csv"]
+        code, out, err = run_cli(argv, capsys)
         assert code == 1
-        rows = parse_csv(out)
-        b_values = [float(r["b_m"]) for r in rows]
-        assert b_values == pytest.approx([r * oracles.R_SUN for r in (1.6, 2.3, 3.0)],
-                                         rel=1e-12)
-        for row, b in zip(rows, b_values):
-            assert abs(float(row["deflection_rad"])) == pytest.approx(
-                oracles.deflection_quadrature(oracles.MU_SUN, b), rel=1e-3)
+        assert len(rows(argv, out)) == 3
+        check_stdout(argv, code, out)
         lines = err.splitlines()
         assert len(lines) == 1
         assert "626130000" in lines[0] and "impact" in lines[0]
@@ -487,33 +340,6 @@ class TestPhotonCommand:
         assert out == ""
         assert err == f"error: bad sweep '1:2:{count}': COUNT above 10000\n"
 
-    @pytest.mark.parametrize("name", ["sun", "earth"])
-    @pytest.mark.parametrize("tol", ["1e-6", "1e-10"])
-    @pytest.mark.parametrize("factor", ["10", "200"])
-    def test_sweep_rows_match_closed_form(self, capsys, name, tol, factor):
-        # every printed number against the closed-form ray inside the
-        # termination circle, factor * b
-        mass = {"sun": oracles.M_SUN, "earth": oracles.M_EARTH}[name]
-        mu = oracles.G * mass / oracles.C2
-        code, out, _ = run_cli(
-            ["photon", "--body", name, "--sweep-radii", "1:20:5", "--tol", tol,
-             "--term-factor", factor, "--format", "json"], capsys)
-        assert code == 0
-        rows = json.loads(out)
-        assert len(rows) == 5
-        for row in rows:
-            b = row["b_m"]
-            r_term = float(factor) * b
-            delta, r_min, excess = oracles.bent_ray_closed_form(mu, b, r_term)
-            assert abs(row["deflection_rad"] - delta) <= float(tol) * abs(delta)
-            assert row["deflection_arcsec"] == pytest.approx(
-                row["deflection_rad"] * 206264.80624709636, rel=1e-12)
-            assert row["closest_approach_m"] == pytest.approx(r_min, rel=1e-9)
-            assert row["time_excess_s"] == pytest.approx(excess, rel=1e-5)
-            transit = oracles.chord_time(b, r_term, delta) + excess
-            assert abs(row["transit_time_s"] - transit) <= \
-                8 * math.ulp(transit) + float(tol) * excess
-
     @pytest.mark.parametrize("fmt, header", [
         ("csv", "b_m,deflection_rad,deflection_arcsec,transit_time_s,time_excess_s,"
                 "closest_approach_m\n"),
@@ -543,74 +369,14 @@ class TestPhotonCommand:
 
 
 class TestExperimentCommand:
-    def test_default_registry_exit_zero(self, capsys):
-        code, out, _ = run_cli(["experiment", "--report", "text"], capsys)
-        assert code == 0
-        assert "EXCLUDED" in out
-        assert out.count("consistent") >= 6
-
-    def test_json_report(self, capsys):
-        code, out, _ = run_cli(["experiment", "--report", "json"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["double_effect_excluded"] is True
-        assert payload["single_models_consistent"] is True
-        assert payload["exit_code"] == 0
-        assert len(payload["reports"]) == 9
-
-    def test_loose_threshold_exits_one(self, capsys):
-        code, _, _ = run_cli(["experiment", "--threshold", "1000"], capsys)
-        assert code == 1
-
-    def test_nan_threshold_exits_one(self, capsys):
-        code, out, err = run_cli(["experiment", "--threshold", "nan"], capsys)
-        assert code == 1
-        assert out == ""
-        assert "exclusion threshold must be positive" in err
-
-    @pytest.mark.parametrize("threshold, excluded, exit_code", [
-        ("0.25", {"pound-rebka-1960:emitter", "pound-rebka-1960:photon",
-                  "pound-rebka-1960:double", "pound-snider-1965:double",
-                  "snider-solar-1972:double"}, 1),
-        ("3", {"pound-rebka-1960:double", "pound-snider-1965:double",
-               "snider-solar-1972:double"}, 0),
-        ("5", {"pound-rebka-1960:double", "pound-snider-1965:double",
-               "snider-solar-1972:double"}, 0),
-        ("10", {"pound-snider-1965:double", "snider-solar-1972:double"}, 0),
-        ("200", set(), 1),
-    ])
-    def test_rows_match_oracle(self, capsys, threshold, excluded, exit_code):
-        # sigmas: Pound-Rebka 0.5 and 9.5 (double), Pound-Snider 0.13 and 131.7,
-        # Snider solar 0.17 and 16.5
-        tower = ({"earth": oracles.R_EARTH}, {"earth": oracles.R_EARTH + 22.5})
-        solar = ({"sun": oracles.R_SUN, "earth": oracles.AU},
-                 {"sun": oracles.AU, "earth": oracles.R_EARTH})
-        shipped = {  # name: ((emit, observe), measured ratio, ratio uncertainty)
-            "pound-rebka-1960": (tower, 1.05, 0.10),
-            "pound-snider-1965": (tower, 0.9990, 0.0076),
-            "snider-solar-1972": (solar, 1.01, 0.06),
-        }
-        code, out, err = run_cli(
-            ["experiment", "--report", "json", "--threshold", threshold], capsys)
-        payload = json.loads(out)
-        assert (code, payload["exit_code"], err) == (exit_code, exit_code, "")
-        assert payload["threshold"] == float(threshold)
-        rows = payload["reports"]
-        assert [(r["experiment"], r["model"]) for r in rows] == [
-            (name, model) for name in shipped for model in ("emitter", "photon", "double")]
-        for row in rows:
-            points, ratio, unc = shipped[row["experiment"]]
-            if row["model"] == "double":
-                ratio, unc = ratio / 2.0, unc / 2.0
-            assert_exact_shift(row["predicted_shift"], row["model"], *points)
-            assert (row["ratio"], row["ratio_uncertainty"]) == (ratio, unc)
-            assert row["sigma"] == pytest.approx(abs(ratio - 1.0) / unc, rel=1e-12)
-            key = f"{row['experiment']}:{row['model']}"
-            assert row["verdict"] == ("excluded" if key in excluded else "consistent")
-        assert payload["single_models_consistent"] is not any(
-            not key.endswith(":double") for key in excluded)
-        assert payload["double_effect_excluded"] is any(
-            key.endswith(":double") for key in excluded)
+    @pytest.mark.parametrize("threshold, report", [("nan", "text"), ("inf", "text"),
+                                                   ("inf", "json")])
+    def test_non_finite_threshold_exits_one(self, capsys, threshold, report):
+        # the JSON report printed "threshold": inf, which no JSON reader accepts
+        code, out, err = run_cli(["experiment", "--threshold", threshold, "--report", report],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: exclusion threshold must be positive and finite\n"
 
     def test_custom_registry_flag(self, tmp_path, capsys):
         path = tmp_path / "reg.json"
@@ -620,11 +386,10 @@ class TestExperimentCommand:
             "measured_ratio": 1.05,
             "ratio_uncertainty": 0.10,
         }]))
-        code, out, _ = run_cli(
-            ["experiment", "--registry", str(path), "--report", "json"], capsys)
+        argv = ["experiment", "--registry", str(path), "--report", "json"]
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0
-        payload = json.loads(out)
-        assert len(payload["reports"]) == 3
+        check_stdout(argv, code, out)
 
     def test_registry_point_naming_a_body_twice_exits_one(self, tmp_path, capsys):
         # keeping only the last sun distance would judge a zero shift consistent
@@ -659,7 +424,7 @@ class TestDeterminismAndParity:
         _, json_out, _ = run_cli(args + ["--format", "json"], capsys)
         _, csv_out, _ = run_cli(args + ["--format", "csv"], capsys)
         js = json.loads(json_out)
-        cs = parse_csv(csv_out)[0]
+        [cs] = rows(args + ["--format", "csv"], csv_out)
         for key in ("phi_emit_m2_s2", "phi_obs_m2_s2", "fractional_shift"):
             assert float(cs[key]) == pytest.approx(js[key], rel=1e-15)
 
@@ -668,7 +433,7 @@ class TestDeterminismAndParity:
         _, json_out, _ = run_cli(args + ["--format", "json"], capsys)
         _, csv_out, _ = run_cli(args + ["--format", "csv"], capsys)
         js = json.loads(json_out)
-        cs = parse_csv(csv_out)
+        cs = rows(args + ["--format", "csv"], csv_out)
         assert len(js) == len(cs) == 6
         for j_row, c_row in zip(js, cs):
             assert j_row["state"] == c_row["state"]
@@ -677,12 +442,11 @@ class TestDeterminismAndParity:
 
 
 class TestExtremeArguments:
-    """Extreme values through every subcommand: each run prints finite numbers
-    or is refused with a message that names what failed."""
+    """Extreme values through every subcommand: each run prints values that
+    pass their oracles or is refused with a message that names what failed."""
 
     #: every draw reads the packaged bodies and the compact ones from one file
-    MASS_RADIUS = {**oracles.MASS_RADIUS, **COMPACT}
-    BODIES = st.sampled_from(list(MASS_RADIUS))
+    NAMES = st.sampled_from(list(BODIES))
     VALUES = st.sampled_from(
         [0.0, 5e-324, 1e-300, 1e308, sys.float_info.max, -sys.float_info.max,
          math.nan, math.inf, -math.inf]
@@ -692,12 +456,12 @@ class TestExtremeArguments:
     ARGV = st.one_of(
         st.builds(lambda b, form, x, fmt: ["potential", "--at", f"{b}:{form}{x!r}",
                                            "--format", fmt],
-                  BODIES, st.sampled_from(["", "r="]), VALUES,
+                  NAMES, st.sampled_from(["", "r="]), VALUES,
                   st.sampled_from(["text", "csv", "json"])),
         st.builds(lambda model, b, emit, x, obs, y: [
                       "shift", "--model", model, "--body", b,
                       f"--emit-{emit}={x!r}", f"--obs-{obs}={y!r}"],
-                  st.sampled_from(["emitter", "photon", "double"]), BODIES,
+                  st.sampled_from(["emitter", "photon", "double"]), NAMES,
                   st.sampled_from(["alt", "r-m"]), VALUES,
                   st.sampled_from(["alt", "r-m"]), VALUES),
         st.builds(lambda z, states, mass, at: (
@@ -710,11 +474,11 @@ class TestExtremeArguments:
                   st.one_of(st.just([]), VALUES.map(lambda x: [f"--emitter-mass-kg={x!r}"])),
                   st.one_of(st.just([]), st.builds(
                       lambda b, form, x: ["--at", f"{b}:{form}{x!r}"],
-                      BODIES, st.sampled_from(["", "r="]), VALUES))),
+                      NAMES, st.sampled_from(["", "r="]), VALUES))),
         st.builds(lambda x, report: ["experiment", f"--threshold={x!r}", "--report", report],
                   VALUES, st.sampled_from(["text", "json"])),
         st.builds(lambda b, ray: ["photon", "--body", b, "--tol", "1e-6", *ray],
-                  BODIES,
+                  NAMES,
                   st.one_of(
                       VALUES.map(lambda x: [f"--b-radii={x!r}"]),
                       VALUES.map(lambda x: [f"--b-m={x!r}"]),
@@ -723,41 +487,17 @@ class TestExtremeArguments:
                       VALUES.map(lambda x: ["--b-radii", "3", f"--term-factor={x!r}"]))),
     )
 
-    @pytest.fixture(scope="class")
-    def bodies_file(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("extreme") / "bodies.json"
-        path.write_text(json.dumps(
-            json.loads(data_file("bodies.json").read_text(encoding="utf-8"))
-            + [{"name": name, "mass_kg": mass, "radius_m": radius}
-               for name, (mass, radius) in COMPACT.items()]))
-        return str(path)
-
     @settings(max_examples=300, deadline=None)
     @given(argv=ARGV)
-    def test_finite_output_or_named_refusal(self, bodies_file, argv):
+    def test_finite_output_or_named_refusal(self, compact_bodies, argv):
+        argv = argv + ["--bodies", compact_bodies]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main(argv + ["--bodies", bodies_file])
+                code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-        assert code in (0, 1, 2)
-        if code == 0:
-            assert re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE) is None
-        if code == 0 and argv[0] == "potential":
-            [row] = parse_table(out.getvalue(), argv[-1])
-            expected = exact_phi_over_c2(argv[2], self.MASS_RADIUS)
-            assert abs(float(row["phi_over_c2"]) - expected) <= 4 * math.ulp(expected)
-        if code == 0 and argv[0] == "shift":
-            assert_exact_shift(parse_record(out.getvalue(), "text")["fractional_shift"],
-                               argv[2], *shift_points(argv, self.MASS_RADIUS),
-                               self.MASS_RADIUS)
-        if code == 0 and argv[0] == "spectrum":
-            expected = exact_phi_over_c2(argv[argv.index("--at") + 1], self.MASS_RADIUS) \
-                if "--at" in argv else 0.0
-            for row in parse_csv(out.getvalue()):
-                shift = float(row["shift_fractional"])
-                assert abs(shift - expected) <= 4 * math.ulp(expected)
+        check_stdout(argv, code, out.getvalue(), BODIES)
         assert "quantity value must be finite, got" not in err.getvalue()
 
     @pytest.mark.parametrize("argv, text", [
@@ -905,24 +645,10 @@ class TestRegistryFiles:
 
     @pytest.mark.parametrize("command", list(ARGV))
     def test_bodies_flag_resolves_its_body(self, files, command, capsys):
-        kerbin = {"kerbin": (KERBIN["mass_kg"], KERBIN["radius_m"])}
-        phi_over_c2 = exact_phi_over_c2("kerbin:0", kerbin)
-        code, out, err = run_cli(self.argv(command, "kerbin", files), capsys)
+        argv = self.argv(command, "kerbin", files)
+        code, out, err = run_cli(argv, capsys)
         assert (code, err) == (1 if command == "experiment" else 0, "")
-        payload = json.loads(out)
-        if command == "potential":
-            assert abs(payload[0]["phi_over_c2"] - phi_over_c2) <= 4 * math.ulp(phi_over_c2)
-        elif command == "spectrum":
-            assert abs(payload[0]["shift_fractional"] - phi_over_c2) \
-                <= 4 * math.ulp(phi_over_c2)
-        elif command == "shift":
-            assert_exact_shift(payload["fractional_shift"], "emitter",
-                               {"kerbin": 6e5}, {"kerbin": 6e5 + 10.0}, kerbin)
-        elif command == "photon":
-            assert payload["closest_approach_m"] == pytest.approx(2 * 6e5, rel=1e-9)
-        else:
-            assert_exact_shift(payload["reports"][0]["predicted_shift"], "emitter",
-                               {"kerbin": 6e5}, {"kerbin": 6e5 + 10.0}, kerbin)
+        check_stdout(argv, code, out, {"kerbin": (KERBIN["mass_kg"], KERBIN["radius_m"])})
 
     @pytest.mark.parametrize("field", ["mass_kg", "radius_m"])
     @pytest.mark.parametrize("value, reason", [
@@ -959,18 +685,15 @@ class TestRegistryFiles:
         mass = x * oracles.C2 / oracles.G
         path = tmp_path / "bodies.json"
         path.write_text(json.dumps([{"name": "compact", "mass_kg": mass, "radius_m": 1.0}]))
-        expected = oracles.phi_over_c2_exact(mass, 1.0)
-        for argv, key in ((["potential"], "phi_over_c2"),
-                          (["spectrum", "--n-range", "1:2"], "shift_fractional")):
-            code, out, err = run_cli(argv + ["--bodies", str(path), "--at", "compact:0",
-                                             "--format", "json"], capsys)
+        for argv in (["potential"], ["spectrum", "--n-range", "1:2"]):
+            argv += ["--bodies", str(path), "--at", "compact:0", "--format", "json"]
+            code, out, err = run_cli(argv, capsys)
             if argv[0] == "spectrum" and x == 1 - 2**-52 and code == 1:
                 # phi/c^2 may round to -1 there
                 assert "outside the weak-field domain" in err
                 continue
             assert (code, err) == (0, "")
-            for row in json.loads(out):
-                assert abs(row[key] - expected) <= 4 * math.ulp(expected)
+            check_stdout(argv, code, out, {"compact": (mass, 1.0)})
 
     @pytest.mark.parametrize("body, shown", [(None, "null"), (["earth"], '["earth"]')],
                              ids=["null", "list"])
