@@ -126,6 +126,9 @@ def parse_point_spec(spec: str, bodies: dict[str, CelestialBody],
             )
         body = lookup_body(bodies, name)
         try:
+            # float() strips whitespace that the printed label would keep
+            if re.search(r"\s", rest):
+                raise ValueError(rest)
             if rest.startswith("r="):
                 r = float(rest[2:])
             else:

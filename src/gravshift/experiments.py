@@ -58,15 +58,11 @@ class ExperimentRecord:
             raise ConfigurationError("experiment name must be non-empty")
         if not (math.isfinite(self.measured_ratio)
                 and math.isfinite(self.ratio_uncertainty)):
-            raise ConfigurationError(
-                f"{self.name}: measured ratio and its uncertainty must be finite"
-            )
+            raise ConfigurationError("measured ratio and its uncertainty must be finite")
         if self.measured_ratio <= 0.0:
-            raise ConfigurationError(
-                f"{self.name}: measured ratio must be a positive magnitude"
-            )
+            raise ConfigurationError("measured ratio must be a positive magnitude")
         if self.ratio_uncertainty <= 0.0:
-            raise ConfigurationError(f"{self.name}: ratio uncertainty must be positive")
+            raise ConfigurationError("ratio uncertainty must be positive")
         require_same_bodies(self.emit, self.observe)
 
 

@@ -110,6 +110,10 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
     r_min = max(p0 * sy - mu, 0.0)
     if not r_min * scale >= body.radius_m * (1.0 - IMPACT_MARGIN):
         raise ImpactError(body.name, r_min * scale)
+    # at the periapsis |phi|/c^2 = mu/r_min; below 1, ell > 2*mu keeps |delta|
+    # under 1.7 rad, so the bend cannot wind past the atan2 range
+    if mu >= r_min:
+        raise DomainError(f"|phi|/c^2 = {mu / r_min:.3g} >= 1: outside the weak-field domain")
 
     def rhs(tau, state):
         x, y, px, py, _ = state.tolist()

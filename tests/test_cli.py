@@ -21,7 +21,9 @@ import oracles
 from printed_columns import check_stdout, parse_stdout
 from test_public_surface import GOLDEN_STDOUT
 
-SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+#: the directory the suite imported gravshift from: src/ of the checkout, or
+#: the site-packages of an installed package
+IMPORT_ROOT = Path(cli.__file__).resolve().parent.parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 SUBCOMMANDS = ["constants", "potential", "spectrum", "shift", "photon", "experiment"]
 
@@ -40,8 +42,11 @@ def rows(argv, out):
 #: G*M/(R*c^2) of 1 m bodies: points near the weak-field limit of 1, and
 #: points so weak that 1 + phi/c^2 rounds to 1
 COMPACT_X = [0.5, 0.9, 1 - 2**-52, 1e-17, 1e-300]
-#: {name: (mass_kg, radius_m)} of a 1 m body for each of COMPACT_X
-COMPACT = {f"compact{i}": (x * oracles.C2 / oracles.G, 1.0) for i, x in enumerate(COMPACT_X)}
+#: {name: (mass_kg, radius_m)} of a 1 m body for each of COMPACT_X, and of a
+#: body of G*M/c^2 = 1 m inside that radius, which a ray at b = 1 m passes
+#: at r_min = 5 mm, where |phi|/c^2 = 200
+COMPACT = {**{f"compact{i}": (x * oracles.C2 / oracles.G, 1.0) for i, x in enumerate(COMPACT_X)},
+           "compact5": (oracles.C2 / oracles.G, 1e-3)}
 #: the packaged bodies and the compact ones, as the file COMPACT_BODIES holds them
 BODIES = {**oracles.MASS_RADIUS, **COMPACT}
 #: stands in an argv for the path of that file
@@ -331,6 +336,19 @@ class TestPhotonCommand:
         assert out == ""
         assert err.startswith("error: bend ") and err.endswith("lost to rounding\n")
 
+    @pytest.mark.parametrize("ray, ratio", [(["--b-m", "1.2"], "4.88"),
+                                            (["--b-m", "0.995001", "--tol", "1e-6"], "1e+06")])
+    def test_periapsis_outside_the_weak_field_exits_one(self, tmp_path, capsys, ray, ratio):
+        # a body of G*M/c^2 = 1 m inside its index radius: at b = 1.2 m the ray
+        # would wind round it, a bend beyond the range of atan2
+        path = tmp_path / "bodies.json"
+        path.write_text(json.dumps(
+            [{"name": "k", "mass_kg": oracles.C2 / oracles.G, "radius_m": 1e-300}]))
+        code, out, err = run_cli(["photon", "--bodies", str(path), "--body", "k", *ray],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: |phi|/c^2 = {ratio} >= 1: outside the weak-field domain\n"
+
     @pytest.mark.parametrize("count", ["10001", "1000000000000000000000"])
     def test_sweep_count_is_capped(self, capsys, count):
         # refused before any b value is built or traced
@@ -543,8 +561,11 @@ class TestExtremeArguments:
         (["shift", "--model", "emitter", "--emit-alt", "0", "--obs-alt", "1"],
          "--emit-alt/--emit-r-m need --body"),
         (["photon", "--body", "sun", "--sweep-m", "a:b:c"], "bad sweep 'a:b:c'"),
+        # float() reads ' 5' as 5, but the label would break the text table
+        (["potential", "--at", "earth:  5"], "bad distance in point spec 'earth:  5'"),
     ], ids=["potential-at", "spectrum-n-range-text", "spectrum-n-range-reversed",
-            "spectrum-n-range-zero", "shift-alt-without-body", "photon-sweep-text"])
+            "spectrum-n-range-zero", "shift-alt-without-body", "photon-sweep-text",
+            "potential-at-spaces"])
     def test_malformed_flag_value_is_refused(self, capsys, argv, err_text):
         code, out, err = run_cli(argv, capsys)
         assert code == 1
@@ -721,7 +742,7 @@ class TestRegistryFiles:
 class TestProcessLevel:
     def test_module_entry_point(self):
         env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = str(IMPORT_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-m", "gravshift", "experiment", "--report", "text"],
             capture_output=True, text=True, env=env,
@@ -733,9 +754,9 @@ class TestProcessLevel:
         # a zipped package has no file to hand out, only a resource to read
         archive = tmp_path / "gravshift.zip"
         with zipfile.ZipFile(archive, "w") as zf:
-            for path in Path(SRC_DIR, "gravshift").rglob("*"):
+            for path in Path(IMPORT_ROOT, "gravshift").rglob("*"):
                 if "__pycache__" not in path.parts:
-                    zf.write(path, path.relative_to(SRC_DIR))
+                    zf.write(path, path.relative_to(IMPORT_ROOT))
         env = dict(os.environ)
         env["PYTHONPATH"] = str(archive)
         proc = subprocess.run([sys.executable, "-m", "gravshift", "experiment"],
@@ -750,7 +771,7 @@ class TestProcessLevel:
     def test_closed_stdout_exits_one_without_traceback(self, argv):
         # the reader is gone before the child writes, as with `| head -1`
         env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        env["PYTHONPATH"] = str(IMPORT_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

@@ -90,8 +90,9 @@ class TestLoadRegistry:
         path = write_registry(tmp_path, [entry(
             "bad", {"type": "tower", "body": "earth", "height_m": 10.0},
             ratio_uncertainty=-0.1)])
-        with pytest.raises(RegistryError, match="uncertainty"):
+        with pytest.raises(RegistryError) as exc:
             load_registry(path, bodies)
+        assert str(exc.value) == f"{path}: record #0 (bad): ratio uncertainty must be positive"
 
     @pytest.mark.parametrize("field, value", [
         ("measured_ratio", float("nan")), ("ratio_uncertainty", float("inf")),
@@ -107,8 +108,11 @@ class TestLoadRegistry:
         entry[field] = value
         path = tmp_path / "r.json"
         path.write_text(json.dumps([entry]))
-        with pytest.raises(RegistryError, match=r"record #0 \(bad\): .* must be finite"):
+        with pytest.raises(RegistryError) as exc:
             load_registry(path, bodies)
+        # the record is named once, by the loader
+        assert str(exc.value) == \
+            f"{path}: record #0 (bad): measured ratio and its uncertainty must be finite"
 
     @pytest.mark.parametrize("field", ["height_m", "base_altitude_m", "r_m",
                                        "measured_ratio", "ratio_uncertainty"])
