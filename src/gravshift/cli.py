@@ -14,20 +14,13 @@ import io
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 
 from . import experiments as experiments_mod
 from .data import data_file
 from .errors import ConfigurationError, DomainError, GravshiftError
-from .gravity import (
-    CelestialBody,
-    FieldPoint,
-    load_bodies,
-    lookup_body,
-    potential,
-)
+from .gravity import FieldPoint, load_bodies, lookup_body, parse_point_spec, potential
 from .photon import RayResult, trace_ray
 from .spectra import (
     QuantumState,
@@ -111,32 +104,6 @@ def _emit_record(record: dict, fmt: str) -> None:
 
 
 # -- shared argument plumbing -------------------------------------------
-
-
-def parse_point_spec(spec: str, bodies: dict[str, CelestialBody],
-                     label: str | None = None) -> FieldPoint:
-    """Parse 'body:ALT_m' / 'body:r=R_m' point specs, superposed with '+'."""
-    pairs = []
-    # split where a body name follows the '+', so 1e+3 keeps its exponent
-    for part in re.split(r"\+(?=[A-Za-z_])", spec):
-        name, sep, rest = part.partition(":")
-        if not sep or not rest:
-            raise ConfigurationError(
-                f"bad point spec {part!r}: expected 'body:ALT_m' or 'body:r=R_m'"
-            )
-        body = lookup_body(bodies, name)
-        try:
-            # float() strips whitespace that the printed label would keep
-            if re.search(r"\s", rest):
-                raise ValueError(rest)
-            if rest.startswith("r="):
-                r = float(rest[2:])
-            else:
-                r = body.radius_m + float(rest)
-        except ValueError:
-            raise ConfigurationError(f"bad distance in point spec {part!r}") from None
-        pairs.append((body, r))
-    return FieldPoint(label or spec, pairs)
 
 
 def _add_format(parser, default: str) -> None:
@@ -400,9 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", parents=[with_bodies],
                        help="compare all models against the registry")
     p.add_argument("--registry", default=data_file("experiments.json"),
-                   help="experiment registry: a JSON array of {name, geometry, "
-                        "measured_ratio, ratio_uncertainty} objects (default: the "
-                        "packaged experiments.json)")
+                   help="experiment registry: a JSON array of {name, emit, observe, "
+                        "measured_ratio, ratio_uncertainty} objects, where emit and "
+                        "observe are point specs as for potential --at, e.g. "
+                        "\"earth:22.5\" (default: the packaged experiments.json)")
     p.add_argument("--threshold", type=float, default=5.0,
                    help="exclusion threshold in sigma (default 5)")
     p.add_argument("--report", choices=["text", "json"], default="text")

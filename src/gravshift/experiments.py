@@ -7,10 +7,13 @@ ratio as-is; testing the double effect halves both the ratio and its
 uncertainty (the measured shift is unchanged, the prediction doubles), which
 is algebraically the same as sigma = |ratio - 2|/uncertainty.
 
-A record holds its emit and observe points.  The registry loader resolves
-each record's geometry (a tower above one body, or two points given as body
-distances) against the body registry when it reads the file, so every
-failure of a record is reported there, with the file and the record named.
+A record holds its emit and observe points.  A registry file gives each as
+a point spec string, as for the CLI's ``--at`` (``"earth:0"``,
+``"sun:r=1.495978707e11+earth:0"``); the loader parses both against the body
+registry when it reads the file, so every failure of a record is reported
+there, with the file and the record named.  A record whose two points are at
+the same potential predicts no shift and tests no model, so the comparison
+refuses it.
 
 A record excludes a model when sigma = |ratio - 1|/uncertainty exceeds the
 exclusion threshold; every record is tested against every model in one
@@ -21,19 +24,15 @@ models all stand and any record excludes the double effect.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .data import number, read_records
+from .data import check_name, number, read_records
 from .errors import ConfigurationError, GravshiftError, RegistryError
-from .gravity import (
-    CelestialBody,
-    FieldPoint,
-    lookup_body,
-    require_same_bodies,
-)
+from .gravity import CelestialBody, FieldPoint, parse_point_spec, require_same_bodies
 from .spectra import ShiftModel, fractional_shift
 
 __all__ = [
@@ -54,8 +53,7 @@ class ExperimentRecord:
     ratio_uncertainty: float
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("experiment name must be non-empty")
+        check_name(self.name, "experiment")
         if not (math.isfinite(self.measured_ratio)
                 and math.isfinite(self.ratio_uncertainty)):
             raise ConfigurationError("measured ratio and its uncertainty must be finite")
@@ -107,6 +105,10 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
     reports = []
     for record in records:
         single = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, record.emit, record.observe)
+        if single == 0.0:
+            # a record that predicts no shift tests no model
+            raise ConfigurationError(
+                f"record {record.name!r}: emit and observe are at the same potential")
         for model in ShiftModel:
             ratio, unc, predicted = record.measured_ratio, record.ratio_uncertainty, single
             if model is ShiftModel.DOUBLE_EFFECT:
@@ -135,57 +137,29 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
 # -- registry file -------------------------------------------------------
 
 
-def _resolve_geometry(geometry, name: str,
-                      bodies: dict[str, CelestialBody]) -> tuple[FieldPoint, FieldPoint]:
-    """A record's emit and observe points from its geometry object."""
-    if not isinstance(geometry, dict) or "type" not in geometry:
-        raise ConfigurationError("geometry must be an object with a 'type' field")
-    kind = geometry["type"]
-    if kind == "tower":
-        body = lookup_body(bodies, geometry["body"])
-        base = number(geometry.get("base_altitude_m", 0.0), "base_altitude_m")
-        height = number(geometry["height_m"], "height_m")
-        if not height > 0.0:  # also refuses NaN
-            raise ConfigurationError("tower height must be positive")
-        return (FieldPoint.at_altitude(body, base, f"{name}:emit"),
-                FieldPoint.at_altitude(body, base + height, f"{name}:observe"))
-    if kind == "two_point":
-        points = []
-        for side in ("emit", "observe"):
-            pairs = geometry[side]
-            if not (isinstance(pairs, list) and all(
-                    isinstance(p, dict) and "body" in p and "r_m" in p for p in pairs)):
-                raise ConfigurationError(
-                    f"geometry {side}: expected an array of {{body, r_m}} objects")
-            points.append(FieldPoint(f"{name}:{side}", [
-                (lookup_body(bodies, p["body"]), number(p["r_m"], "r_m")) for p in pairs]))
-        return points[0], points[1]
-    raise ConfigurationError(f"unknown geometry type {kind!r}")
-
-
 def load_registry(path: str | Path,
                   bodies: dict[str, CelestialBody]) -> list[ExperimentRecord]:
     """Read a registry file (see `gravshift.data`) of experiment records.
 
-    Each record's geometry becomes its emit and observe points, resolved
-    against ``bodies``.
+    Each record's emit and observe point specs are parsed against ``bodies``.
     """
     records: list[ExperimentRecord] = []
     for where, entry in read_records(path, "experiment registry", "record",
-                                     ("geometry", "measured_ratio", "ratio_uncertainty")):
+                                     ("emit", "observe", "measured_ratio", "ratio_uncertainty")):
         name = entry["name"]
         try:
-            emit, observe = _resolve_geometry(entry["geometry"], name, bodies)
+            points = []
+            for side in ("emit", "observe"):
+                spec = entry[side]
+                if not isinstance(spec, str):
+                    raise ConfigurationError(
+                        f"{side} must be a point spec string, got {json.dumps(spec)}")
+                points.append(parse_point_spec(spec, bodies, f"{name}:{side}"))
             records.append(ExperimentRecord(
-                name=name,
-                emit=emit,
-                observe=observe,
+                name, *points,
                 measured_ratio=number(entry["measured_ratio"], "measured_ratio"),
                 ratio_uncertainty=number(entry["ratio_uncertainty"], "ratio_uncertainty"),
             ))
-        except KeyError as exc:
-            raise RegistryError(
-                f"{where} ({name}): missing geometry field {exc.args[0]!r}") from None
         except GravshiftError as exc:
             raise RegistryError(f"{where} ({name}): {exc}") from None
     return records

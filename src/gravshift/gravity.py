@@ -6,33 +6,36 @@ potential only ever needs those radial distances, so no 3D geometry appears
 here.  Superposition over several bodies lets Sun+Earth configurations be
 expressed with the same single formula phi(r) = -G*M/r per body.
 
+A point is written as a point spec, the one syntax of the CLI and of the
+experiment registry: 'body:ALT_m' lies at the body radius + ALT_m,
+'body:r=R_m' at R_m, and '+' superposes bodies, as in
+'sun:0+earth:r=1.495978707e11'.
+
 Bodies and points hold plain SI floats, and the exterior domain is enforced
 when a point is built: every distance must be at least the body radius.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .data import number, read_records
+from .data import check_name, number, read_records
 from .errors import ConfigurationError, DomainError, GravshiftError, RegistryError
 from .units import CONSTANTS, POTENTIAL, Quantity
 
 __all__ = [
     "CelestialBody",
     "FieldPoint",
+    "parse_point_spec",
     "require_same_bodies",
     "potential",
     "load_bodies",
     "lookup_body",
 ]
-
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,7 @@ class CelestialBody:
     radius_m: float
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
-            raise ConfigurationError(f"invalid body name {self.name!r}")
+        check_name(self.name, "body")
         for field in ("mass_kg", "radius_m"):
             value = getattr(self, field)
             # NaN fails both comparisons
@@ -101,6 +103,33 @@ class FieldPoint:
         return cls(label or f"{body.name}+{altitude_m:g}m", ((body, r),))
 
 
+def parse_point_spec(spec: str, bodies: Mapping[str, CelestialBody],
+                     label: str | None = None) -> FieldPoint:
+    """The point of a 'body:ALT_m' / 'body:r=R_m' point spec, superposed with
+    '+', labelled ``label`` (default: the spec itself)."""
+    pairs = []
+    # split where a body name follows the '+', so 1e+3 keeps its exponent
+    for part in re.split(r"\+(?=[A-Za-z_])", spec):
+        name, sep, rest = part.partition(":")
+        if not sep or not rest:
+            raise ConfigurationError(
+                f"bad point spec {part!r}: expected 'body:ALT_m' or 'body:r=R_m'"
+            )
+        body = lookup_body(bodies, name)
+        try:
+            # float() strips whitespace that the printed label would keep
+            if re.search(r"\s", rest):
+                raise ValueError(rest)
+            if rest.startswith("r="):
+                r = float(rest[2:])
+            else:
+                r = body.radius_m + float(rest)
+        except ValueError:
+            raise ConfigurationError(f"bad distance in point spec {part!r}") from None
+        pairs.append((body, r))
+    return FieldPoint(label or spec, pairs)
+
+
 def require_same_bodies(emit: FieldPoint, obs: FieldPoint) -> None:
     """Refuse two points that do not name the same bodies.
 
@@ -139,11 +168,8 @@ def load_bodies(path: str | Path) -> dict[str, CelestialBody]:
     return registry
 
 
-def lookup_body(bodies: Mapping[str, CelestialBody], name) -> CelestialBody:
-    """The body of the registry named ``name``; refuses a name that is no
-    string or that the registry lacks."""
-    if not isinstance(name, str):
-        raise ConfigurationError(f"body must be a string, got {json.dumps(name)}")
+def lookup_body(bodies: Mapping[str, CelestialBody], name: str) -> CelestialBody:
+    """The body of the registry named ``name``; refuses a name the registry lacks."""
     if name not in bodies:
         raise ConfigurationError(f"unknown body {name!r}")
     return bodies[name]

@@ -295,22 +295,14 @@ def to_float(exact):
         return math.inf if exact > 0 else -math.inf
 
 
-def registry_points(geometry, bodies):
-    """The emit and observe points of a registry record's geometry."""
-    if geometry["type"] == "tower":
-        name, base = geometry["body"], geometry.get("base_altitude_m", 0.0)
-        radius = bodies[name][1]
-        return {name: radius + base}, {name: radius + (base + geometry["height_m"])}
-    return tuple({p["body"]: p["r_m"] for p in geometry[side]} for side in ("emit", "observe"))
-
-
 def experiment_rows(opts, bodies, printed):
     registry = flag(opts, "--registry")
     records = json.loads((Path(registry) if registry else data_file("experiments.json"))
                          .read_text(encoding="utf-8"))
     rows = []
     for record in records:
-        terms = shift_terms(*registry_points(record["geometry"], bodies), bodies)
+        terms = shift_terms(point(record["emit"], bodies), point(record["observe"], bodies),
+                            bodies)
         for model in ("emitter", "photon", "double"):
             # the double effect halves the measured ratio and its uncertainty
             halve = 2 if model == "double" else 1

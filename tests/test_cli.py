@@ -26,6 +26,9 @@ from test_public_surface import GOLDEN_STDOUT
 IMPORT_ROOT = Path(cli.__file__).resolve().parent.parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 SUBCOMMANDS = ["constants", "potential", "spectrum", "shift", "photon", "experiment"]
+#: names the name rule refuses, for bodies and records alike: each would
+#: split or misalign the rows of a text table
+BAD_NAMES = ["", "a  b", "two  words\nnext", "a\nb", "earth\n"]
 
 
 def run_cli(argv, capsys):
@@ -400,7 +403,8 @@ class TestExperimentCommand:
         path = tmp_path / "reg.json"
         path.write_text(json.dumps([{
             "name": "only-pound",
-            "geometry": {"type": "tower", "body": "earth", "height_m": 22.5},
+            "emit": "earth:0",
+            "observe": "earth:22.5",
             "measured_ratio": 1.05,
             "ratio_uncertainty": 0.10,
         }]))
@@ -414,12 +418,8 @@ class TestExperimentCommand:
         path = tmp_path / "reg.json"
         path.write_text(json.dumps([{
             "name": "twice",
-            "geometry": {
-                "type": "two_point",
-                "emit": [{"body": "sun", "r_m": 6.957e8},
-                         {"body": "sun", "r_m": 1.495978707e11}],
-                "observe": [{"body": "sun", "r_m": 1.495978707e11}],
-            },
+            "emit": "sun:0+sun:r=1.495978707e11",
+            "observe": "sun:r=1.495978707e11",
             "measured_ratio": 1.0,
             "ratio_uncertainty": 0.1,
         }]))
@@ -427,6 +427,29 @@ class TestExperimentCommand:
         assert code == 1
         assert out == ""
         assert f"{path}: record #0 (twice): point 'twice:emit' names body 'sun' twice" in err
+
+    @pytest.mark.parametrize("emit, observe", [
+        ("earth:r=7e6", "earth:r=7e6"),
+        ("sun:0+earth:r=1.495978707e11", "earth:r=1.495978707e11+sun:0"),
+    ], ids=["one-body", "two-bodies"])
+    def test_record_at_one_potential_exits_one(self, tmp_path, emit, observe, capsys):
+        # a record that predicts no shift printed a double sigma of 10, "excluded"
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps([{"name": "flat", "emit": emit, "observe": observe,
+                                     "measured_ratio": 1.0, "ratio_uncertainty": 0.1}]))
+        code, out, err = run_cli(["experiment", "--registry", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: record 'flat': emit and observe are at the same potential\n"
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_record_name_that_breaks_the_table_exits_one(self, tmp_path, name, capsys):
+        # a name with a space or a newline split every text row it was printed in
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps([{"name": name, "emit": "earth:0", "observe": "earth:22.5",
+                                     "measured_ratio": 1.0, "ratio_uncertainty": 0.1}]))
+        code, out, err = run_cli(["experiment", "--registry", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: record #0: invalid record name {name!r}\n"
 
 
 class TestDeterminismAndParity:
@@ -609,6 +632,11 @@ class TestDocumentation:
         for argv, out in examples:
             assert out == GOLDEN_STDOUT[argv], argv
 
+    def test_readme_registry_record_is_the_packaged_one(self):
+        (record,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        packaged = json.loads(data_file("experiments.json").read_text(encoding="utf-8"))
+        assert json.loads(record) == packaged[0]
+
 
 KERBIN = {"name": "kerbin", "mass_kg": 5.2915158e22, "radius_m": 6e5}
 
@@ -624,8 +652,7 @@ BAD_NUMBER_IDS = ["true", "string", "null", "10**400"]
 
 
 def tower_on(body):
-    return {"name": f"{body}-tower",
-            "geometry": {"type": "tower", "body": body, "height_m": 10.0},
+    return {"name": f"{body}-tower", "emit": f"{body}:0", "observe": f"{body}:10",
             "measured_ratio": 1.0, "ratio_uncertainty": 0.5}
 
 
@@ -716,21 +743,20 @@ class TestRegistryFiles:
             assert (code, err) == (0, "")
             check_stdout(argv, code, out, {"compact": (mass, 1.0)})
 
-    @pytest.mark.parametrize("body, shown", [(None, "null"), (["earth"], '["earth"]')],
-                             ids=["null", "list"])
-    @pytest.mark.parametrize("geometry", [
-        lambda body: {"type": "tower", "body": body, "height_m": 10.0},
-        lambda body: {"type": "two_point", "emit": [{"body": body, "r_m": 7e6}],
-                      "observe": [{"body": "earth", "r_m": 8e6}]},
-    ], ids=["tower", "two_point"])
-    def test_body_name_that_is_no_string_exits_one(self, tmp_path, geometry, body, shown,
-                                                   capsys):
+    @pytest.mark.parametrize("spec, shown", [
+        (None, "null"), (5, "5"), (["earth:0"], '["earth:0"]'),
+        ({"body": "earth"}, '{"body": "earth"}'),
+    ], ids=["null", "number", "list", "object"])
+    @pytest.mark.parametrize("side", ["emit", "observe"])
+    def test_point_spec_that_is_no_string_exits_one(self, tmp_path, side, spec, shown, capsys):
         path = tmp_path / "experiments.json"
-        path.write_text(json.dumps([{"name": "x", "geometry": geometry(body),
-                                     "measured_ratio": 1.0, "ratio_uncertainty": 0.5}]))
+        path.write_text(json.dumps([{"name": "x", "emit": "earth:0", "observe": "earth:10",
+                                     side: spec, "measured_ratio": 1.0,
+                                     "ratio_uncertainty": 0.5}]))
         code, out, err = run_cli(["experiment", "--registry", str(path)], capsys)
         assert (code, out) == (1, "")
-        assert err == f"error: {path}: record #0 (x): body must be a string, got {shown}\n"
+        assert err == \
+            f"error: {path}: record #0 (x): {side} must be a point spec string, got {shown}\n"
 
     @pytest.mark.parametrize("command", list(ARGV))
     def test_bodies_flag_refuses_a_packaged_body(self, files, command, capsys):

@@ -16,7 +16,7 @@ from gravshift.gravity import FieldPoint
 from gravshift.spectra import ShiftModel
 
 import oracles
-from test_cli import BAD_NUMBER_IDS, BAD_NUMBERS
+from test_cli import BAD_NAMES, BAD_NUMBER_IDS, BAD_NUMBERS
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +29,10 @@ def by_name(registry):
     return {r.name: r for r in registry}
 
 
-def entry(name, geometry, measured_ratio=1.0, ratio_uncertainty=0.1):
-    return {"name": name, "geometry": geometry, "measured_ratio": measured_ratio,
-            "ratio_uncertainty": ratio_uncertainty}
+def entry(name, emit="earth:0", observe="earth:10", measured_ratio=1.0,
+          ratio_uncertainty=0.1):
+    return {"name": name, "emit": emit, "observe": observe,
+            "measured_ratio": measured_ratio, "ratio_uncertainty": ratio_uncertainty}
 
 
 def write_registry(tmp_path, entries):
@@ -87,9 +88,7 @@ class TestLoadRegistry:
         assert load_registry(path, bodies) == []
 
     def test_negative_uncertainty_rejected(self, tmp_path, bodies):
-        path = write_registry(tmp_path, [entry(
-            "bad", {"type": "tower", "body": "earth", "height_m": 10.0},
-            ratio_uncertainty=-0.1)])
+        path = write_registry(tmp_path, [entry("bad", ratio_uncertainty=-0.1)])
         with pytest.raises(RegistryError) as exc:
             load_registry(path, bodies)
         assert str(exc.value) == f"{path}: record #0 (bad): ratio uncertainty must be positive"
@@ -99,71 +98,58 @@ class TestLoadRegistry:
     ])
     def test_non_finite_value_rejected(self, tmp_path, bodies, field, value):
         # Python's json reads NaN and Infinity, and every sigma passes a NaN
-        entry = {
-            "name": "bad",
-            "geometry": {"type": "tower", "body": "earth", "height_m": 10.0},
-            "measured_ratio": 1.0,
-            "ratio_uncertainty": 0.1,
-        }
-        entry[field] = value
-        path = tmp_path / "r.json"
-        path.write_text(json.dumps([entry]))
+        path = write_registry(tmp_path, [{**entry("bad"), field: value}])
         with pytest.raises(RegistryError) as exc:
             load_registry(path, bodies)
         # the record is named once, by the loader
         assert str(exc.value) == \
             f"{path}: record #0 (bad): measured ratio and its uncertainty must be finite"
 
-    @pytest.mark.parametrize("field", ["height_m", "base_altitude_m", "r_m",
-                                       "measured_ratio", "ratio_uncertainty"])
+    @pytest.mark.parametrize("field", ["measured_ratio", "ratio_uncertainty"])
     @pytest.mark.parametrize("value, reason", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
     def test_non_number_rejected(self, tmp_path, bodies, field, value, reason):
-        tower = {"type": "tower", "body": "earth", "height_m": 10.0}
-        if field == "r_m":
-            record = entry("bad", {"type": "two_point", "emit": [{"body": "sun", "r_m": 7e8}],
-                                   "observe": [{"body": "sun", "r_m": value}]})
-        elif field in ("height_m", "base_altitude_m"):
-            record = entry("bad", {**tower, field: value})
-        else:
-            record = {**entry("bad", tower), field: value}
-        path = write_registry(tmp_path, [record])
+        path = write_registry(tmp_path, [{**entry("bad"), field: value}])
         with pytest.raises(RegistryError, match=re.escape(
                 f"{path}: record #0 (bad): {reason.format(field)}")):
             load_registry(path, bodies)
 
     def test_repeated_name_rejected(self, tmp_path, bodies):
-        tower = {"type": "tower", "body": "earth", "height_m": 10.0}
-        path = write_registry(tmp_path, [entry("twin", tower), entry("twin", tower)])
+        path = write_registry(tmp_path, [entry("twin"), entry("twin")])
         with pytest.raises(RegistryError, match=re.escape(
                 f"{path}: record #1: duplicate record name 'twin'")):
             load_registry(path, bodies)
 
     @pytest.mark.parametrize("name, shown", [(None, "null"), (7, "7"), (["x"], '["x"]')])
     def test_non_string_name_rejected(self, tmp_path, bodies, name, shown):
-        path = write_registry(tmp_path, [entry(
-            name, {"type": "tower", "body": "earth", "height_m": 10.0})])
+        path = write_registry(tmp_path, [entry(name)])
         with pytest.raises(RegistryError, match=re.escape(
                 f"{path}: record #0: name must be a string, got {shown}")):
             load_registry(path, bodies)
 
-    def test_unknown_geometry_type_rejected(self, tmp_path, bodies):
-        path = write_registry(tmp_path, [entry("bad", {"type": "spiral"})])
-        with pytest.raises(RegistryError, match="spiral"):
+    def test_old_geometry_format_rejected(self, tmp_path, bodies):
+        # registry files with a geometry object must be rewritten with point specs
+        path = write_registry(tmp_path, [{
+            "name": "pound-rebka-1960",
+            "geometry": {"type": "tower", "body": "earth", "base_altitude_m": 0.0,
+                         "height_m": 22.5},
+            "measured_ratio": 1.05, "ratio_uncertainty": 0.10}])
+        with pytest.raises(RegistryError) as exc:
             load_registry(path, bodies)
+        assert str(exc.value) == f"{path}: record #0: missing field 'emit'"
 
     @pytest.mark.parametrize("entries, reason", [
         ({"name": "bad"}, "expected a JSON array of objects"),
         ([1], "record #0: expected an object"),
-        ([entry("bad", 5)], "record #0 (bad): geometry must be an object with a 'type' field"),
-        ([entry("bad", {"type": "two_point", "emit": [{"body": "sun"}],
-                        "observe": [{"body": "sun", "r_m": 7e8}]})],
-         "record #0 (bad): geometry emit: expected an array of {body, r_m} objects"),
-        ([entry("bad", {"type": "tower", "body": "earth"})],
-         "record #0 (bad): missing geometry field 'height_m'"),
-        ([entry("", {"type": "tower", "body": "earth", "height_m": 10.0})],
-         "record #0 (): experiment name must be non-empty"),
-    ], ids=["object", "number-record", "number-geometry", "side-without-r_m",
-            "tower-without-height", "empty-name"])
+        ([entry("bad", emit=5)], "record #0 (bad): emit must be a point spec string, got 5"),
+        ([entry("bad", observe="earth")],
+         "record #0 (bad): bad point spec 'earth': expected 'body:ALT_m' or 'body:r=R_m'"),
+        ([entry("bad", emit="")],
+         "record #0 (bad): bad point spec '': expected 'body:ALT_m' or 'body:r=R_m'"),
+        ([entry("bad", emit="earth:ten")],
+         "record #0 (bad): bad distance in point spec 'earth:ten'"),
+        ([entry("", observe="earth:22.5")], "record #0: invalid record name ''"),
+    ], ids=["object", "number-record", "number-spec", "spec-without-distance",
+            "empty-spec", "bad-distance", "empty-name"])
     def test_malformed_record_rejected(self, tmp_path, bodies, entries, reason):
         path = write_registry(tmp_path, entries)
         with pytest.raises(RegistryError, match=re.escape(f"{path}: {reason}")):
@@ -171,27 +157,28 @@ class TestLoadRegistry:
 
     def test_missing_field_rejected(self, tmp_path, bodies):
         path = write_registry(tmp_path, [{"name": "bad"}])
-        with pytest.raises(RegistryError, match="geometry"):
+        with pytest.raises(RegistryError, match="missing field 'emit'"):
             load_registry(path, bodies)
 
-    @pytest.mark.parametrize("geometry, reason", [
-        ({"type": "tower", "body": "earth", "height_m": float("nan")},
-         "tower height must be positive"),
-        ({"type": "tower", "body": "earth", "height_m": 10.0, "base_altitude_m": float("inf")},
-         "point 'bad:emit': distance to body 'earth' is not finite"),
-        ({"type": "two_point", "emit": [{"body": "sun", "r_m": 6.957e8}],
-          "observe": [{"body": "sun", "r_m": float("nan")}]},
-         "point 'bad:observe': distance to body 'sun' is not finite"),
-    ])
-    def test_non_finite_geometry_rejected(self, tmp_path, bodies, geometry, reason):
-        path = write_registry(tmp_path, [entry("bad", geometry)])
+    @pytest.mark.parametrize("emit, observe, reason", [
+        ("earth:0", "earth:nan", "point 'bad:observe': distance to body 'earth' is not finite"),
+        ("earth:inf", "earth:0", "point 'bad:emit': distance to body 'earth' is not finite"),
+        ("sun:0", "sun:r=nan", "point 'bad:observe': distance to body 'sun' is not finite"),
+    ], ids=["altitude-nan", "altitude-inf", "radius-nan"])
+    def test_non_finite_point_rejected(self, tmp_path, bodies, emit, observe, reason):
+        path = write_registry(tmp_path, [entry("bad", emit, observe)])
         with pytest.raises(RegistryError, match=r"r\.json: record #0 \(bad\): " + reason):
             load_registry(path, bodies)
 
-    def test_empty_point_rejected(self, tmp_path, bodies):
-        path = write_registry(tmp_path, [entry("e", {
-            "type": "two_point", "emit": [], "observe": [{"body": "sun", "r_m": 7e8}]})])
-        with pytest.raises(RegistryError, match=r"\(e\): point 'e:emit' names no body"):
+    @pytest.mark.parametrize("emit, observe, side", [
+        ("earth:-1", "earth:0", "emit"),
+        ("sun:0+earth:r=1.495978707e11", "sun:r=1.495978707e11+earth:r=6e6", "observe"),
+    ], ids=["below-the-surface", "inside-one-of-two-bodies"])
+    def test_interior_point_rejected(self, tmp_path, bodies, emit, observe, side):
+        path = write_registry(tmp_path, [entry("deep", emit, observe)])
+        with pytest.raises(RegistryError, match=(
+                rf"r\.json: record #0 \(deep\): point 'deep:{side}': r = \S+ m is inside "
+                r"body 'earth' \(radius 6\.371e\+06 m\); exterior field only$")):
             load_registry(path, bodies)
 
 
@@ -214,8 +201,7 @@ class TestPredict:
         assert shift == pytest.approx(-2.11e-6, rel=2e-3)
 
     def test_unknown_body_raises(self, tmp_path, bodies):
-        path = write_registry(tmp_path, [entry(
-            "vulcan-tower", {"type": "tower", "body": "vulcan", "height_m": 22.5})])
+        path = write_registry(tmp_path, [entry("vulcan-tower", "vulcan:0", "vulcan:22.5")])
         with pytest.raises(RegistryError, match=r"\(vulcan-tower\): unknown body 'vulcan'"):
             load_registry(path, bodies)
 
@@ -292,20 +278,15 @@ class TestModelAlgebra:
 
 
 class TestGeometryConsistency:
-    def test_tower_equals_equivalent_two_point(self, tmp_path, bodies):
-        base, height = 12.0, 22.5
-        r_lo = bodies["earth"].radius_m + base
+    def test_altitude_equals_equivalent_radius(self, tmp_path, bodies):
+        # 'earth:A' lies at R + A, rounded once, as does 'earth:r=<R + A>'
+        radius = bodies["earth"].radius_m
         path = write_registry(tmp_path, [
-            entry("tower", {"type": "tower", "body": "earth",
-                            "base_altitude_m": base, "height_m": height}),
-            entry("two-point", {"type": "two_point",
-                                "emit": [{"body": "earth", "r_m": r_lo}],
-                                "observe": [{"body": "earth", "r_m": r_lo + height}]}),
+            entry("altitude", "earth:12", "earth:34.5"),
+            entry("radius", f"earth:r={radius + 12.0!r}", f"earth:r={radius + 34.5!r}"),
         ])
-        tower, two_point = load_registry(path, bodies)
-        a, b = predictions(tower), predictions(two_point)
-        for model in ShiftModel:
-            assert a[model] == pytest.approx(b[model], rel=1e-12)
+        altitude, radial = load_registry(path, bodies)
+        assert predictions(altitude) == predictions(radial)
 
     def test_sign_discipline(self, registry):
         for record in registry:
@@ -346,11 +327,33 @@ class TestRecordValidation:
         with pytest.raises(ConfigurationError):
             tower_record(earth, 1.0, measured_ratio=0.0)
 
-    def test_non_positive_height_rejected(self, tmp_path, bodies):
-        path = write_registry(tmp_path, [entry(
-            "flat", {"type": "tower", "body": "earth", "height_m": 0.0})])
-        with pytest.raises(RegistryError, match=r"\(flat\): tower height must be positive"):
-            load_registry(path, bodies)
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_name_outside_the_rule_rejected(self, earth, name):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"invalid experiment name {name!r}")):
+            ExperimentRecord(name, FieldPoint.at_altitude(earth, 0.0),
+                             FieldPoint.at_altitude(earth, 1.0), 1.0, 0.1)
+
+    @pytest.mark.parametrize("emit, observe", [
+        ("earth:22.5", "earth:22.5"),
+        ("earth:r=7e6", "earth:r=7e6"),
+        ("sun:0+earth:r=1.495978707e11", "earth:r=1.495978707e11+sun:0"),
+    ], ids=["altitude", "radius", "two-bodies"])
+    def test_record_at_one_potential_rejected(self, tmp_path, bodies, emit, observe):
+        # it predicts no shift, so its double-effect sigma read 10, "excluded"
+        path = write_registry(tmp_path, [entry("flat", emit, observe)])
+        records = load_registry(path, bodies)
+        with pytest.raises(ConfigurationError, match=(
+                "^record 'flat': emit and observe are at the same potential$")):
+            double_effect_verdict(records, 5.0)
+
+    def test_observer_below_emitter_is_a_blue_shift(self, tmp_path, bodies):
+        path = write_registry(tmp_path, [entry("down", "earth:22.5", "earth:0")])
+        (record,) = load_registry(path, bodies)
+        shift = predictions(record)[ShiftModel.EMITTER_MASS_DEFECT]
+        assert shift > 0.0
+        assert shift == -predictions(tower_record(bodies["earth"], 22.5, 1.0))[
+            ShiftModel.EMITTER_MASS_DEFECT]
 
     def test_mismatched_point_bodies_rejected(self, earth, sun):
         with pytest.raises(ConfigurationError,

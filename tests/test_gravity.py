@@ -18,6 +18,7 @@ from gravshift.spectra import ShiftModel, fractional_shift
 from gravshift.units import CONSTANTS
 
 import oracles
+from test_cli import BAD_NAMES
 
 
 def single_body_setup(mass_kg, radius_m, r_m, name="b"):
@@ -142,9 +143,11 @@ class TestBodyValidation:
         with pytest.raises(DomainError):
             CelestialBody("x", 1.0, -1.0)
 
-    def test_rejects_bad_name(self):
-        with pytest.raises(ConfigurationError):
-            CelestialBody("bad name!", 1.0, 1.0)
+    @pytest.mark.parametrize("name", ["bad name!", *BAD_NAMES])
+    def test_rejects_bad_name(self, name):
+        with pytest.raises(ConfigurationError) as exc:
+            CelestialBody(name, 1.0, 1.0)
+        assert str(exc.value) == f"invalid body name {name!r}"
 
 
 class TestBodyRegistry:
@@ -180,6 +183,14 @@ class TestBodyRegistry:
                                      field: value}]))
         with pytest.raises(RegistryError, match=f"body #0: body x: {field} must be positive"):
             load_bodies(path)
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    def test_bad_name_names_the_record(self, tmp_path, name):
+        path = tmp_path / "bodies.json"
+        path.write_text(json.dumps([{"name": name, "mass_kg": 1e22, "radius_m": 1e6}]))
+        with pytest.raises(RegistryError) as exc:
+            load_bodies(path)
+        assert str(exc.value) == f"{path}: body #0: invalid body name {name!r}"
 
     def test_missing_field_reported(self, tmp_path):
         path = tmp_path / "bodies.json"
