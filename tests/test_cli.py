@@ -8,6 +8,7 @@ import subprocess
 import sys
 import zipfile
 from fractions import Fraction
+from importlib import metadata
 from pathlib import Path
 
 import pytest
@@ -765,16 +766,67 @@ class TestRegistryFiles:
         assert "unknown body 'earth'" in err
 
 
+def run_python(args, **kwargs):
+    """Run `python *args` to its end, importing gravshift from IMPORT_ROOT.
+    Its stdout is block-buffered, as a user's pipe is, so output the process
+    does not flush before it ends is lost."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = str(IMPORT_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
 class TestProcessLevel:
     def test_module_entry_point(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(IMPORT_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "gravshift", "experiment", "--report", "text"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python(["-m", "gravshift", "experiment", "--report", "text"],
+                          capture_output=True, text=True)
         assert proc.returncode == 0
         assert "EXCLUDED" in proc.stdout
+
+    def test_installed_command_is_the_module_entry(self):
+        # `gravshift` and `python -m gravshift` share one exit path
+        try:
+            dist = metadata.distribution("gravshift")
+        except metadata.PackageNotFoundError:
+            pytest.skip("gravshift is not installed")
+        scripts = [e.value for e in dist.entry_points
+                   if (e.group, e.name) == ("console_scripts", "gravshift")]
+        assert scripts == ["gravshift.__main__:run"]
+
+    @pytest.mark.parametrize("argv", [
+        ["constants"],
+        ["potential", "--at", "earth:0", "--at", "earth:r=7e6+sun:r=1.495978707e11"],
+        ["spectrum", "--z", "2", "--states", "0:1/2,1:3/2", "--at", "sun:0",
+         "--emitter-mass-kg", "1.67262192369e-27", "--format", "json"],
+        ["shift", "--model", "double", "--body", "earth", "--emit-r-m", "6.371e6",
+         "--obs-r-m", "6.3710225e6", "--format", "csv"],
+        ["experiment", "--report", "json", "--threshold", "3"],
+    ], ids=" ".join)
+    def test_stdout_matches_golden(self, argv):
+        # the process ends without teardown, so this checks that stdout is flushed first
+        proc = run_python(["-m", "gravshift", *argv], capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == GOLDEN_STDOUT[" ".join(argv)].encode("utf-8")
+
+    def test_partial_sweep_prints_the_traced_rays_and_names_the_refused_one(self, capsys):
+        argv = ["photon", "--body", "earth", "--sweep-radii", "0.5:2:4", "--tol", "1e-6"]
+        proc = run_python(["-m", "gravshift", *argv], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert run_cli(argv, capsys)[:2] == (1, proc.stdout)
+        assert len(rows(argv, proc.stdout)) == 3
+        check_stdout(argv, 1, proc.stdout)
+        assert re.fullmatch(r"error: b_m \S+: ray impacted body 'earth' [^\n]*\n", proc.stderr)
+
+    def test_a_command_runs_with_collection_on_and_its_output_flushed(self):
+        # with collection off for the whole run, each ray solve's reference
+        # cycle would stay until exit; the stub does not flush its print, so
+        # run must
+        stub = ("import gc\n"
+                "from gravshift import __main__, cli\n"
+                "cli.main = lambda: print(gc.isenabled()) or 0\n"
+                "__main__.run()\n")
+        proc = run_python(["-c", stub], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
     def test_packaged_registries_read_from_a_zip(self, tmp_path):
         # a zipped package has no file to hand out, only a resource to read
@@ -793,16 +845,17 @@ class TestProcessLevel:
     @pytest.mark.parametrize("argv", [
         ["constants"],
         ["photon", "--body", "earth", "--sweep-m", "2e7:4e7:2", "--tol", "1e-6"],
+        ["potential", "--at", "mars:0"],
+        ["experiment", "--threshold", "1e6"],
     ])
     def test_closed_stdout_exits_one_without_traceback(self, argv):
-        # the reader is gone before the child writes, as with `| head -1`
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(IMPORT_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
+        # the reader is gone before the child writes, as with `| head -1`; a
+        # refusal and a failing verdict exit 1 whether or not stdout is open
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run([sys.executable, "-m", "gravshift", *argv],
-                                  stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+            proc = run_python(["-m", "gravshift", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
         finally:
             os.close(write_end)
         assert proc.returncode == 1
