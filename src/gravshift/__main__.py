@@ -13,6 +13,14 @@ the command does not need:
   teardown do not run, so anything that must happen at exit (closing a log,
   say) belongs inside `cli.main`. A `SystemExit` or another exception
   raised out of `cli.main` takes the normal exit path.
+- BLAS threads: unless the environment already sets it,
+  ``OPENBLAS_NUM_THREADS`` is set to 1 before numpy and scipy load, so
+  neither of their OpenBLAS libraries starts a worker-thread pool that no
+  command uses (the largest arrays are a ray's 5-component state). The
+  variable is inherited by any child process, and `gravshift` starts none.
+  A program that imports `gravshift.cli` as a library keeps its own
+  environment. The default works only while nothing that `python -m
+  gravshift` imports before `run` loads numpy.
 """
 
 import gc
@@ -22,6 +30,7 @@ from typing import NoReturn
 
 
 def run() -> NoReturn:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     from gravshift import cli
     gc.freeze()

@@ -42,6 +42,23 @@ MAX_SWEEP_RAYS = 10_000
 MAX_STATES = 100_000
 
 
+def _silence(stream) -> None:
+    """Point a stream whose reader has gone at devnull, so that what it still
+    buffers, and anything later written to it, is dropped quietly."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _print_error(message: str) -> None:
+    """Print a refusal to stderr; a closed stderr drops it, so that a command
+    goes on to print its rows and its exit code stays the refusal's."""
+    try:
+        print(message, file=sys.stderr)
+    except BrokenPipeError:
+        _silence(sys.stderr)
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
@@ -217,8 +234,8 @@ def _cmd_shift(args) -> int:
     shift = fractional_shift(ShiftModel(args.model), emit, obs)
     _emit_record({
         "model": args.model,
-        "phi_emit_m2_s2": potential(emit).value,
-        "phi_obs_m2_s2": potential(obs).value,
+        "phi_emit_m2_s2": emit.phi.value,
+        "phi_obs_m2_s2": obs.phi.value,
         "fractional_shift": shift,
     }, args.format)
     return EXIT_OK
@@ -255,7 +272,7 @@ def _cmd_photon(args) -> int:
                 rows.append({"b_m": b, **dataclasses.asdict(ray)})
             except GravshiftError as exc:
                 # keep the rays that trace; name each refused b on stderr
-                print(f"error: b_m {_fmt(b)}: {exc}", file=sys.stderr)
+                _print_error(f"error: b_m {_fmt(b)}: {exc}")
                 refused += 1
         columns = ["b_m", *(f.name for f in dataclasses.fields(RayResult))]
         _emit_rows(columns, rows, args.format)
@@ -387,10 +404,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except GravshiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(f"error: {exc}")
         return EXIT_FAILURE
     except BrokenPipeError:
-        # the reader closed early; send what is still buffered to devnull so
-        # the flush at exit stays silent
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout's reader closed early (stderr's refusals never raise this);
+        # drop what is still buffered so the flush at exit stays silent
+        _silence(sys.stdout)
         return EXIT_FAILURE

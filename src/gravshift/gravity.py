@@ -17,6 +17,7 @@ when a point is built: every distance must be at least the body radius.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -90,6 +91,11 @@ class FieldPoint:
                     f"{body.name!r} (radius {body.radius_m:g} m); exterior field only"
                 )
         object.__setattr__(self, "distances", distances)
+
+    @functools.cached_property
+    def phi(self) -> Quantity:
+        """`potential` at this point, computed on first use and then kept."""
+        return potential(self)
 
     @classmethod
     def at_altitude(cls, body: CelestialBody, altitude_m: float,

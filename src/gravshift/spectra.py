@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, DomainError
-from .gravity import FieldPoint, potential, require_same_bodies
+from .gravity import FieldPoint, require_same_bodies
 from .units import (
     CONSTANTS,
     MASS,
@@ -198,7 +198,7 @@ def fractional_shift(model: ShiftModel, emit: FieldPoint, obs: FieldPoint) -> fl
     """
     require_same_bodies(emit, obs)
     for point in (emit, obs):
-        weak_field_ratio(potential(point))
+        weak_field_ratio(point.phi)
     r_obs = {body.name: r for body, r in obs.distances}
     terms = []
     for body, r in emit.distances:

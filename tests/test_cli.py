@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravshift import cli
+from gravshift import cli, gravity, spectra
 from gravshift.cli import main
 from gravshift.data import data_file
 
@@ -199,6 +199,22 @@ class TestShiftCommand:
         relative = (Fraction(record["fractional_shift"]) - ratio + 1) / (ratio - 1)
         assert float(relative) == pytest.approx(
             record["phi_obs_m2_s2"] / oracles.C2, abs=2e-10)
+
+    def test_each_point_potential_is_computed_once(self, monkeypatch, capsys):
+        # the weak-field refusal and the printed phi columns share one value
+        calls = []
+
+        def counted(point):
+            calls.append(point.label)
+            return real(point)
+
+        real = gravity.potential
+        for module in (gravity, spectra, cli):
+            if getattr(module, "potential", None) is real:
+                monkeypatch.setattr(module, "potential", counted)
+        code, _, _ = run_cli(["shift", "--model", "double", "--emit", "sun:0+earth:r=1.5e11",
+                              "--obs", "sun:r=1.5e11+earth:0"], capsys)
+        assert (code, sorted(calls)) == (0, ["emit", "obs"])
 
     def test_conflicting_point_flags_rejected(self, capsys):
         code, _, err = run_cli(
@@ -766,14 +782,18 @@ class TestRegistryFiles:
         assert "unknown body 'earth'" in err
 
 
-def run_python(args, **kwargs):
+def run_python(args, env=None, **kwargs):
     """Run `python *args` to its end, importing gravshift from IMPORT_ROOT.
     Its stdout is block-buffered, as a user's pipe is, so output the process
-    does not flush before it ends is lost."""
-    env = dict(os.environ)
-    env.pop("PYTHONUNBUFFERED", None)
-    env["PYTHONPATH"] = str(IMPORT_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+    does not flush before it ends is lost.  The child gets the caller's
+    environment less PYTHONUNBUFFERED and OPENBLAS_NUM_THREADS, so that it
+    starts from a user's defaults whatever the calling shell sets, plus the
+    variables of ``env``."""
+    child_env = {name: value for name, value in os.environ.items()
+                 if name not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
+    child_env.update(env or {})
+    child_env["PYTHONPATH"] = str(IMPORT_ROOT) + os.pathsep + child_env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env=child_env, **kwargs)
 
 
 class TestProcessLevel:
@@ -828,6 +848,45 @@ class TestProcessLevel:
         proc = run_python(["-c", stub], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+    def test_blas_threads_default_to_one_unless_set(self, given, expected):
+        # the stub cli loads numpy and scipy's BLAS only once run has begun,
+        # as the real one does, and reports what their thread pools became
+        stub = ("import os, sys, types\n"
+                "from gravshift import __main__\n"
+                "def main():\n"
+                "    import numpy, scipy.integrate\n"
+                "    status = '/proc/self/status'\n"
+                "    threads = [line.split()[1] for line in open(status)\n"
+                "               if line.startswith('Threads:')] if os.path.exists(status) else []\n"
+                "    print(os.environ.get('OPENBLAS_NUM_THREADS'), *threads)\n"
+                "    return 0\n"
+                "sys.modules['gravshift.cli'] = types.ModuleType('gravshift.cli')\n"
+                "sys.modules['gravshift.cli'].main = main\n"
+                "__main__.run()\n")
+        env = {} if given is None else {"OPENBLAS_NUM_THREADS": given}
+        proc = run_python(["-c", stub], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        value, *threads = proc.stdout.split()
+        assert value == expected
+        if given is None:
+            if not threads:
+                pytest.skip("no /proc/self/status to count threads")
+            assert threads == ["1"]
+
+    def test_importing_the_cli_leaves_the_environment_alone(self):
+        proc = run_python(["-c", "import os, gravshift.cli\n"
+                                 "print('OPENBLAS_NUM_THREADS' in os.environ)"],
+                          capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_the_process_entry_loads_no_numpy_before_run(self):
+        # numpy loaded before run would start its BLAS threads regardless
+        proc = run_python(["-c", "import sys, gravshift.__main__\n"
+                                 "print('numpy' in sys.modules)"],
+                          capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
     def test_packaged_registries_read_from_a_zip(self, tmp_path):
         # a zipped package has no file to hand out, only a resource to read
         archive = tmp_path / "gravshift.zip"
@@ -861,3 +920,20 @@ class TestProcessLevel:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["photon", "--body", "earth", "--sweep-radii", "0.5:2:4", "--tol", "1e-6"],
+        ["potential", "--at", "mars:0"],
+    ])
+    def test_closed_stderr_keeps_stdout_and_exits_one(self, argv, capsys):
+        # a refusal's message is lost with stderr; the rows printed beside
+        # it (the sweep's 3 traced rays) and the exit code are not
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python(["-m", "gravshift", *argv],
+                              stdout=subprocess.PIPE, stderr=write_end, text=True)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stdout) == run_cli(argv, capsys)[:2]
+        assert proc.returncode == 1
