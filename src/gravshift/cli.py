@@ -50,11 +50,11 @@ def _silence(stream) -> None:
     os.close(devnull)
 
 
-def _print_error(message: str) -> None:
+def _print_error(message: str, end: str = "\n") -> None:
     """Print a refusal to stderr; a closed stderr drops it, so that a command
     goes on to print its rows and its exit code stays the refusal's."""
     try:
-        print(message, file=sys.stderr)
+        print(message, end=end, file=sys.stderr, flush=True)
     except BrokenPipeError:
         _silence(sys.stderr)
 
@@ -231,7 +231,7 @@ def _cmd_shift(args) -> int:
     bodies = load_bodies(args.bodies)
     emit = _shift_point(args, "emit", bodies)
     obs = _shift_point(args, "obs", bodies)
-    shift = fractional_shift(ShiftModel(args.model), emit, obs)
+    shift = fractional_shift(ShiftModel[args.model], emit, obs)
     _emit_record({
         "model": args.model,
         "phi_emit_m2_s2": emit.phi.value,
@@ -342,11 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shift", parents=[with_bodies],
                        help="fractional line shift between two points")
-    p.add_argument("--model", choices=sorted(m.value for m in ShiftModel), required=True,
-                   help="shift model; each prints the first-order shift (phi_emit - "
-                        "phi_obs)/c^2, doubled for 'double'.  The emitter model's exact "
-                        "ratio nu_emit/nu_obs - 1, which spectrum implies, divides it by "
-                        "1 + phi_obs/c^2: 1.06e-8 relative at the Snider points")
+    p.add_argument("--model", choices=sorted(ShiftModel.__members__), required=True,
+                   help="shift model, by its couplings (k_e, k_p) of the emitter's mass and "
+                        "the photon to the potential: emitter (1, 0), photon (0, 1), double "
+                        "(1, 1); each prints (k_e + k_p)(phi_emit - phi_obs)/c^2, first order.  "
+                        "The emitter model's exact ratio nu_emit/nu_obs - 1, which spectrum "
+                        "implies, divides that by 1 + phi_obs/c^2: 1.06e-8 relative at Snider")
     p.add_argument("--body", help="body for --emit-alt/--obs-alt/--*-r-m forms")
     p.add_argument("--emit", metavar="SPEC", help="emission point spec")
     p.add_argument("--obs", metavar="SPEC", help="observation point spec")
@@ -398,11 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code
+    except SystemExit:
+        # argparse ignores a failed write of its usage error to a closed
+        # stderr but keeps it buffered, and the flush at exit would fail
+        _print_error("", end="")
+        raise
     except GravshiftError as exc:
         _print_error(f"error: {exc}")
         return EXIT_FAILURE

@@ -2,10 +2,9 @@
 
 Each record stores the measured shift as a ratio to the single-shift
 prediction (the normalized form the measurements were published in), with a
-one-sigma uncertainty.  Testing a single-locus model therefore reads the
-ratio as-is; testing the double effect halves both the ratio and its
-uncertainty (the measured shift is unchanged, the prediction doubles), which
-is algebraically the same as sigma = |ratio - 2|/uncertainty.
+one-sigma uncertainty.  A model with couplings (k_e, k_p) predicts
+k = k_e + k_p times the single shift, so each of its rows divides the ratio
+and its uncertainty by k.
 
 A record holds its emit and observe points.  A registry file gives each as
 a point spec string, as for the CLI's ``--at`` (``"earth:0"``,
@@ -15,11 +14,12 @@ there, with the file and the record named.  A record whose two points are at
 the same potential predicts no shift and tests no model, so the comparison
 refuses it.
 
-A record excludes a model when sigma = |ratio - 1|/uncertainty exceeds the
-exclusion threshold; every record is tested against every model in one
-table.  The shipped registry holds the two tower measurements and the
-solar-line measurement; the verdict of interest is whether the single-locus
-models all stand and any record excludes the double effect.
+A record excludes a model when sigma = |ratio - 1|/uncertainty, of the
+divided ratio and uncertainty, exceeds the exclusion threshold; a sigma that
+is not a finite float is refused.  Every record is tested against every
+model in one table.  The shipped registry holds the two tower measurements
+and the solar-line measurement; the verdict of interest is whether the
+single-locus models all stand and any record excludes the double effect.
 """
 
 from __future__ import annotations
@@ -104,33 +104,34 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
         raise ConfigurationError("exclusion threshold must be positive and finite")
     reports = []
     for record in records:
-        single = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, record.emit, record.observe)
+        single = fractional_shift(ShiftModel.emitter, record.emit, record.observe)
         if single == 0.0:
             # a record that predicts no shift tests no model
             raise ConfigurationError(
                 f"record {record.name!r}: emit and observe are at the same potential")
         for model in ShiftModel:
-            ratio, unc, predicted = record.measured_ratio, record.ratio_uncertainty, single
-            if model is ShiftModel.DOUBLE_EFFECT:
-                # measured shift unchanged, predicted doubled
-                ratio, unc, predicted = ratio / 2.0, unc / 2.0, single + single
-            sigma = abs(ratio - 1.0) / unc
+            k = model.k_e + model.k_p
+            ratio, unc = record.measured_ratio / k, record.ratio_uncertainty / k
+            sigma = abs(ratio - 1.0) / unc if unc else math.inf
+            if not math.isfinite(sigma):
+                # an uncertainty divided down to 0 or a sigma past the float range
+                raise ConfigurationError(
+                    f"record {record.name!r}: sigma of the {model.name} model is not finite "
+                    f"(ratio {ratio:g}, uncertainty {unc:g})")
             reports.append(ComparisonReport(
                 experiment=record.name,
-                model=model.value,
-                predicted_shift=predicted,
+                model=model.name,
+                predicted_shift=k * single,
                 ratio=ratio,
                 ratio_uncertainty=unc,
                 sigma=sigma,
                 verdict="excluded" if sigma > threshold else "consistent",
             ))
-    double = ShiftModel.DOUBLE_EFFECT.value
+    excluded = {ShiftModel[r.model] for r in reports if r.verdict == "excluded"}
     return ComparisonSummary(
         reports=tuple(reports),
-        single_models_consistent=not any(
-            r.verdict == "excluded" for r in reports if r.model != double),
-        double_effect_excluded=any(
-            r.verdict == "excluded" for r in reports if r.model == double),
+        single_models_consistent=excluded <= {ShiftModel.double},
+        double_effect_excluded=ShiftModel.double in excluded,
     )
 
 

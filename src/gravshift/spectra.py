@@ -22,10 +22,11 @@ specific energy factor per state and multiplying by the mass exactly once.
 That arithmetic is on floats: the public functions check the dimension of the
 mass they take and tag the energy or frequency they return.
 
-Fractional line shifts between two locations come in three flavours: the
-emitter-mass-defect shift, the in-flight photon-interaction shift (same
-functional form, different physical locus), and their arithmetic sum, the
-"double effect".  Negative means red (emitter deeper in the potential).
+A model of the line shift between two locations is its couplings (k_e, k_p)
+to the potential: of the emitter's mass (the defect above) and of the photon
+in flight.  Each adds the single shift (phi_emit - phi_obs)/c^2: emitter
+(1, 0) and photon (0, 1) predict it, the "double effect" (1, 1) twice it.
+Negative means red (emitter deeper in the potential).
 """
 
 from __future__ import annotations
@@ -177,18 +178,22 @@ def transition_frequency(s_upper: QuantumState, s_lower: QuantumState,
 
 
 class ShiftModel(enum.Enum):
-    """Competing explanations of the gravitational line shift."""
+    """The competing readings of the line shift, named as the CLI names them and
+    valued by their couplings (k_e, k_p) of the emitter's mass and the photon."""
 
-    EMITTER_MASS_DEFECT = "emitter"
-    PHOTON_INTERACTION = "photon"
-    DOUBLE_EFFECT = "double"
+    emitter = (1, 0)
+    photon = (0, 1)
+    double = (1, 1)
+
+    def __init__(self, k_e: int, k_p: int) -> None:
+        self.k_e, self.k_p = k_e, k_p
 
 
 def fractional_shift(model: ShiftModel, emit: FieldPoint, obs: FieldPoint) -> float:
     """Fractional frequency shift between an emission and an observation point.
 
-    Both single-locus models predict (phi_emit - phi_obs)/c^2; the double
-    effect is their arithmetic sum.  Negative = red shift (emitter deeper).
+    A model predicts k_e + k_p times the single shift (phi_emit - phi_obs)/c^2.
+    Negative = red shift (emitter deeper).
     The shift is first order: with x = phi/c^2, the emitter model's exact
     ratio of the level frequencies at the two points, less 1, is
     (x_emit - x_obs)/(1 + x_obs), 1.06e-8 relative apart at the Snider points.
@@ -207,4 +212,4 @@ def fractional_shift(model: ShiftModel, emit: FieldPoint, obs: FieldPoint) -> fl
         # term itself does; mu/far can underflow while the term is normal
         terms.append(body.mu / near * ((r - r_obs[body.name]) / far))
     single = math.fsum(terms) / CONSTANTS.c_squared
-    return single + single if model is ShiftModel.DOUBLE_EFFECT else single
+    return (model.k_e + model.k_p) * single

@@ -31,6 +31,11 @@ import oracles
 
 LABEL = None
 
+#: each model's couplings (k_e, k_p) to the potential, of the emitter's mass
+#: and of the photon, in the order the experiment table prints the models;
+#: a model predicts k_e + k_p times the single shift
+COUPLINGS = {"emitter": (1, 0), "photon": (0, 1), "double": (1, 1)}
+
 #: 180 * 3600 / pi, arcseconds per radian
 ARCSEC_PER_RAD = 206264.80624709636
 
@@ -56,11 +61,11 @@ def potential_m2_s2(pairs):
 
 
 def first_order_shift(row, printed):
-    """(phi_emit - phi_obs)/c^2, doubled for the double effect, within 8 ulps
-    of the sum of its per-body magnitudes."""
+    """(phi_emit - phi_obs)/c^2 times the model's k_e + k_p, within 8 ulps of
+    the sum of its per-body magnitudes."""
     exact, scale = oracles.fractional_shift_exact(row["terms"])
-    factor = 2.0 if row["model"] == "double" else 1.0
-    return factor * exact, 8 * math.ulp(factor * scale)
+    k = sum(COUPLINGS[row["model"]])
+    return k * exact, 8 * math.ulp(k * scale)
 
 
 def level(unit):
@@ -303,13 +308,13 @@ def experiment_rows(opts, bodies, printed):
     for record in records:
         terms = shift_terms(point(record["emit"], bodies), point(record["observe"], bodies),
                             bodies)
-        for model in ("emitter", "photon", "double"):
-            # the double effect halves the measured ratio and its uncertainty
-            halve = 2 if model == "double" else 1
+        for model, couplings in COUPLINGS.items():
+            # the row holds the measured shift to k times the single shift
+            k = sum(couplings)
             rows.append({
                 "experiment": record["name"], "model": model, "terms": terms,
-                "ratio": float(Fraction(record["measured_ratio"]) / halve),
-                "ratio_uncertainty": float(Fraction(record["ratio_uncertainty"]) / halve),
+                "ratio": float(Fraction(record["measured_ratio"]) / k),
+                "ratio_uncertainty": float(Fraction(record["ratio_uncertainty"]) / k),
                 "threshold": threshold(opts)})
     return rows
 

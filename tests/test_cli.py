@@ -406,6 +406,19 @@ class TestPhotonCommand:
         assert "outside [10, 200]" in err
 
 
+#: measured ratios and uncertainties from the smallest subnormal to the
+#: largest float
+EXTREME_VALUES = [5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1e300, 1.7976931348623157e308]
+
+
+def tower_registry(tmp_path, ratio, unc):
+    """The path of a registry of one 22.5 m tower record named 'extreme'."""
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps([{"name": "extreme", "emit": "earth:0", "observe": "earth:22.5",
+                                 "measured_ratio": ratio, "ratio_uncertainty": unc}]))
+    return path
+
+
 class TestExperimentCommand:
     @pytest.mark.parametrize("threshold, report", [("nan", "text"), ("inf", "text"),
                                                    ("inf", "json")])
@@ -457,6 +470,37 @@ class TestExperimentCommand:
         code, out, err = run_cli(["experiment", "--registry", str(path)], capsys)
         assert (code, out) == (1, "")
         assert err == "error: record 'flat': emit and observe are at the same potential\n"
+
+    @pytest.mark.parametrize("ratio, unc, refusal", [
+        # the double row divides the uncertainty by 2, to 0: a ZeroDivisionError
+        (1.0, 5e-324, "sigma of the double model is not finite (ratio 0.5, uncertainty 0)"),
+        # 1e300/1e-300 overflows, and the JSON report printed "sigma": inf
+        (1e300, 1e-300,
+         "sigma of the emitter model is not finite (ratio 1e+300, uncertainty 1e-300)"),
+    ], ids=["uncertainty-halved-to-zero", "sigma-overflows"])
+    @pytest.mark.parametrize("report", ["text", "json"])
+    def test_record_whose_sigma_is_not_finite_exits_one(self, tmp_path, ratio, unc, refusal,
+                                                       report, capsys):
+        path = tower_registry(tmp_path, ratio, unc)
+        code, out, err = run_cli(["experiment", "--registry", str(path), "--report", report],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: record 'extreme': {refusal}\n"
+
+    @pytest.mark.parametrize("unc", EXTREME_VALUES)
+    @pytest.mark.parametrize("ratio", EXTREME_VALUES)
+    @pytest.mark.parametrize("report", ["text", "json"])
+    def test_extreme_record_values_print_checked_rows_or_a_refusal(self, tmp_path, ratio, unc,
+                                                                   report, capsys):
+        path = tower_registry(tmp_path, ratio, unc)
+        argv = ["experiment", "--registry", str(path), "--report", report]
+        code, out, err = run_cli(argv, capsys)
+        if out:
+            assert err == ""
+            check_stdout(argv, code, out)
+        else:
+            assert code == 1
+            assert re.fullmatch(r"error: record 'extreme': [^\n]+\n", err), err
 
     @pytest.mark.parametrize("name", BAD_NAMES)
     def test_record_name_that_breaks_the_table_exits_one(self, tmp_path, name, capsys):
@@ -924,6 +968,8 @@ class TestProcessLevel:
     @pytest.mark.parametrize("argv", [
         ["photon", "--body", "earth", "--sweep-radii", "0.5:2:4", "--tol", "1e-6"],
         ["potential", "--at", "mars:0"],
+        # a usage error, which argparse prints and exits 2 for outside cli.main
+        ["potential"],
     ])
     def test_closed_stderr_keeps_stdout_and_exits_one(self, argv, capsys):
         # a refusal's message is lost with stderr; the rows printed beside
@@ -935,5 +981,27 @@ class TestProcessLevel:
                               stdout=subprocess.PIPE, stderr=write_end, text=True)
         finally:
             os.close(write_end)
-        assert (proc.returncode, proc.stdout) == run_cli(argv, capsys)[:2]
-        assert proc.returncode == 1
+        try:
+            expected = run_cli(argv, capsys)[:2]
+        except SystemExit as exc:
+            expected = exc.code, capsys.readouterr().out
+        assert (proc.returncode, proc.stdout) == expected
+        assert proc.returncode == (2 if argv == ["potential"] else 1)
+
+    @pytest.mark.parametrize("argv, code", [(["potential"], 2),
+                                            (["potential", "--at", "mars:0"], 1)])
+    def test_closed_block_buffered_stderr_keeps_the_exit_code(self, argv, code):
+        # a program that embeds the entry may swap in a block-buffered
+        # stderr: the message stays buffered, and the flush at exit failed
+        # with exit code 120
+        stub = ("import io, sys\n"
+                "sys.stderr = io.TextIOWrapper(open(2, 'wb', closefd=False))\n"
+                "from gravshift import __main__\n"
+                "__main__.run()\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python(["-c", stub, *argv], stdout=subprocess.PIPE, stderr=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stdout) == (code, b"")

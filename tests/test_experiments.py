@@ -16,6 +16,7 @@ from gravshift.gravity import FieldPoint
 from gravshift.spectra import ShiftModel
 
 import oracles
+from printed_columns import COUPLINGS
 from test_cli import BAD_NAMES, BAD_NUMBER_IDS, BAD_NUMBERS
 
 
@@ -53,7 +54,7 @@ def tower_record(earth, height, measured_ratio, ratio_uncertainty=0.1):
 
 def reports(record):
     """The rows of the one record against each model at 5 sigma, keyed by model."""
-    return {ShiftModel(r.model): r for r in double_effect_verdict([record], 5.0).reports}
+    return {ShiftModel[r.model]: r for r in double_effect_verdict([record], 5.0).reports}
 
 
 def predictions(record):
@@ -184,16 +185,16 @@ class TestLoadRegistry:
 
 class TestPredict:
     def test_pound_tower_emitter_model(self, by_name):
-        shift = predictions(by_name["pound-rebka-1960"])[ShiftModel.EMITTER_MASS_DEFECT]
+        shift = predictions(by_name["pound-rebka-1960"])[ShiftModel.emitter]
         assert abs(shift) == pytest.approx(oracles.G_STANDARD * 22.5 / oracles.C2, rel=2e-3)
         assert shift < 0.0
 
     def test_pound_tower_double_is_twice(self, by_name):
         shifts = predictions(by_name["pound-rebka-1960"])
-        assert shifts[ShiftModel.DOUBLE_EFFECT] == 2.0 * shifts[ShiftModel.EMITTER_MASS_DEFECT]
+        assert shifts[ShiftModel.double] == 2.0 * shifts[ShiftModel.emitter]
 
     def test_solar_two_point(self, by_name):
-        shift = predictions(by_name["snider-solar-1972"])[ShiftModel.EMITTER_MASS_DEFECT]
+        shift = predictions(by_name["snider-solar-1972"])[ShiftModel.emitter]
         solar_term = oracles.G * oracles.M_SUN * (1.0 / oracles.R_SUN - 1.0 / oracles.AU)
         earth_term = oracles.G * oracles.M_EARTH * (1.0 / oracles.R_EARTH - 1.0 / oracles.AU)
         expected = (-solar_term + earth_term) / oracles.C2
@@ -208,13 +209,13 @@ class TestPredict:
 
 class TestCompare:
     def test_pound_rebka_emitter(self, by_name):
-        report = reports(by_name["pound-rebka-1960"])[ShiftModel.EMITTER_MASS_DEFECT]
+        report = reports(by_name["pound-rebka-1960"])[ShiftModel.emitter]
         assert report.sigma == abs(1.05 - 1.0) / 0.10
         assert report.sigma == pytest.approx(0.5, rel=1e-12)
         assert report.verdict == "consistent"
 
     def test_pound_snider_double(self, by_name):
-        report = reports(by_name["pound-snider-1965"])[ShiftModel.DOUBLE_EFFECT]
+        report = reports(by_name["pound-snider-1965"])[ShiftModel.double]
         assert report.ratio == 0.4995
         assert report.ratio_uncertainty == 0.0038
         assert report.sigma == pytest.approx((1.0 - 0.4995) / 0.0038, rel=1e-12)
@@ -222,25 +223,23 @@ class TestCompare:
         assert report.verdict == "excluded"
 
     def test_snider_solar_emitter(self, by_name):
-        report = reports(by_name["snider-solar-1972"])[ShiftModel.EMITTER_MASS_DEFECT]
+        report = reports(by_name["snider-solar-1972"])[ShiftModel.emitter]
         assert report.sigma == pytest.approx((1.01 - 1.0) / 0.06, rel=1e-12)
         assert report.sigma == pytest.approx(0.167, rel=3e-3)
         assert report.verdict == "consistent"
 
+    @pytest.mark.parametrize("model", ShiftModel, ids=lambda model: model.name)
     @given(
         rho=st.floats(min_value=0.1, max_value=3.0),
-        sigma=st.floats(min_value=1e-4, max_value=1.0),
+        unc=st.floats(min_value=1e-4, max_value=1.0),
     )
-    def test_double_rescaling_identity(self, rho, sigma):
-        # |rho/2 - 1|/(sigma/2) must equal |rho - 2|/sigma up to rounding
-        rescaled = abs(rho / 2.0 - 1.0) / (sigma / 2.0)
-        direct = abs(rho - 2.0) / sigma
-        assert rescaled == pytest.approx(direct, rel=1e-15)
-
-    def test_compare_uses_rescaled_form(self, earth):
-        record = tower_record(earth, 10.0, measured_ratio=0.8, ratio_uncertainty=0.05)
-        report = reports(record)[ShiftModel.DOUBLE_EFFECT]
-        assert report.sigma == pytest.approx(abs(0.8 - 2.0) / 0.05, rel=1e-15)
+    def test_row_holds_the_ratio_to_k_times_the_single_shift(self, earth, model, rho, unc):
+        # a model predicts k = k_e + k_p single shifts, so its row's sigma,
+        # |rho/k - 1|/(unc/k), is |rho - k|/unc up to rounding
+        k = sum(COUPLINGS[model.name])
+        rows = reports(tower_record(earth, 10.0, measured_ratio=rho, ratio_uncertainty=unc))
+        assert rows[model].sigma == pytest.approx(abs(rho - k) / unc, rel=1e-15)
+        assert rows[model].predicted_shift == k * rows[ShiftModel.emitter].predicted_shift
 
     def test_bad_threshold_rejected(self, by_name):
         with pytest.raises(ConfigurationError):
@@ -255,8 +254,8 @@ class TestModelAlgebra:
     def test_shipped_geometries(self, registry):
         for record in registry:
             shifts = predictions(record)
-            assert shifts[ShiftModel.DOUBLE_EFFECT] == (
-                shifts[ShiftModel.EMITTER_MASS_DEFECT] + shifts[ShiftModel.PHOTON_INTERACTION])
+            assert shifts[ShiftModel.double] == (
+                shifts[ShiftModel.emitter] + shifts[ShiftModel.photon])
 
     def test_random_two_point_geometries(self, earth, sun):
         rng = random.Random(987)
@@ -273,8 +272,8 @@ class TestModelAlgebra:
                 ratio_uncertainty=0.1,
             )
             shifts = predictions(record)
-            assert shifts[ShiftModel.DOUBLE_EFFECT] == (
-                shifts[ShiftModel.EMITTER_MASS_DEFECT] + shifts[ShiftModel.PHOTON_INTERACTION])
+            assert shifts[ShiftModel.double] == (
+                shifts[ShiftModel.emitter] + shifts[ShiftModel.photon])
 
 
 class TestGeometryConsistency:
@@ -299,13 +298,13 @@ class TestDoubleEffectVerdict:
     def test_shipped_registry_verdict(self, registry):
         summary = double_effect_verdict(registry, 5.0)
         assert [(r.experiment, r.model) for r in summary.reports] == [
-            (record.name, model.value) for record in registry for model in ShiftModel]
+            (record.name, model.name) for record in registry for model in ShiftModel]
         assert summary.single_models_consistent
         assert summary.double_effect_excluded
 
     def test_pound_rebka_alone_still_excludes(self, by_name):
         summary = double_effect_verdict([by_name["pound-rebka-1960"]], 5.0)
-        double = [r for r in summary.reports if r.model == ShiftModel.DOUBLE_EFFECT.value][0]
+        double = [r for r in summary.reports if r.model == "double"][0]
         assert double.sigma == pytest.approx((1.0 - 0.525) / 0.05, rel=1e-12)
         assert double.sigma == pytest.approx(9.5, rel=1e-12)
         assert summary.double_effect_excluded
@@ -350,10 +349,9 @@ class TestRecordValidation:
     def test_observer_below_emitter_is_a_blue_shift(self, tmp_path, bodies):
         path = write_registry(tmp_path, [entry("down", "earth:22.5", "earth:0")])
         (record,) = load_registry(path, bodies)
-        shift = predictions(record)[ShiftModel.EMITTER_MASS_DEFECT]
+        shift = predictions(record)[ShiftModel.emitter]
         assert shift > 0.0
-        assert shift == -predictions(tower_record(bodies["earth"], 22.5, 1.0))[
-            ShiftModel.EMITTER_MASS_DEFECT]
+        assert shift == -predictions(tower_record(bodies["earth"], 22.5, 1.0))[ShiftModel.emitter]
 
     def test_mismatched_point_bodies_rejected(self, earth, sun):
         with pytest.raises(ConfigurationError,

@@ -110,7 +110,7 @@ class TestPotentialDifference:
 
     @staticmethod
     def difference(p1, p2):
-        return fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, p1, p2) * CONSTANTS.c_squared
+        return fractional_shift(ShiftModel.emitter, p1, p2) * CONSTANTS.c_squared
 
     def test_same_point_is_zero(self, earth_surface):
         assert self.difference(earth_surface, earth_surface) == 0.0

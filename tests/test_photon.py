@@ -43,7 +43,7 @@ class TestPhotonFrequencyShift:
 
     @staticmethod
     def shift(emit, obs):
-        return fractional_shift(ShiftModel.PHOTON_INTERACTION, emit, obs)
+        return fractional_shift(ShiftModel.photon, emit, obs)
 
     def test_equal_potentials(self, sun):
         surface = FieldPoint.at_altitude(sun, 0.0)

@@ -17,6 +17,7 @@ from gravshift.spectra import (
 from gravshift.units import CONSTANTS, MASS, POTENTIAL, Dimension, Quantity
 
 import oracles
+from printed_columns import COUPLINGS
 
 
 def kilograms(value):
@@ -246,6 +247,9 @@ class TestTransitionFrequency:
 
 
 class TestFractionalShift:
+    def test_models_are_named_by_the_cli_and_valued_by_their_couplings(self):
+        assert {model.name: (model.k_e, model.k_p) for model in ShiftModel} == COUPLINGS
+
     def test_equipotential_is_zero_for_every_model(self, earth):
         point = FieldPoint.at_altitude(earth, 1e3)
         for model in ShiftModel:
@@ -253,7 +257,7 @@ class TestFractionalShift:
 
     def test_tower_emitter_model(self, earth, earth_surface):
         above = FieldPoint.at_altitude(earth, 22.5)
-        shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, earth_surface, above)
+        shift = fractional_shift(ShiftModel.emitter, earth_surface, above)
         exact, scale = oracles.fractional_shift_exact(
             [(oracles.M_EARTH, oracles.R_EARTH, oracles.R_EARTH + 22.5)])
         assert abs(shift - exact) <= 8 * math.ulp(scale)
@@ -264,7 +268,7 @@ class TestFractionalShift:
     def test_short_towers_keep_every_digit(self, earth, obs_alt):
         # no two potentials are subtracted, so a 1 mm tower loses nothing
         low, high = FieldPoint.at_altitude(earth, 1.0), FieldPoint.at_altitude(earth, 1.0 + obs_alt)
-        shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, low, high)
+        shift = fractional_shift(ShiftModel.emitter, low, high)
         exact, scale = oracles.fractional_shift_exact(
             [(oracles.M_EARTH, oracles.R_EARTH + 1.0, oracles.R_EARTH + (1.0 + obs_alt))])
         assert abs(shift - exact) <= 8 * math.ulp(scale)
@@ -273,7 +277,7 @@ class TestFractionalShift:
     def test_feeble_body_far_away_keeps_its_shift(self, r_emit, r_obs):
         # G*M/c^2 = 1e-300 m: mu/1e308 m underflows to 0, the shift does not
         feeble = CelestialBody("feeble", 1e-300 * oracles.C2 / oracles.G, 1.0)
-        shift = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT,
+        shift = fractional_shift(ShiftModel.emitter,
                                  FieldPoint("emit", [(feeble, r_emit)]),
                                  FieldPoint("obs", [(feeble, r_obs)]))
         exact, scale = oracles.fractional_shift_exact([(feeble.mass_kg, r_emit, r_obs)])
@@ -282,8 +286,8 @@ class TestFractionalShift:
 
     def test_double_effect_is_exactly_twice(self, earth, earth_surface):
         above = FieldPoint.at_altitude(earth, 22.5)
-        single = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, earth_surface, above)
-        double = fractional_shift(ShiftModel.DOUBLE_EFFECT, earth_surface, above)
+        single = fractional_shift(ShiftModel.emitter, earth_surface, above)
+        double = fractional_shift(ShiftModel.double, earth_surface, above)
         assert double == 2.0 * single
 
     @given(x1=ratio_strategy(), x2=ratio_strategy())
@@ -291,9 +295,9 @@ class TestFractionalShift:
         # 1/x m from a body with G*M/c^2 = 1 m is at phi/c^2 of about -x
         p1 = FieldPoint("p1", [(COMPACT, 1.0 / x1)])
         p2 = FieldPoint("p2", [(COMPACT, 1.0 / x2)])
-        emitter = fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, p1, p2)
-        photon = fractional_shift(ShiftModel.PHOTON_INTERACTION, p1, p2)
-        double = fractional_shift(ShiftModel.DOUBLE_EFFECT, p1, p2)
+        emitter = fractional_shift(ShiftModel.emitter, p1, p2)
+        photon = fractional_shift(ShiftModel.photon, p1, p2)
+        double = fractional_shift(ShiftModel.double, p1, p2)
         assert emitter == photon
         assert double == 2.0 * emitter
 
@@ -301,7 +305,7 @@ class TestFractionalShift:
         deep = FieldPoint("deep", [(COMPACT, 0.5)])
         far = FieldPoint("far", [(COMPACT, 10.0)])
         with pytest.raises(DomainError, match="outside the weak-field domain"):
-            fractional_shift(ShiftModel.EMITTER_MASS_DEFECT, deep, far)
+            fractional_shift(ShiftModel.emitter, deep, far)
 
 
 class TestLinearityTheorem:
