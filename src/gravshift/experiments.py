@@ -10,9 +10,10 @@ A record holds its emit and observe points.  A registry file gives each as
 a point spec string, as for the CLI's ``--at`` (``"earth:0"``,
 ``"sun:r=1.495978707e11+earth:0"``); the loader parses both against the body
 registry when it reads the file, so every failure of a record is reported
-there, with the file and the record named.  A record whose two points are at
-the same potential predicts no shift and tests no model, so the comparison
-refuses it.
+there, with the file, the record's index and its name.  Built, a record
+refuses points that name different bodies, lie in the strong field or sit
+at one potential (no shift, so it tests no model); the comparison refuses
+only an empty registry, a bad threshold and a sigma that is not finite.
 
 A record excludes a model when sigma = |ratio - 1|/uncertainty, of the
 divided ratio and uncertainty, exceeds the exclusion threshold; a sigma that
@@ -32,7 +33,7 @@ from typing import Sequence
 
 from .data import check_name, number, read_records
 from .errors import ConfigurationError, GravshiftError, RegistryError
-from .gravity import CelestialBody, FieldPoint, parse_point_spec, require_same_bodies
+from .gravity import CelestialBody, FieldPoint, parse_point_spec
 from .spectra import ShiftModel, fractional_shift
 
 __all__ = [
@@ -61,7 +62,10 @@ class ExperimentRecord:
             raise ConfigurationError("measured ratio must be a positive magnitude")
         if self.ratio_uncertainty <= 0.0:
             raise ConfigurationError("ratio uncertainty must be positive")
-        require_same_bodies(self.emit, self.observe)
+        # refuses points that name different bodies or lie in the strong field
+        if fractional_shift(ShiftModel.emitter, self.emit, self.observe) == 0.0:
+            # a record that predicts no shift tests no model
+            raise ConfigurationError("emit and observe are at the same potential")
 
 
 @dataclass(frozen=True)
@@ -105,10 +109,6 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
     reports = []
     for record in records:
         single = fractional_shift(ShiftModel.emitter, record.emit, record.observe)
-        if single == 0.0:
-            # a record that predicts no shift tests no model
-            raise ConfigurationError(
-                f"record {record.name!r}: emit and observe are at the same potential")
         for model in ShiftModel:
             k = model.k_e + model.k_p
             ratio, unc = record.measured_ratio / k, record.ratio_uncertainty / k

@@ -97,17 +97,6 @@ class FieldPoint:
         """`potential` at this point, computed on first use and then kept."""
         return potential(self)
 
-    @classmethod
-    def at_altitude(cls, body: CelestialBody, altitude_m: float,
-                    label: str | None = None) -> "FieldPoint":
-        """Point at body radius + altitude above the single body given.
-
-        R + altitude is rounded to a float once; every potential and shift
-        at the point is that of the rounded radius.
-        """
-        r = body.radius_m + altitude_m
-        return cls(label or f"{body.name}+{altitude_m:g}m", ((body, r),))
-
 
 def parse_point_spec(spec: str, bodies: Mapping[str, CelestialBody],
                      label: str | None = None) -> FieldPoint:

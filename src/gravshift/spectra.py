@@ -22,6 +22,11 @@ specific energy factor per state and multiplying by the mass exactly once.
 That arithmetic is on floats: the public functions check the dimension of the
 mass they take and tag the energy or frequency they return.
 
+Each value is refused where it is built: a `QuantumState` with Z outside
+1 <= Z < 1/alpha (Z <= 137) or a bad n' or j; a mass or potential in
+`effective_mass`; an energy that is no normal float or has no finite
+frequency in `level_energy` and `transition_frequency`.
+
 A model of the line shift between two locations is its couplings (k_e, k_p)
 to the potential: of the emitter's mass (the defect above) and of the photon
 in flight.  Each adds the single shift (phi_emit - phi_obs)/c^2: emitter
@@ -80,7 +85,8 @@ def effective_mass(rest_mass: Quantity, phi: Quantity) -> Quantity:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Hydrogen-like quantum numbers (Z, n', j); they fix n = n' + j + 1/2."""
+    """Hydrogen-like quantum numbers (Z, n', j), 1 <= Z < 1/alpha (the
+    perturbative domain); they fix n = n' + j + 1/2."""
 
     Z: int
     n_prime: int
@@ -89,6 +95,9 @@ class QuantumState:
     def __post_init__(self) -> None:
         if not isinstance(self.Z, int) or self.Z < 1:
             raise ConfigurationError(f"Z must be a positive integer, got {self.Z!r}")
+        # compared as int against float, so no Z is too large to test
+        if self.Z >= 1.0 / CONSTANTS.alpha:
+            raise DomainError(f"alpha*Z >= 1 at Z = {self.Z}: outside the perturbative domain")
         if not isinstance(self.n_prime, int) or self.n_prime < 0:
             raise ConfigurationError(f"n' must be a non-negative integer, got {self.n_prime!r}")
         twice_j = 2.0 * float(self.j)
@@ -113,24 +122,25 @@ def states_for_n(Z: int, n: int) -> list[QuantumState]:
     return [QuantumState(Z, n - 1 - k, k + 0.5) for k in range(n)]
 
 
+_ALPHA2 = CONSTANTS.alpha ** 2
+#: alpha^2 c^2 / 2, the Rydberg energy per unit mass (J/kg)
+_RYDBERG_PER_KG = _ALPHA2 * CONSTANTS.c ** 2 / 2.0
+#: k underflows to 0 long before n = 1e300; the clamp keeps float(n) finite
+_N_CLAMP = 10**300
+
+
 def _specific_level_energy(state: QuantumState) -> float:
     """Binding energy per unit emitter mass (m^2/s^2); mass-independent.
 
     Keeping the mass out of this factor means level energies and transition
     frequencies are a single multiplication away from the emitter mass, so
     the fractional shift of any line reproduces phi/c^2 to rounding error.
-    Every energy and frequency passes through here, so this is where the
-    perturbative domain alpha*Z < 1 is enforced.
+    The state is in the perturbative domain alpha*Z < 1 by construction.
     """
-    # compared as int against float, so no Z is too large to test
-    if state.Z >= 1.0 / CONSTANTS.alpha:
-        raise DomainError(f"alpha*Z >= 1 at Z = {state.Z}: outside the perturbative domain")
-    a2 = CONSTANTS.alpha ** 2
     z2 = float(state.Z * state.Z)
-    # k underflows to 0 long before n = 1e300; the clamp keeps float(n) finite
-    n = float(min(state.n, 10**300))
-    bracket = 1.0 + (a2 * z2 / n) * (1.0 / (state.j + 0.5) - 3.0 / (4.0 * n))
-    return (a2 * CONSTANTS.c ** 2 / 2.0) * (z2 / (n * n)) * bracket
+    n = float(min(state.n, _N_CLAMP))
+    bracket = 1.0 + (_ALPHA2 * z2 / n) * (1.0 / (state.j + 0.5) - 3.0 / (4.0 * n))
+    return _RYDBERG_PER_KG * (z2 / (n * n)) * bracket
 
 
 def _energy(mass: float, k: float, what: str, *states: QuantumState) -> float:

@@ -21,4 +21,4 @@ def sun(bodies):
 
 @pytest.fixture(scope="session")
 def earth_surface(earth):
-    return FieldPoint.at_altitude(earth, 0.0, "surface")
+    return FieldPoint("surface", [(earth, earth.radius_m)])

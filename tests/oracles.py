@@ -9,8 +9,6 @@ a bug in the library cannot hide in its own oracle.
 import math
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 # CODATA 2018 literals (same vintage the library stores, declared separately)
 G = 6.67430e-11
 C = 299792458.0
@@ -81,6 +79,29 @@ def fine_structure_splitting_direct(Z: int, n: int, j_low: float, j_high: float,
     )
 
 
+def gauss_legendre(n: int) -> list[tuple[float, float]]:
+    """(node, weight) pairs of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Each node is a root of the Legendre polynomial P_n, found by Newton's
+    iteration from the estimate cos(pi*(i - 1/4)/(n + 1/2)), with P_n and
+    P_n' from the three-term recurrence; its weight is 2/((1 - x^2)*P_n'(x)^2).
+    """
+    rule = []
+    for i in range(1, n + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p_prev, p = 1.0, x
+            for m in range(2, n + 1):
+                p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+            dp = n * (x * p - p_prev) / (x * x - 1.0)
+            dx = p / dp
+            x -= dx
+            if abs(dx) <= 1e-16:
+                break
+        rule.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return rule
+
+
 def deflection_quadrature(mu_m: float, b_m: float) -> float:
     """Graded-index deflection angle for n(r) = 1 + mu/r at impact parameter b.
 
@@ -88,10 +109,15 @@ def deflection_quadrature(mu_m: float, b_m: float) -> float:
     evaluated after the substitution r = b/cos(theta), which removes the
     endpoint singularity:  alpha = 2*(mu/b) * int_0^{pi/2} cos(t) dt
                                             / (1 + (mu/b) cos(t)).
+    For mu/b < 1 the integrand's poles lie at Re t = pi, far from the
+    interval, so 24 Gauss-Legendre nodes, on t = (pi/4)*(1 + x), give the
+    integral to rounding.
     """
     k = mu_m / b_m
-    value, _ = quad(lambda t: math.cos(t) / (1.0 + k * math.cos(t)),
-                    0.0, math.pi / 2.0, epsabs=1e-16, epsrel=1e-12)
+    half = math.pi / 4.0
+    value = half * math.fsum(
+        w * math.cos(half * (1.0 + x)) / (1.0 + k * math.cos(half * (1.0 + x)))
+        for x, w in gauss_legendre(24))
     return 2.0 * k * value
 
 

@@ -182,6 +182,18 @@ class TestShiftCommand:
         assert json.loads(double_out)["fractional_shift"] == \
             2.0 * json.loads(single_out)["fractional_shift"]
 
+    @pytest.mark.parametrize("body", ["earth", "sun"])
+    @pytest.mark.parametrize("alt, height", [(0.0, 22.5), (1e-300, 1e20), (3.7, 1234.5),
+                                             (-5.0, 0.0)])
+    def test_altitude_flags_and_point_specs_are_one_point(self, capsys, body, alt, height):
+        # the same radius + altitude float, label and refusal (the last is
+        # inside the body) either way
+        results = [run_cli(["shift", "--model", "emitter", *points], capsys) for points in (
+            ["--body", body, f"--emit-alt={alt!r}", f"--obs-alt={height!r}"],
+            ["--emit", f"{body}:{alt!r}", "--obs", f"{body}:{height!r}"])]
+        assert results[0] == results[1]
+        assert results[0][0] == (1 if alt < 0.0 else 0)
+
     def test_printed_shift_is_first_order_in_the_observer_potential(self, capsys):
         # the exact ratio nu_e/nu_o - 1 = (x_e - x_o)/(1 + x_o) that spectrum
         # implies, x = phi/c^2, differs from the printed x_e - x_o by x_o of itself
@@ -245,6 +257,15 @@ class TestSpectrumCommand:
         code, _, err = run_cli(["spectrum", "--states", "nonsense"], capsys)
         assert code == 1
         assert "state" in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--n-range", "1:1"], ["--n-range", "1:1", "--emitter-mass-kg", "nan"],
+        ["--n-range", "1:1", "--at", "mars:0"], ["--states", "0:1/2,bad"], ["--states", "0:2/2"],
+    ], ids=["plain", "nan-mass", "unknown-body", "bad-state", "integer-j"])
+    def test_z_above_137_is_refused_with_its_first_state(self, capsys, extra):
+        code, out, err = run_cli(["spectrum", "--z", "138", *extra], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: alpha*Z >= 1 at Z = 138: outside the perturbative domain\n"
 
     def test_zero_emitter_mass_exits_one(self, capsys):
         # 0 is a given mass, not an absent one: no fallback to the electron
@@ -463,13 +484,15 @@ class TestExperimentCommand:
         ("sun:0+earth:r=1.495978707e11", "earth:r=1.495978707e11+sun:0"),
     ], ids=["one-body", "two-bodies"])
     def test_record_at_one_potential_exits_one(self, tmp_path, emit, observe, capsys):
-        # a record that predicts no shift printed a double sigma of 10, "excluded"
+        # a record that predicts no shift printed a double sigma of 10,
+        # "excluded"; it is refused where the file is read
         path = tmp_path / "reg.json"
         path.write_text(json.dumps([{"name": "flat", "emit": emit, "observe": observe,
                                      "measured_ratio": 1.0, "ratio_uncertainty": 0.1}]))
         code, out, err = run_cli(["experiment", "--registry", str(path)], capsys)
         assert (code, out) == (1, "")
-        assert err == "error: record 'flat': emit and observe are at the same potential\n"
+        assert err == (f"error: {path}: record #0 (flat): "
+                       "emit and observe are at the same potential\n")
 
     @pytest.mark.parametrize("ratio, unc, refusal", [
         # the double row divides the uncertainty by 2, to 0: a ZeroDivisionError
@@ -950,10 +973,14 @@ class TestProcessLevel:
         ["photon", "--body", "earth", "--sweep-m", "2e7:4e7:2", "--tol", "1e-6"],
         ["potential", "--at", "mars:0"],
         ["experiment", "--threshold", "1e6"],
+        # argparse's help, which it writes and exits 0 for outside cli.main
+        ["--help"],
+        ["spectrum", "--help"],
     ])
     def test_closed_stdout_exits_one_without_traceback(self, argv):
         # the reader is gone before the child writes, as with `| head -1`; a
-        # refusal and a failing verdict exit 1 whether or not stdout is open
+        # refusal and a failing verdict exit 1 whether or not stdout is open,
+        # and lost output exits 1 too
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -964,6 +991,8 @@ class TestProcessLevel:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
+        if "--help" in argv:
+            assert proc.stderr == ""
 
     @pytest.mark.parametrize("argv", [
         ["photon", "--body", "earth", "--sweep-radii", "0.5:2:4", "--tol", "1e-6"],

@@ -12,7 +12,7 @@ from gravshift.experiments import (
     double_effect_verdict,
     load_registry,
 )
-from gravshift.gravity import FieldPoint
+from gravshift.gravity import CelestialBody, FieldPoint
 from gravshift.spectra import ShiftModel
 
 import oracles
@@ -45,8 +45,8 @@ def write_registry(tmp_path, entries):
 def tower_record(earth, height, measured_ratio, ratio_uncertainty=0.1):
     return ExperimentRecord(
         name="x",
-        emit=FieldPoint.at_altitude(earth, 0.0, "x:emit"),
-        observe=FieldPoint.at_altitude(earth, height, "x:observe"),
+        emit=FieldPoint("x:emit", [(earth, earth.radius_m)]),
+        observe=FieldPoint("x:observe", [(earth, earth.radius_m + height)]),
         measured_ratio=measured_ratio,
         ratio_uncertainty=ratio_uncertainty,
     )
@@ -330,8 +330,9 @@ class TestRecordValidation:
     def test_name_outside_the_rule_rejected(self, earth, name):
         with pytest.raises(ConfigurationError, match=re.escape(
                 f"invalid experiment name {name!r}")):
-            ExperimentRecord(name, FieldPoint.at_altitude(earth, 0.0),
-                             FieldPoint.at_altitude(earth, 1.0), 1.0, 0.1)
+            ExperimentRecord(name, FieldPoint("earth:0", [(earth, earth.radius_m)]),
+                             FieldPoint("earth:1", [(earth, earth.radius_m + 1.0)]),
+                             1.0, 0.1)
 
     @pytest.mark.parametrize("emit, observe", [
         ("earth:22.5", "earth:22.5"),
@@ -339,12 +340,29 @@ class TestRecordValidation:
         ("sun:0+earth:r=1.495978707e11", "earth:r=1.495978707e11+sun:0"),
     ], ids=["altitude", "radius", "two-bodies"])
     def test_record_at_one_potential_rejected(self, tmp_path, bodies, emit, observe):
-        # it predicts no shift, so its double-effect sigma read 10, "excluded"
-        path = write_registry(tmp_path, [entry("flat", emit, observe)])
-        records = load_registry(path, bodies)
-        with pytest.raises(ConfigurationError, match=(
-                "^record 'flat': emit and observe are at the same potential$")):
-            double_effect_verdict(records, 5.0)
+        # it predicts no shift, so its double-effect sigma read 10, "excluded";
+        # the loader names the file, the record's index and its name
+        path = write_registry(tmp_path, [entry("tower"), entry("flat", emit, observe)])
+        with pytest.raises(RegistryError) as err:
+            load_registry(path, bodies)
+        assert str(err.value) == (
+            f"{path}: record #1 (flat): emit and observe are at the same potential")
+
+    def test_strong_field_record_refused_at_load(self, tmp_path):
+        # a 1 m body of G*M/c^2 = 2 m: |phi|/c^2 = 2 at its surface; refused
+        # where the file is read, so the message names the file and the record
+        hole = CelestialBody("hole", 2.0 * oracles.C2 / oracles.G, 1.0)
+        path = write_registry(tmp_path, [entry("deep", "hole:0", "hole:10")])
+        with pytest.raises(RegistryError) as err:
+            load_registry(path, {"hole": hole})
+        assert str(err.value) == (
+            f"{path}: record #0 (deep): |phi|/c^2 = 2 >= 1: outside the weak-field domain")
+
+    def test_record_at_one_potential_refused_when_built(self, earth):
+        point = FieldPoint("x", [(earth, earth.radius_m + 22.5)])
+        with pytest.raises(ConfigurationError,
+                           match="^emit and observe are at the same potential$"):
+            ExperimentRecord("flat", point, FieldPoint("y", point.distances), 1.0, 0.1)
 
     def test_observer_below_emitter_is_a_blue_shift(self, tmp_path, bodies):
         path = write_registry(tmp_path, [entry("down", "earth:22.5", "earth:0")])

@@ -171,7 +171,8 @@ def test_every_public_default_is_overridden_by_some_cli_path(cli_trace):
 
 
 # stdout of the non-ray ARGV entries, recorded once by command line; ray
-# outputs are left out because their last digits depend on the scipy version
+# outputs are left out because their last digits depend on the ODE solver's
+# version
 GOLDEN_STDOUT = json.loads(
     (Path(__file__).parent / "golden" / "cli_stdout.json").read_text(encoding="utf-8"))
 

@@ -142,9 +142,12 @@ class TestQuantumState:
         with pytest.raises(ConfigurationError):
             QuantumState(Z=0, n_prime=0, j=0.5)
 
-    def test_rejects_alpha_z_above_one(self):
-        with pytest.raises(DomainError, match="perturbative"):
-            level_energy(QuantumState(Z=138, n_prime=0, j=0.5), M_FREE)
+    @pytest.mark.parametrize("Z", [138, 10**400], ids=["138", "10**400"])
+    def test_rejects_alpha_z_above_one_when_built(self, Z):
+        # 1/alpha = 137.036: no state of Z = 138 exists to reach a level formula
+        with pytest.raises(DomainError, match=(
+                f"^alpha\\*Z >= 1 at Z = {Z}: outside the perturbative domain$")):
+            QuantumState(Z, 0, 0.5)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_enumeration_yields_n_states(self, n):
@@ -251,12 +254,12 @@ class TestFractionalShift:
         assert {model.name: (model.k_e, model.k_p) for model in ShiftModel} == COUPLINGS
 
     def test_equipotential_is_zero_for_every_model(self, earth):
-        point = FieldPoint.at_altitude(earth, 1e3)
+        point = FieldPoint("earth:1e3", [(earth, earth.radius_m + 1e3)])
         for model in ShiftModel:
             assert fractional_shift(model, point, point) == 0.0
 
     def test_tower_emitter_model(self, earth, earth_surface):
-        above = FieldPoint.at_altitude(earth, 22.5)
+        above = FieldPoint("earth:22.5", [(earth, earth.radius_m + 22.5)])
         shift = fractional_shift(ShiftModel.emitter, earth_surface, above)
         exact, scale = oracles.fractional_shift_exact(
             [(oracles.M_EARTH, oracles.R_EARTH, oracles.R_EARTH + 22.5)])
@@ -267,7 +270,8 @@ class TestFractionalShift:
     @pytest.mark.parametrize("obs_alt", [1e-3, 1e4, -1e-3])
     def test_short_towers_keep_every_digit(self, earth, obs_alt):
         # no two potentials are subtracted, so a 1 mm tower loses nothing
-        low, high = FieldPoint.at_altitude(earth, 1.0), FieldPoint.at_altitude(earth, 1.0 + obs_alt)
+        low = FieldPoint("low", [(earth, earth.radius_m + 1.0)])
+        high = FieldPoint("high", [(earth, earth.radius_m + (1.0 + obs_alt))])
         shift = fractional_shift(ShiftModel.emitter, low, high)
         exact, scale = oracles.fractional_shift_exact(
             [(oracles.M_EARTH, oracles.R_EARTH + 1.0, oracles.R_EARTH + (1.0 + obs_alt))])
@@ -285,7 +289,7 @@ class TestFractionalShift:
         assert abs(shift - exact) <= 8 * math.ulp(scale)
 
     def test_double_effect_is_exactly_twice(self, earth, earth_surface):
-        above = FieldPoint.at_altitude(earth, 22.5)
+        above = FieldPoint("earth:22.5", [(earth, earth.radius_m + 22.5)])
         single = fractional_shift(ShiftModel.emitter, earth_surface, above)
         double = fractional_shift(ShiftModel.double, earth_surface, above)
         assert double == 2.0 * single
