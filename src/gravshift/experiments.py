@@ -6,14 +6,13 @@ one-sigma uncertainty.  A model with couplings (k_e, k_p) predicts
 k = k_e + k_p times the single shift, so each of its rows divides the ratio
 and its uncertainty by k.
 
-A record holds its emit and observe points.  A registry file gives each as
-a point spec string, as for the CLI's ``--at`` (``"earth:0"``,
-``"sun:r=1.495978707e11+earth:0"``); the loader parses both against the body
-registry when it reads the file, so every failure of a record is reported
-there, with the file, the record's index and its name.  Built, a record
-refuses points that name different bodies, lie in the strong field or sit
-at one potential (no shift, so it tests no model); the comparison refuses
-only an empty registry, a bad threshold and a sigma that is not finite.
+A record holds its emit and observe points, given in a registry file (see
+`gravshift.data`) as point specs that the loader parses against the body
+registry, so every failure of a record is refused where the file is read.
+Built, a record refuses points that name different bodies, lie in the
+strong field or sit at one potential (no shift, so it tests no model); the
+comparison refuses only an empty registry, a bad threshold and a sigma that
+is not finite.
 
 A record excludes a model when sigma = |ratio - 1|/uncertainty, of the
 divided ratio and uncertainty, exceeds the exclusion threshold; a sigma that
@@ -25,14 +24,12 @@ single-locus models all stand and any record excludes the double effect.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
-from .data import check_name, number, read_records
-from .errors import ConfigurationError, GravshiftError, RegistryError
+from .data import RegistryPath, check_name, read_records
+from .errors import ConfigurationError
 from .gravity import CelestialBody, FieldPoint, parse_point_spec
 from .spectra import ShiftModel, fractional_shift
 
@@ -55,13 +52,11 @@ class ExperimentRecord:
 
     def __post_init__(self) -> None:
         check_name(self.name, "experiment")
-        if not (math.isfinite(self.measured_ratio)
-                and math.isfinite(self.ratio_uncertainty)):
-            raise ConfigurationError("measured ratio and its uncertainty must be finite")
-        if self.measured_ratio <= 0.0:
-            raise ConfigurationError("measured ratio must be a positive magnitude")
-        if self.ratio_uncertainty <= 0.0:
-            raise ConfigurationError("ratio uncertainty must be positive")
+        for field in ("measured_ratio", "ratio_uncertainty"):
+            value = getattr(self, field)
+            # NaN fails both comparisons
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"{field} must be positive and finite, got {value!r}")
         # refuses points that name different bodies or lie in the strong field
         if fractional_shift(ShiftModel.emitter, self.emit, self.observe) == 0.0:
             # a record that predicts no shift tests no model
@@ -138,29 +133,13 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
 # -- registry file -------------------------------------------------------
 
 
-def load_registry(path: str | Path,
+def load_registry(path: RegistryPath,
                   bodies: dict[str, CelestialBody]) -> list[ExperimentRecord]:
-    """Read a registry file (see `gravshift.data`) of experiment records.
-
-    Each record's emit and observe point specs are parsed against ``bodies``.
-    """
-    records: list[ExperimentRecord] = []
-    for where, entry in read_records(path, "experiment registry", "record",
-                                     ("emit", "observe", "measured_ratio", "ratio_uncertainty")):
-        name = entry["name"]
-        try:
-            points = []
-            for side in ("emit", "observe"):
-                spec = entry[side]
-                if not isinstance(spec, str):
-                    raise ConfigurationError(
-                        f"{side} must be a point spec string, got {json.dumps(spec)}")
-                points.append(parse_point_spec(spec, bodies, f"{name}:{side}"))
-            records.append(ExperimentRecord(
-                name, *points,
-                measured_ratio=number(entry["measured_ratio"], "measured_ratio"),
-                ratio_uncertainty=number(entry["ratio_uncertainty"], "ratio_uncertainty"),
-            ))
-        except GravshiftError as exc:
-            raise RegistryError(f"{where} ({name}): {exc}") from None
-    return records
+    """Read a registry file (see `gravshift.data`) of experiment records,
+    parsing each one's emit and observe point specs against ``bodies``."""
+    def record(name: str, emit: str, observe: str, **ratios: float) -> ExperimentRecord:
+        return ExperimentRecord(name, parse_point_spec(emit, bodies, "emit"),
+                                parse_point_spec(observe, bodies, "observe"), **ratios)
+    return read_records(path, "experiment registry", "record",
+                        {"emit": str, "observe": str, "measured_ratio": float,
+                         "ratio_uncertainty": float}, record)

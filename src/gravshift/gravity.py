@@ -21,11 +21,10 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
-from .data import check_name, number, read_records
-from .errors import ConfigurationError, DomainError, GravshiftError, RegistryError
+from .data import RegistryPath, check_name, read_records
+from .errors import ConfigurationError, DomainError
 from .units import CONSTANTS, POTENTIAL, Quantity
 
 __all__ = [
@@ -54,9 +53,7 @@ class CelestialBody:
             value = getattr(self, field)
             # NaN fails both comparisons
             if not 0.0 < value < math.inf:
-                raise DomainError(
-                    f"body {self.name}: {field} must be positive and finite, got {value!r}"
-                )
+                raise DomainError(f"{field} must be positive and finite, got {value!r}")
 
     @property
     def mu(self) -> float:
@@ -150,17 +147,11 @@ def potential(point: FieldPoint) -> Quantity:
 # -- body registry -------------------------------------------------------
 
 
-def load_bodies(path: str | Path) -> dict[str, CelestialBody]:
+def load_bodies(path: RegistryPath) -> dict[str, CelestialBody]:
     """Read a registry file (see `gravshift.data`) of bodies into a name-keyed dict."""
-    registry: dict[str, CelestialBody] = {}
-    for where, entry in read_records(path, "body registry", "body", ("mass_kg", "radius_m")):
-        try:
-            body = CelestialBody(entry["name"], number(entry["mass_kg"], "mass_kg"),
-                                 number(entry["radius_m"], "radius_m"))
-        except GravshiftError as exc:
-            raise RegistryError(f"{where}: {exc}") from None
-        registry[body.name] = body
-    return registry
+    bodies = read_records(path, "body registry", "body",
+                          {"mass_kg": float, "radius_m": float}, CelestialBody)
+    return {body.name: body for body in bodies}
 
 
 def lookup_body(bodies: Mapping[str, CelestialBody], name: str) -> CelestialBody:

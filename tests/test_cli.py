@@ -477,7 +477,7 @@ class TestExperimentCommand:
         code, out, err = run_cli(["experiment", "--registry", str(path)], capsys)
         assert code == 1
         assert out == ""
-        assert f"{path}: record #0 (twice): point 'twice:emit' names body 'sun' twice" in err
+        assert f"{path}: record #0 (twice): point 'emit' names body 'sun' twice" in err
 
     @pytest.mark.parametrize("emit, observe", [
         ("earth:r=7e6", "earth:r=7e6"),
@@ -784,9 +784,9 @@ class TestRegistryFiles:
 
     @pytest.mark.parametrize("field", ["mass_kg", "radius_m"])
     @pytest.mark.parametrize("value, reason", [
-        (math.nan, "body kerbin: {} must be positive and finite"),
-        (math.inf, "body kerbin: {} must be positive and finite"),
-        (-math.inf, "body kerbin: {} must be positive and finite"),
+        (math.nan, "{} must be positive and finite, got nan"),
+        (math.inf, "{} must be positive and finite, got inf"),
+        (-math.inf, "{} must be positive and finite, got -inf"),
         *BAD_NUMBERS,
     ], ids=["nan", "inf", "-inf", *BAD_NUMBER_IDS])
     def test_non_finite_body_field_exits_one(self, tmp_path, field, value, reason, capsys):
@@ -795,9 +795,7 @@ class TestRegistryFiles:
         code, out, err = run_cli(["potential", "--bodies", str(path), "--at", "kerbin:0"],
                                  capsys)
         assert (code, out) == (1, "")
-        assert f"{path}: body #0: {reason.format(field)}" in err
-        assert "quantity value must be finite" not in err
-        assert "Traceback" not in err
+        assert err == f"error: {path}: body #0 (kerbin): {reason.format(field)}\n"
 
     def test_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys):
         # json refuses more than 4300 digits where Python limits them, and
@@ -840,7 +838,7 @@ class TestRegistryFiles:
         code, out, err = run_cli(["experiment", "--registry", str(path)], capsys)
         assert (code, out) == (1, "")
         assert err == \
-            f"error: {path}: record #0 (x): {side} must be a point spec string, got {shown}\n"
+            f"error: {path}: record #0 (x): {side} must be a string, got {shown}\n"
 
     @pytest.mark.parametrize("command", list(ARGV))
     def test_bodies_flag_refuses_a_packaged_body(self, files, command, capsys):

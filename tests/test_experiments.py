@@ -92,7 +92,8 @@ class TestLoadRegistry:
         path = write_registry(tmp_path, [entry("bad", ratio_uncertainty=-0.1)])
         with pytest.raises(RegistryError) as exc:
             load_registry(path, bodies)
-        assert str(exc.value) == f"{path}: record #0 (bad): ratio uncertainty must be positive"
+        assert str(exc.value) == \
+            f"{path}: record #0 (bad): ratio_uncertainty must be positive and finite, got -0.1"
 
     @pytest.mark.parametrize("field, value", [
         ("measured_ratio", float("nan")), ("ratio_uncertainty", float("inf")),
@@ -104,7 +105,7 @@ class TestLoadRegistry:
             load_registry(path, bodies)
         # the record is named once, by the loader
         assert str(exc.value) == \
-            f"{path}: record #0 (bad): measured ratio and its uncertainty must be finite"
+            f"{path}: record #0 (bad): {field} must be positive and finite, got {value!r}"
 
     @pytest.mark.parametrize("field", ["measured_ratio", "ratio_uncertainty"])
     @pytest.mark.parametrize("value, reason", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
@@ -136,12 +137,12 @@ class TestLoadRegistry:
             "measured_ratio": 1.05, "ratio_uncertainty": 0.10}])
         with pytest.raises(RegistryError) as exc:
             load_registry(path, bodies)
-        assert str(exc.value) == f"{path}: record #0: missing field 'emit'"
+        assert str(exc.value) == f"{path}: record #0 (pound-rebka-1960): missing field 'emit'"
 
     @pytest.mark.parametrize("entries, reason", [
         ({"name": "bad"}, "expected a JSON array of objects"),
         ([1], "record #0: expected an object"),
-        ([entry("bad", emit=5)], "record #0 (bad): emit must be a point spec string, got 5"),
+        ([entry("bad", emit=5)], "record #0 (bad): emit must be a string, got 5"),
         ([entry("bad", observe="earth")],
          "record #0 (bad): bad point spec 'earth': expected 'body:ALT_m' or 'body:r=R_m'"),
         ([entry("bad", emit="")],
@@ -162,9 +163,9 @@ class TestLoadRegistry:
             load_registry(path, bodies)
 
     @pytest.mark.parametrize("emit, observe, reason", [
-        ("earth:0", "earth:nan", "point 'bad:observe': distance to body 'earth' is not finite"),
-        ("earth:inf", "earth:0", "point 'bad:emit': distance to body 'earth' is not finite"),
-        ("sun:0", "sun:r=nan", "point 'bad:observe': distance to body 'sun' is not finite"),
+        ("earth:0", "earth:nan", "point 'observe': distance to body 'earth' is not finite"),
+        ("earth:inf", "earth:0", "point 'emit': distance to body 'earth' is not finite"),
+        ("sun:0", "sun:r=nan", "point 'observe': distance to body 'sun' is not finite"),
     ], ids=["altitude-nan", "altitude-inf", "radius-nan"])
     def test_non_finite_point_rejected(self, tmp_path, bodies, emit, observe, reason):
         path = write_registry(tmp_path, [entry("bad", emit, observe)])
@@ -178,7 +179,7 @@ class TestLoadRegistry:
     def test_interior_point_rejected(self, tmp_path, bodies, emit, observe, side):
         path = write_registry(tmp_path, [entry("deep", emit, observe)])
         with pytest.raises(RegistryError, match=(
-                rf"r\.json: record #0 \(deep\): point 'deep:{side}': r = \S+ m is inside "
+                rf"r\.json: record #0 \(deep\): point '{side}': r = \S+ m is inside "
                 r"body 'earth' \(radius 6\.371e\+06 m\); exterior field only$")):
             load_registry(path, bodies)
 

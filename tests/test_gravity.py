@@ -181,8 +181,10 @@ class TestBodyRegistry:
         path = tmp_path / "bodies.json"
         path.write_text(json.dumps([{"name": "x", "mass_kg": 1e22, "radius_m": 1e6,
                                      field: value}]))
-        with pytest.raises(RegistryError, match=f"body #0: body x: {field} must be positive"):
+        with pytest.raises(RegistryError) as exc:
             load_bodies(path)
+        assert str(exc.value) == \
+            f"{path}: body #0 (x): {field} must be positive and finite, got {value!r}"
 
     @pytest.mark.parametrize("name", BAD_NAMES)
     def test_bad_name_names_the_record(self, tmp_path, name):
