@@ -12,15 +12,14 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 from . import experiments as experiments_mod
 from .data import data_file
-from .errors import ConfigurationError, DomainError, GravshiftError
-from .gravity import FieldPoint, load_bodies, lookup_body, parse_point_spec, potential
+from .errors import ConfigurationError, GravshiftError
+from .gravity import BODY_FIELDS, FieldPoint, load_bodies, lookup_body, parse_point_spec, potential
 from .photon import RayResult, trace_ray
 from .spectra import (
     QuantumState,
@@ -30,7 +29,7 @@ from .spectra import (
     level_energy,
     states_for_n,
 )
-from .units import CONSTANTS, MASS, POTENTIAL, Quantity
+from .units import CONSTANTS, MASS, POTENTIAL, Quantity, positive_finite
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -124,6 +123,11 @@ def _emit_record(record: dict, fmt: str) -> None:
 # -- shared argument plumbing -------------------------------------------
 
 
+def _schema(fields) -> str:
+    """The keys of a registry record, its name and then ``fields``, as help text."""
+    return "{" + ", ".join(["name", *fields]) + "}"
+
+
 def _add_format(parser, default: str) -> None:
     parser.add_argument("--format", choices=["json", "csv", "text"], default=default,
                         help=f"output format (default: {default})")
@@ -157,9 +161,7 @@ def _parse_states(args) -> list[QuantumState]:
         for chunk in args.states.split(","):
             np_txt, sep, j_txt = chunk.partition(":")
             if not sep:
-                raise ConfigurationError(
-                    f"bad state {chunk!r}: expected N_PRIME:J (e.g. 0:1/2)"
-                )
+                raise ConfigurationError(f"bad state {chunk!r}: expected N_PRIME:J (e.g. 0:1/2)")
             try:
                 n_prime = int(np_txt)
                 j = float(Fraction(j_txt))
@@ -186,8 +188,8 @@ def _parse_states(args) -> list[QuantumState]:
 
 def _cmd_spectrum(args) -> int:
     states = _parse_states(args)
-    if not math.isfinite(args.emitter_mass_kg):
-        raise DomainError("emitter rest mass must be finite")
+    # named here, as Quantity's own refusal of NaN would not name the mass
+    positive_finite(args.emitter_mass_kg, "emitter rest mass")
     rest_mass = Quantity(args.emitter_mass_kg, MASS)
     if args.at is not None:
         phi = potential(parse_point_spec(args.at, load_bodies(args.bodies)))
@@ -215,9 +217,7 @@ def _shift_point(args, side: str, bodies) -> FieldPoint:
     r_m = getattr(args, f"{side}_r_m")
     given = [x is not None for x in (spec, alt, r_m)]
     if sum(given) != 1:
-        raise ConfigurationError(
-            f"give exactly one of --{side}, --{side}-alt, --{side}-r-m"
-        )
+        raise ConfigurationError(f"give exactly one of --{side}, --{side}-alt, --{side}-r-m")
     if spec is not None:
         return parse_point_spec(spec, bodies, label=side)
     if args.body is None:
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every subcommand that reads a body registry takes its path from this one flag
     with_bodies = argparse.ArgumentParser(add_help=False)
     with_bodies.add_argument("--bodies", default=data_file("bodies.json"),
-                             help="body registry: a JSON array of {name, mass_kg, radius_m} "
+                             help=f"body registry: a JSON array of {_schema(BODY_FIELDS)} "
                                   "objects (default: the packaged bodies.json)")
 
     p = sub.add_parser("constants", help="dump the constant set as flat JSON")
@@ -385,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", parents=[with_bodies],
                        help="compare all models against the registry")
     p.add_argument("--registry", default=data_file("experiments.json"),
-                   help="experiment registry: a JSON array of {name, emit, observe, "
-                        "measured_ratio, ratio_uncertainty} objects, where emit and "
+                   help="experiment registry: a JSON array of "
+                        f"{_schema(experiments_mod.RECORD_FIELDS)} objects, where emit and "
                         "observe are point specs as for potential --at, e.g. "
                         "\"earth:22.5\" (default: the packaged experiments.json)")
     p.add_argument("--threshold", type=float, default=5.0,

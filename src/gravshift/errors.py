@@ -24,8 +24,9 @@ class DimensionError(GravshiftError, TypeError):
 class DomainError(GravshiftError, ValueError):
     """Input lies outside the validity domain of a formula.
 
-    Raised for interior field points, strong-field potentials
-    (|phi|/c^2 >= 1), level energies outside the normal float range and
+    Raised by the range rules of `gravshift.units` (positive and finite, a
+    normal float, the weak field |phi|/c^2 < 1), and for interior field
+    points, parameters out of range, level energies past the float range and
     non-positive photon energies.
     """
 

@@ -2,9 +2,9 @@
 
 Each record stores the measured shift as a ratio to the single-shift
 prediction (the normalized form the measurements were published in), with a
-one-sigma uncertainty.  A model with couplings (k_e, k_p) predicts
-k = k_e + k_p times the single shift, so each of its rows divides the ratio
-and its uncertainty by k.
+one-sigma uncertainty.  Each row divides the ratio and its uncertainty by
+k, the model's prediction (`gravshift.spectra.fractional_shift`) over the
+single shift, so a model's shift is read from `spectra` alone.
 
 A record holds its emit and observe points, given in a registry file (see
 `gravshift.data`) as point specs that the loader parses against the body
@@ -32,14 +32,19 @@ from .data import RegistryPath, check_name, read_records
 from .errors import ConfigurationError
 from .gravity import CelestialBody, FieldPoint, parse_point_spec
 from .spectra import ShiftModel, fractional_shift
+from .units import positive_finite
 
 __all__ = [
+    "RECORD_FIELDS",
     "ExperimentRecord",
     "ComparisonReport",
     "ComparisonSummary",
     "double_effect_verdict",
     "load_registry",
 ]
+
+#: the fields of an experiment registry record besides its name
+RECORD_FIELDS = {"emit": str, "observe": str, "measured_ratio": float, "ratio_uncertainty": float}
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,7 @@ class ExperimentRecord:
     def __post_init__(self) -> None:
         check_name(self.name, "experiment")
         for field in ("measured_ratio", "ratio_uncertainty"):
-            value = getattr(self, field)
-            # NaN fails both comparisons
-            if not 0.0 < value < math.inf:
-                raise ConfigurationError(f"{field} must be positive and finite, got {value!r}")
+            positive_finite(getattr(self, field), field)
         # refuses points that name different bodies or lie in the strong field
         if fractional_shift(ShiftModel.emitter, self.emit, self.observe) == 0.0:
             # a record that predicts no shift tests no model
@@ -99,13 +101,13 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
     if not records:
         raise ConfigurationError("experiment registry is empty")
     # NaN and infinity exclude nothing, and JSON has a token for neither
-    if not 0.0 < threshold < math.inf:
-        raise ConfigurationError("exclusion threshold must be positive and finite")
+    positive_finite(threshold, "exclusion threshold")
     reports = []
     for record in records:
         single = fractional_shift(ShiftModel.emitter, record.emit, record.observe)
         for model in ShiftModel:
-            k = model.k_e + model.k_p
+            predicted = fractional_shift(model, record.emit, record.observe)
+            k = predicted / single
             ratio, unc = record.measured_ratio / k, record.ratio_uncertainty / k
             sigma = abs(ratio - 1.0) / unc if unc else math.inf
             if not math.isfinite(sigma):
@@ -116,7 +118,7 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
             reports.append(ComparisonReport(
                 experiment=record.name,
                 model=model.name,
-                predicted_shift=k * single,
+                predicted_shift=predicted,
                 ratio=ratio,
                 ratio_uncertainty=unc,
                 sigma=sigma,
@@ -140,6 +142,4 @@ def load_registry(path: RegistryPath,
     def record(name: str, emit: str, observe: str, **ratios: float) -> ExperimentRecord:
         return ExperimentRecord(name, parse_point_spec(emit, bodies, "emit"),
                                 parse_point_spec(observe, bodies, "observe"), **ratios)
-    return read_records(path, "experiment registry", "record",
-                        {"emit": str, "observe": str, "measured_ratio": float,
-                         "ratio_uncertainty": float}, record)
+    return read_records(path, "experiment registry", "record", RECORD_FIELDS, record)

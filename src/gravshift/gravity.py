@@ -25,9 +25,10 @@ from typing import Mapping
 
 from .data import RegistryPath, check_name, read_records
 from .errors import ConfigurationError, DomainError
-from .units import CONSTANTS, POTENTIAL, Quantity
+from .units import CONSTANTS, POTENTIAL, Quantity, positive_finite
 
 __all__ = [
+    "BODY_FIELDS",
     "CelestialBody",
     "FieldPoint",
     "parse_point_spec",
@@ -36,6 +37,9 @@ __all__ = [
     "load_bodies",
     "lookup_body",
 ]
+
+#: the fields of a body registry record besides its name, each a JSON number
+BODY_FIELDS = {"mass_kg": float, "radius_m": float}
 
 
 @dataclass(frozen=True)
@@ -50,10 +54,7 @@ class CelestialBody:
     def __post_init__(self) -> None:
         check_name(self.name, "body")
         for field in ("mass_kg", "radius_m"):
-            value = getattr(self, field)
-            # NaN fails both comparisons
-            if not 0.0 < value < math.inf:
-                raise DomainError(f"{field} must be positive and finite, got {value!r}")
+            positive_finite(getattr(self, field), field)
 
     @property
     def mu(self) -> float:
@@ -149,8 +150,7 @@ def potential(point: FieldPoint) -> Quantity:
 
 def load_bodies(path: RegistryPath) -> dict[str, CelestialBody]:
     """Read a registry file (see `gravshift.data`) of bodies into a name-keyed dict."""
-    bodies = read_records(path, "body registry", "body",
-                          {"mass_kg": float, "radius_m": float}, CelestialBody)
+    bodies = read_records(path, "body registry", "body", BODY_FIELDS, CelestialBody)
     return {body.name: body for body in bodies}
 
 

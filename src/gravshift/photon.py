@@ -46,14 +46,13 @@ the same way.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, ConvergenceError, DomainError, ImpactError
 from .gravity import CelestialBody
-from .units import CONSTANTS
+from .units import CONSTANTS, normal_float, positive_finite, weak_field
 
 __all__ = ["RayResult", "trace_ray", "RADIANS_TO_ARCSEC"]
 
@@ -95,9 +94,48 @@ def _gap(par: float, perp: float, norm: float) -> float:
     return perp * perp / (norm + par) if par > 0.0 else norm - par
 
 
-def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
-               rel_tol: float) -> RayResult:
-    """One solve in tau, in units of L = r_term/200, from (x0, b) along +x."""
+def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor: float,
+              rel_tol: float) -> RayResult:
+    """Trace a ray past the body through the index n(r) = 1 - phi(r)/c^2.
+
+    The ray starts on the termination circle (radius = factor * b, factor in
+    [10, 200]), travelling along +x, offset by b in +y; the undeflected line
+    would pass the body at distance b.  Integrates d/ds(n * dx/ds) = grad n
+    with adaptive stepping at the given relative tolerance (allowed range
+    1e-12..1e-6) until the ray exits the termination circle, in one solve.
+    The deflection is then within tol * |bend| of the closed-form bend
+    inside that circle.  Raises ConvergenceError if the ray cannot reach the
+    exit.
+
+    A grazing ray whose undeflected line just touches the surface dips below
+    it by the periapsis shift G*M/c^2 (about 2e-6 of the solar radius), which
+    is a property of the index medium, not a strike.  So ImpactError is
+    raised, before any integration and with the unobstructed periapsis, only
+    when the periapsis lies below (1 - IMPACT_MARGIN) * radius.  A start on
+    or inside the body is refused the same way: there b <= radius/factor, and
+    the periapsis b - mu*(1 - 1/factor) lies below b, or is 0 once mu overflows.
+    A bend 2*mu/b below the smallest normal float raises DomainError: it keeps
+    too few bits for the error bar.
+    """
+    b = positive_finite(float(impact_parameter_m), "impact parameter")
+    if not 10.0 <= termination_factor <= 200.0:
+        # the path-minus-chord term of the time excess grows like
+        # factor * b * (2 mu/b)^2, so beyond 200 it pulls the excess away
+        # from its straight-line value (50x too large on the sun at 1e9)
+        raise DomainError(f"termination factor {termination_factor:g} outside [10, 200]")
+    r_term = termination_factor * b
+    if not math.isfinite(r_term * r_term):
+        raise ConfigurationError(f"termination radius {r_term:g} m is too large: "
+                                 "its square is not finite")
+    rel_tol = float(rel_tol)
+    if not 1e-12 <= rel_tol <= 1e-6:
+        raise DomainError(f"relative tolerance {rel_tol:g} outside [1e-12, 1e-6]")
+    x0 = -math.sqrt(r_term * r_term - b * b)
+    if math.hypot(x0, b) > r_term:
+        # rounding can put the start one ulp outside the circle
+        x0 = math.nextafter(x0, 0.0)
+
+    # one solve in tau, in units of L = r_term/200, from (x0, b) along +x
     scale = r_term / 200.0
     mu = body.mu / (CONSTANTS.c ** 2 * scale) if scale > 0.0 else math.inf
     if not math.isfinite(mu):
@@ -112,8 +150,11 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
         raise ImpactError(body.name, r_min * scale)
     # at the periapsis |phi|/c^2 = mu/r_min; below 1, ell > 2*mu keeps |delta|
     # under 1.7 rad, so the bend cannot wind past the atan2 range
-    if mu >= r_min:
-        raise DomainError(f"|phi|/c^2 = {mu / r_min:.3g} >= 1: outside the weak-field domain")
+    weak_field(mu / r_min)
+    # p scales with the bend 2*mu/b, K with its square; a scalar atol would
+    # swamp them (earth's whole p_y is about 1.4e-9).  A subnormal bend keeps
+    # too few bits to meet tol * |bend|
+    bend = normal_float(2.0 * mu / sy, "bend")
 
     def rhs(tau, state):
         x, y, px, py, _ = state.tolist()
@@ -129,15 +170,6 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
     exit_event.terminal, exit_event.direction = True, 1.0
 
     y0 = [sx, sy, p0, 0.0, 0.0]
-    # p scales with the bend 2*mu/b, K with its square; a scalar atol would
-    # swamp them (earth's whole p_y is about 1.4e-9)
-    bend = 2.0 * mu / sy
-    if bend < sys.float_info.min:
-        # a subnormal bend keeps too few bits to meet tol * |bend|
-        raise DomainError(
-            f"bend {bend:g} rad is below the smallest normal float "
-            f"({sys.float_info.min:g}); it would be lost to rounding"
-        )
     atol = rel_tol * 1e-3
     # below a bend of about 1e-150 atol * bend^2 underflows, and a zero
     # tolerance on K (which starts at 0) makes every step NaN: the solve never ends
@@ -173,53 +205,3 @@ def _integrate(body: CelestialBody, x0: float, b: float, r_term: float,
         time_excess_s=excess,
         closest_approach_m=r_min * scale,
     )
-
-
-def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor: float,
-              rel_tol: float) -> RayResult:
-    """Trace a ray past the body through the index n(r) = 1 - phi(r)/c^2.
-
-    The ray starts on the termination circle (radius = factor * b, factor in
-    [10, 200]), travelling along +x, offset by b in +y; the undeflected line
-    would pass the body at distance b.  Integrates d/ds(n * dx/ds) = grad n
-    with adaptive stepping at the given relative tolerance (allowed range
-    1e-12..1e-6) until the ray exits the termination circle, in one solve.
-    The deflection is then within tol * |bend| of the closed-form bend
-    inside that circle.  Raises ConvergenceError if the ray cannot reach the
-    exit.
-
-    A grazing ray whose undeflected line just touches the surface dips below
-    it by the periapsis shift G*M/c^2 (about 2e-6 of the solar radius), which
-    is a property of the index medium, not a strike.  So ImpactError is
-    raised, before any integration and with the unobstructed periapsis, only
-    when the periapsis lies below (1 - IMPACT_MARGIN) * radius.  A start on
-    or inside the body is refused the same way: there b <= radius/factor, and
-    the periapsis b - mu*(1 - 1/factor) lies below b, or is 0 once mu overflows.
-    A bend 2*mu/b below the smallest normal float raises DomainError: it keeps
-    too few bits for the error bar.
-    """
-    b = float(impact_parameter_m)
-    if not math.isfinite(b):
-        raise ConfigurationError(f"impact parameter {b!r} is not finite")
-    if b <= 0.0:
-        raise ConfigurationError("impact parameter must be positive")
-    if not 10.0 <= termination_factor <= 200.0:
-        # the path-minus-chord term of the time excess grows like
-        # factor * b * (2 mu/b)^2, so beyond 200 it pulls the excess away
-        # from its straight-line value (50x too large on the sun at 1e9)
-        raise ConfigurationError(
-            f"termination factor {termination_factor:g} outside [10, 200]"
-        )
-    r_term = termination_factor * b
-    if not math.isfinite(r_term * r_term):
-        raise ConfigurationError(
-            f"termination radius {r_term:g} m is too large: its square is not finite"
-        )
-    x0 = -math.sqrt(r_term * r_term - b * b)
-    if math.hypot(x0, b) > r_term:
-        # rounding can put the start one ulp outside the circle
-        x0 = math.nextafter(x0, 0.0)
-    rel_tol = float(rel_tol)
-    if not 1e-12 <= rel_tol <= 1e-6:
-        raise DomainError(f"relative tolerance {rel_tol:g} outside [1e-12, 1e-6]")
-    return _integrate(body, x0, b, r_term, rel_tol)

@@ -50,6 +50,8 @@ from .units import (
     Dimension,
     Quantity,
     ensure_dimension,
+    normal_float,
+    positive_finite,
     weak_field_ratio,
 )
 
@@ -68,19 +70,12 @@ def effective_mass(rest_mass: Quantity, phi: Quantity) -> Quantity:
     """m_eff = m*(1 + phi/c^2) of an emitter of free rest mass m bound at
     phi <= 0; equals the rest mass for phi = 0."""
     ensure_dimension(rest_mass, MASS, "rest_mass")
-    if rest_mass.value <= 0.0:
-        raise DomainError("emitter rest mass must be positive")
+    positive_finite(rest_mass.value, "emitter rest mass")
     x = weak_field_ratio(phi)
     if phi.value > 0.0:
         raise DomainError("effective mass is defined for attractive potentials (phi <= 0)")
-    value = rest_mass.value * (1.0 + x)
-    if value < sys.float_info.min:
-        # a subnormal mass keeps too few bits to carry the factor 1 + phi/c^2
-        raise DomainError(
-            f"effective mass {value:g} kg is below the smallest normal float "
-            f"({sys.float_info.min:g}); phi/c^2 would be lost to rounding"
-        )
-    return Quantity(value, MASS)
+    # a subnormal mass keeps too few bits to carry the factor 1 + phi/c^2
+    return Quantity(normal_float(rest_mass.value * (1.0 + x), "effective mass"), MASS)
 
 
 @dataclass(frozen=True)

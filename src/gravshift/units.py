@@ -15,11 +15,16 @@ Constants are CODATA 2018 literals, plain floats in SI units, in the one set
 fine-structure constant is stored directly (never derived from the
 elementary charge), and the electronvolt appears only as an I/O conversion
 factor -- internally everything is SI.
+
+Each range rule -- positive and finite, a normal float, the weak field
+|phi|/c^2 < 1 -- is written here once, its decision and its wording, and
+every module refuses through it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
@@ -33,6 +38,9 @@ __all__ = [
     "MASS",
     "POTENTIAL",
     "ensure_dimension",
+    "positive_finite",
+    "normal_float",
+    "weak_field",
     "weak_field_ratio",
 ]
 
@@ -94,9 +102,7 @@ class Quantity:
         if not isinstance(other, Quantity):
             raise DimensionError(f"cannot {op} Quantity and {type(other).__name__}")
         if other.dim != self.dim:
-            raise DimensionError(
-                f"cannot {op} quantities of dimension {self.dim} and {other.dim}"
-            )
+            raise DimensionError(f"cannot {op} quantities of dimension {self.dim} and {other.dim}")
 
     # -- arithmetic ----------------------------------------------------
 
@@ -176,16 +182,32 @@ CONSTANTS = ConstantSet(
 )
 
 
-# -- operations --------------------------------------------------------
+# -- range rules -------------------------------------------------------
+
+
+def positive_finite(value: float, what: str) -> float:
+    """``value``, refused unless 0 < value < inf (NaN fails both comparisons)."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} must be positive and finite, got {value!r}")
+    return value
+
+
+def normal_float(value: float, what: str) -> float:
+    """``value``, refused below the smallest normal float: too few bits left."""
+    if value < sys.float_info.min:
+        raise DomainError(f"{what} {value:g} is below the smallest normal float "
+                          f"({sys.float_info.min:g}); it would be lost to rounding")
+    return value
+
+
+def weak_field(x: float) -> float:
+    """``x`` = phi/c^2, refused outside the weak-field domain |x| < 1."""
+    if abs(x) >= 1.0:
+        raise DomainError(f"|phi|/c^2 = {abs(x):.3g} >= 1: outside the weak-field domain")
+    return x
 
 
 def weak_field_ratio(phi: Quantity) -> float:
-    """phi/c^2 as a float, guarded to the weak-field domain |phi|/c^2 < 1."""
+    """phi/c^2 as a float, guarded by `weak_field`."""
     ensure_dimension(phi, POTENTIAL, "phi")
-    ratio = phi.value / CONSTANTS.c_squared
-    if abs(ratio) >= 1.0:
-        raise DomainError(
-            f"|phi|/c^2 = {abs(ratio):.3g} >= 1: outside the weak-field domain"
-        )
-    return ratio
-
+    return weak_field(phi.value / CONSTANTS.c_squared)

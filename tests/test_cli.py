@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravshift import cli, gravity, spectra
+from gravshift import cli, experiments, gravity, spectra
 from gravshift.cli import main
 from gravshift.data import data_file
 
@@ -275,6 +275,12 @@ class TestSpectrumCommand:
         assert out == ""
         assert "emitter rest mass must be positive" in err
 
+    def test_emitter_mass_is_refused_before_the_point(self, capsys):
+        code, out, err = run_cli(["spectrum", "--n-range", "1:1", "--emitter-mass-kg", "0",
+                                  "--at", "mars:0"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: emitter rest mass must be positive and finite, got 0.0\n"
+
     def test_overflowing_state_exits_one(self, capsys):
         code, out, err = run_cli(["spectrum", "--states", "0:1/2,0:1e400"], capsys)
         assert code == 1
@@ -313,7 +319,7 @@ class TestSpectrumCommand:
             ["spectrum", "--n-range", "1:1", "--emitter-mass-kg", mass], capsys)
         assert code == 1
         assert out == ""
-        assert err == "error: emitter rest mass must be finite\n"
+        assert err == f"error: emitter rest mass must be positive and finite, got {mass}\n"
 
     @pytest.mark.parametrize("n_range", ["1:447", "5:447", "1:100000", "1:" + "9" * 30])
     def test_n_range_is_capped(self, capsys, n_range):
@@ -448,7 +454,7 @@ class TestExperimentCommand:
         code, out, err = run_cli(["experiment", "--threshold", threshold, "--report", report],
                                  capsys)
         assert (code, out) == (1, "")
-        assert err == "error: exclusion threshold must be positive and finite\n"
+        assert err == f"error: exclusion threshold must be positive and finite, got {threshold}\n"
 
     def test_custom_registry_flag(self, tmp_path, capsys):
         path = tmp_path / "reg.json"
@@ -708,6 +714,19 @@ class TestDocumentation:
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip()
 
+    @pytest.mark.parametrize("command, flag, fields", [
+        ("potential", "--bodies", gravity.BODY_FIELDS),
+        ("experiment", "--bodies", gravity.BODY_FIELDS),
+        ("experiment", "--registry", experiments.RECORD_FIELDS),
+    ], ids=["potential-bodies", "experiment-bodies", "experiment-registry"])
+    def test_registry_help_lists_the_schema(self, capsys, command, flag, fields):
+        # the keys the help names are those the loader reads, and no others
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        (keys,) = re.findall(rf"{flag} [A-Z]+ [^{{]* a JSON array of {{([^}}]*)}} objects", text)
+        assert keys.split(", ") == ["name", *fields]
+
     def test_readme_examples_match_golden_stdout(self):
         examples = re.findall(r"```console\n\$ gravshift ([^\n]*)\n(.*?)```",
                               README.read_text(encoding="utf-8"), re.S)
@@ -738,6 +757,40 @@ BAD_NUMBER_IDS = ["true", "string", "null", "10**400"]
 def tower_on(body):
     return {"name": f"{body}-tower", "emit": f"{body}:0", "observe": f"{body}:10",
             "measured_ratio": 1.0, "ratio_uncertainty": 0.5}
+
+
+class TestPositiveAndFinite:
+    """Each value that must be positive and finite, a flag or a registry
+    field, is refused in one wording: [<location>: ]<what> must be positive
+    and finite, got <repr>."""
+
+    #: each flag's argv, with {} for the value, and the name its refusal gives
+    FLAGS = {
+        "photon-b-m": (["photon", "--body", "earth", "--b-m={}"], "impact parameter"),
+        "experiment-threshold": (["experiment", "--threshold={}"], "exclusion threshold"),
+        "spectrum-emitter-mass": (["spectrum", "--n-range", "1:1", "--emitter-mass-kg={}"],
+                                  "emitter rest mass"),
+    }
+
+    # '--flag=-inf', as argparse reads a bare '-inf' as an option
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("case", [*FLAGS, "body-field", "record-field"])
+    def test_one_wording(self, tmp_path, capsys, case, value):
+        path = tmp_path / "registry.json"
+        if case == "body-field":
+            path.write_text(json.dumps([{**KERBIN, "mass_kg": float(value)}]))
+            argv = ["potential", "--bodies", str(path), "--at", "kerbin:0"]
+            what = f"{path}: body #0 (kerbin): mass_kg"
+        elif case == "record-field":
+            path.write_text(json.dumps([{**tower_on("earth"), "measured_ratio": float(value)}]))
+            argv = ["experiment", "--registry", str(path)]
+            what = f"{path}: record #0 (earth-tower): measured_ratio"
+        else:
+            template, what = self.FLAGS[case]
+            argv = [arg.format(value) for arg in template]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {what} must be positive and finite, got {float(value)!r}\n"
 
 
 class TestRegistryFiles:

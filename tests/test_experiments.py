@@ -5,8 +5,9 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from gravshift import experiments
 from gravshift.data import data_file
-from gravshift.errors import ConfigurationError, RegistryError
+from gravshift.errors import ConfigurationError, DomainError, RegistryError
 from gravshift.experiments import (
     ExperimentRecord,
     double_effect_verdict,
@@ -242,12 +243,28 @@ class TestCompare:
         assert rows[model].sigma == pytest.approx(abs(rho - k) / unc, rel=1e-15)
         assert rows[model].predicted_shift == k * rows[ShiftModel.emitter].predicted_shift
 
+    def test_row_reads_its_prediction_from_spectra(self, by_name, monkeypatch):
+        # a model that predicted 3 single shifts would have its row divided
+        # by 3, with no edit to experiments
+        record = by_name["snider-solar-1972"]
+        real = experiments.fractional_shift
+        single = real(ShiftModel.emitter, record.emit, record.observe)
+
+        def tripled_photon(model, emit, obs):
+            return 3.0 * single if model is ShiftModel.photon else real(model, emit, obs)
+
+        monkeypatch.setattr(experiments, "fractional_shift", tripled_photon)
+        row = reports(record)[ShiftModel.photon]
+        assert row.predicted_shift == 3.0 * single
+        assert row.ratio == pytest.approx(record.measured_ratio / 3.0, rel=1e-15)
+        assert row.ratio_uncertainty == pytest.approx(record.ratio_uncertainty / 3.0, rel=1e-15)
+
     def test_bad_threshold_rejected(self, by_name):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             double_effect_verdict([by_name["pound-rebka-1960"]], 0.0)
 
     def test_nan_threshold_rejected(self, by_name):
-        with pytest.raises(ConfigurationError, match="threshold must be positive"):
+        with pytest.raises(DomainError, match="threshold must be positive"):
             double_effect_verdict([by_name["pound-rebka-1960"]], float("nan"))
 
 
@@ -324,7 +341,7 @@ class TestDoubleEffectVerdict:
 
 class TestRecordValidation:
     def test_non_positive_ratio_rejected(self, earth):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             tower_record(earth, 1.0, measured_ratio=0.0)
 
     @pytest.mark.parametrize("name", BAD_NAMES)

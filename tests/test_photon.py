@@ -139,12 +139,15 @@ class TestRayPathValidation:
     def test_termination_factor_outside_10_to_200_refused(self, sun, factor):
         # beyond 200 the path-minus-chord term pulls the time excess away
         # from its straight-line value
-        with pytest.raises(ConfigurationError, match=r"\[10, 200\]"):
+        with pytest.raises(DomainError, match=r"\[10, 200\]"):
             trace_ray(sun, oracles.R_SUN, factor, 1e-6)
 
-    @pytest.mark.parametrize("b_m", [1e300, math.nan, math.inf])
-    def test_non_finite_impact_parameter_refused(self, sun, b_m):
-        with pytest.raises(ConfigurationError, match="finite"):
+    @pytest.mark.parametrize("b_m, error", [
+        (1e300, ConfigurationError), (math.nan, DomainError), (math.inf, DomainError)],
+        ids=["1e+300", "nan", "inf"])
+    def test_non_finite_impact_parameter_refused(self, sun, b_m, error):
+        # 1e300 is finite, but the termination radius squared is not
+        with pytest.raises(error, match="finite"):
             trace_ray(sun, b_m, 200.0, 1e-6)
 
     def test_non_finite_termination_radius_refused(self, sun):
