@@ -18,19 +18,15 @@ photon
 experiments
     Measurement registry and the comparison harness that tests each model,
     including whether the "double effect" is excluded.
+data
+    The packaged registry files (bodies, experiments) and their one reader.
+errors
+    One exception class per kind of failure, under `GravshiftError`.
 cli
     The `gravshift` command-line front end.
 """
 
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DimensionError,
-    DomainError,
-    GravshiftError,
-    ImpactError,
-    RegistryError,
-)
+from .errors import ConvergenceError, DimensionError, DomainError, GravshiftError, ImpactError
 from .units import CONSTANTS, ConstantSet, Dimension, Quantity
 
 __version__ = "0.1.0"
@@ -44,8 +40,6 @@ __all__ = [
     "GravshiftError",
     "DimensionError",
     "DomainError",
-    "ConfigurationError",
-    "RegistryError",
     "ImpactError",
     "ConvergenceError",
 ]

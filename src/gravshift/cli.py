@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import experiments as experiments_mod
 from .data import data_file
-from .errors import ConfigurationError, GravshiftError
+from .errors import DomainError, GravshiftError
 from .gravity import BODY_FIELDS, FieldPoint, load_bodies, lookup_body, parse_point_spec, potential
 from .photon import RayResult, trace_ray
 from .spectra import (
@@ -161,12 +161,12 @@ def _parse_states(args) -> list[QuantumState]:
         for chunk in args.states.split(","):
             np_txt, sep, j_txt = chunk.partition(":")
             if not sep:
-                raise ConfigurationError(f"bad state {chunk!r}: expected N_PRIME:J (e.g. 0:1/2)")
+                raise DomainError(f"bad state {chunk!r}: expected N_PRIME:J (e.g. 0:1/2)")
             try:
                 n_prime = int(np_txt)
                 j = float(Fraction(j_txt))
             except (ValueError, ZeroDivisionError, OverflowError):
-                raise ConfigurationError(f"bad state {chunk!r}") from None
+                raise DomainError(f"bad state {chunk!r}") from None
             states.append(QuantumState(args.z, n_prime, j))
         return states
     lo_txt, sep, hi_txt = args.n_range.partition(":")
@@ -174,12 +174,12 @@ def _parse_states(args) -> list[QuantumState]:
         lo = int(lo_txt)
         hi = int(hi_txt) if sep else lo
     except ValueError:
-        raise ConfigurationError(f"bad --n-range {args.n_range!r}: expected LO:HI") from None
+        raise DomainError(f"bad --n-range {args.n_range!r}: expected LO:HI") from None
     if lo < 1 or hi < lo:
-        raise ConfigurationError(f"bad --n-range {args.n_range!r}")
+        raise DomainError(f"bad --n-range {args.n_range!r}")
     # principal number n holds n states, so LO:HI holds HI(HI+1)/2 - (LO-1)LO/2
     if (hi * (hi + 1) - (lo - 1) * lo) // 2 > MAX_STATES:
-        raise ConfigurationError(f"bad --n-range {args.n_range!r}: more than {MAX_STATES} states")
+        raise DomainError(f"bad --n-range {args.n_range!r}: more than {MAX_STATES} states")
     states = []
     for n in range(lo, hi + 1):
         states.extend(states_for_n(args.z, n))
@@ -217,11 +217,11 @@ def _shift_point(args, side: str, bodies) -> FieldPoint:
     r_m = getattr(args, f"{side}_r_m")
     given = [x is not None for x in (spec, alt, r_m)]
     if sum(given) != 1:
-        raise ConfigurationError(f"give exactly one of --{side}, --{side}-alt, --{side}-r-m")
+        raise DomainError(f"give exactly one of --{side}, --{side}-alt, --{side}-r-m")
     if spec is not None:
         return parse_point_spec(spec, bodies, label=side)
     if args.body is None:
-        raise ConfigurationError(f"--{side}-alt/--{side}-r-m need --body")
+        raise DomainError(f"--{side}-alt/--{side}-r-m need --body")
     body = lookup_body(bodies, args.body)
     return FieldPoint(side, ((body, body.radius_m + alt if alt is not None else r_m),))
 
@@ -243,15 +243,15 @@ def _cmd_shift(args) -> int:
 def _parse_sweep(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigurationError(f"bad sweep {text!r}: expected MIN:MAX:COUNT")
+        raise DomainError(f"bad sweep {text!r}: expected MIN:MAX:COUNT")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise ConfigurationError(f"bad sweep {text!r}") from None
+        raise DomainError(f"bad sweep {text!r}") from None
     if count < 2 or hi <= lo:
-        raise ConfigurationError(f"bad sweep {text!r}: need MAX > MIN and COUNT >= 2")
+        raise DomainError(f"bad sweep {text!r}: need MAX > MIN and COUNT >= 2")
     if count > MAX_SWEEP_RAYS:
-        raise ConfigurationError(f"bad sweep {text!r}: COUNT above {MAX_SWEEP_RAYS}")
+        raise DomainError(f"bad sweep {text!r}: COUNT above {MAX_SWEEP_RAYS}")
     return lo, hi, count
 
 

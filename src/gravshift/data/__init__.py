@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, TypeAlias, TypeVar
 
-from ..errors import ConfigurationError, GravshiftError, RegistryError
+from ..errors import DomainError, GravshiftError
 
 if TYPE_CHECKING:
     from importlib.resources.abc import Traversable
@@ -52,38 +52,38 @@ def read_records(path: RegistryPath, registry: str, entry: str,
     that breaks the schema and any `GravshiftError` of ``build`` are refused."""
     if isinstance(path, str):
         if not path:
-            raise RegistryError(f"bad {registry} path ''")
+            raise DomainError(f"bad {registry} path ''")
         path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except FileNotFoundError:
-        raise RegistryError(f"{registry} not found: {path}") from None
+        raise DomainError(f"{registry} not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise RegistryError(f"{path}: invalid JSON at line {exc.lineno} "
-                            f"col {exc.colno}: {exc.msg}") from None
+        raise DomainError(f"{path}: invalid JSON at line {exc.lineno} "
+                          f"col {exc.colno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # bad bytes, digits, keys or nesting
-        raise RegistryError(f"{path}: invalid JSON: {exc}") from None
+        raise DomainError(f"{path}: invalid JSON: {exc}") from None
     except OSError as exc:
-        raise RegistryError(f"{path}: {exc.strerror}") from None
+        raise DomainError(f"{path}: {exc.strerror}") from None
     if not isinstance(raw, list):
-        raise RegistryError(f"{path}: expected a JSON array of objects")
+        raise DomainError(f"{path}: expected a JSON array of objects")
     records: list[_T] = []
     names: set[str] = set()
     for i, obj in enumerate(raw):
         where = f"{path}: {entry} #{i}"
         try:
             if not isinstance(obj, dict):
-                raise ConfigurationError("expected an object")
+                raise DomainError("expected an object")
             name = _field(obj, "name", str)
             check_name(name, entry)
             if name in names:
-                raise ConfigurationError(f"duplicate {entry} name {name!r}")
+                raise DomainError(f"duplicate {entry} name {name!r}")
             names.add(name)
             where += f" ({name})"
             records.append(build(name=name, **{
                 field: _field(obj, field, kind) for field, kind in fields.items()}))
         except GravshiftError as exc:
-            raise RegistryError(f"{where}: {exc}") from None
+            raise DomainError(f"{where}: {exc}") from None
     return records
 
 
@@ -100,18 +100,18 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _field(obj: dict, field: str, kind: type) -> str | float:
     """The value of a record's ``field``, of type ``kind`` (see `_JSON_TYPES`)."""
     if field not in obj:
-        raise ConfigurationError(f"missing field {field!r}")
+        raise DomainError(f"missing field {field!r}")
     value = obj[field]
     json_type, accepted = _JSON_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigurationError(f"{field} must be {json_type}, got {json.dumps(value)}")
+        raise DomainError(f"{field} must be {json_type}, got {json.dumps(value)}")
     try:
         return kind(value)
     except OverflowError:
-        raise ConfigurationError(f"{field} is beyond the float range") from None
+        raise DomainError(f"{field} is beyond the float range") from None
 
 
 def check_name(name: str, kind: str) -> None:
     """Refuse a ``kind`` name that breaks the name rule of `_NAME_RE`."""
     if not _NAME_RE.fullmatch(name):
-        raise ConfigurationError(f"invalid {kind} name {name!r}")
+        raise DomainError(f"invalid {kind} name {name!r}")

@@ -6,8 +6,6 @@ __all__ = [
     "GravshiftError",
     "DimensionError",
     "DomainError",
-    "ConfigurationError",
-    "RegistryError",
     "ImpactError",
     "ConvergenceError",
 ]
@@ -22,21 +20,15 @@ class DimensionError(GravshiftError, TypeError):
 
 
 class DomainError(GravshiftError, ValueError):
-    """Input lies outside the validity domain of a formula.
+    """Refused input: every flag, argument, field point, quantum state,
+    parameter, registry file or registry record that is refused raises this
+    class, and its message says what was refused.  A registry's message also
+    says where: the file and, for a record, its index and name.
 
-    Raised by the range rules of `gravshift.units` (positive and finite, a
-    normal float, the weak field |phi|/c^2 < 1), and for interior field
-    points, parameters out of range, level energies past the float range and
-    non-positive photon energies.
+    Among them are the range rules of `gravshift.units` (positive and finite,
+    a normal float, the weak field |phi|/c^2 < 1), interior field points,
+    level energies past the float range and non-positive photon energies.
     """
-
-
-class ConfigurationError(GravshiftError, ValueError):
-    """A field point, registry reference or state combination is inconsistent."""
-
-
-class RegistryError(ConfigurationError):
-    """A registry file failed to parse or validate."""
 
 
 class ImpactError(GravshiftError, RuntimeError):

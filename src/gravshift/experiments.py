@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .data import RegistryPath, check_name, read_records
-from .errors import ConfigurationError
+from .errors import DomainError
 from .gravity import CelestialBody, FieldPoint, parse_point_spec
 from .spectra import ShiftModel, fractional_shift
 from .units import positive_finite
@@ -62,7 +62,7 @@ class ExperimentRecord:
         # refuses points that name different bodies or lie in the strong field
         if fractional_shift(ShiftModel.emitter, self.emit, self.observe) == 0.0:
             # a record that predicts no shift tests no model
-            raise ConfigurationError("emit and observe are at the same potential")
+            raise DomainError("emit and observe are at the same potential")
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
     excludes it at the threshold.
     """
     if not records:
-        raise ConfigurationError("experiment registry is empty")
+        raise DomainError("experiment registry is empty")
     # NaN and infinity exclude nothing, and JSON has a token for neither
     positive_finite(threshold, "exclusion threshold")
     reports = []
@@ -112,7 +112,7 @@ def double_effect_verdict(records: Sequence[ExperimentRecord],
             sigma = abs(ratio - 1.0) / unc if unc else math.inf
             if not math.isfinite(sigma):
                 # an uncertainty divided down to 0 or a sigma past the float range
-                raise ConfigurationError(
+                raise DomainError(
                     f"record {record.name!r}: sigma of the {model.name} model is not finite "
                     f"(ratio {ratio:g}, uncertainty {unc:g})")
             reports.append(ComparisonReport(

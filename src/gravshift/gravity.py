@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .data import RegistryPath, check_name, read_records
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .units import CONSTANTS, POTENTIAL, Quantity, positive_finite
 
 __all__ = [
@@ -73,11 +73,11 @@ class FieldPoint:
     def __post_init__(self) -> None:
         distances = tuple(self.distances)
         if not distances:
-            raise ConfigurationError(f"point {self.label!r} names no body")
+            raise DomainError(f"point {self.label!r} names no body")
         names = set()
         for body, r in distances:
             if body.name in names:
-                raise ConfigurationError(f"point {self.label!r} names body {body.name!r} twice")
+                raise DomainError(f"point {self.label!r} names body {body.name!r} twice")
             names.add(body.name)
             if not math.isfinite(r):
                 raise DomainError(
@@ -105,7 +105,7 @@ def parse_point_spec(spec: str, bodies: Mapping[str, CelestialBody],
     for part in re.split(r"\+(?=[A-Za-z_])", spec):
         name, sep, rest = part.partition(":")
         if not sep or not rest:
-            raise ConfigurationError(
+            raise DomainError(
                 f"bad point spec {part!r}: expected 'body:ALT_m' or 'body:r=R_m'"
             )
         body = lookup_body(bodies, name)
@@ -118,7 +118,7 @@ def parse_point_spec(spec: str, bodies: Mapping[str, CelestialBody],
             else:
                 r = body.radius_m + float(rest)
         except ValueError:
-            raise ConfigurationError(f"bad distance in point spec {part!r}") from None
+            raise DomainError(f"bad distance in point spec {part!r}") from None
         pairs.append((body, r))
     return FieldPoint(label or spec, pairs)
 
@@ -134,7 +134,7 @@ def require_same_bodies(emit: FieldPoint, obs: FieldPoint) -> None:
         present = {b.name for b, _ in point.distances}
         for name in names:
             if name not in present:
-                raise ConfigurationError(
+                raise DomainError(
                     f"point {point.label!r} has no distance for body {name!r}"
                 )
 
@@ -157,5 +157,5 @@ def load_bodies(path: RegistryPath) -> dict[str, CelestialBody]:
 def lookup_body(bodies: Mapping[str, CelestialBody], name: str) -> CelestialBody:
     """The body of the registry named ``name``; refuses a name the registry lacks."""
     if name not in bodies:
-        raise ConfigurationError(f"unknown body {name!r}")
+        raise DomainError(f"unknown body {name!r}")
     return bodies[name]

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import solve_ivp
 
-from .errors import ConfigurationError, ConvergenceError, DomainError, ImpactError
+from .errors import ConvergenceError, DomainError, ImpactError
 from .gravity import CelestialBody
 from .units import CONSTANTS, normal_float, positive_finite, weak_field
 
@@ -125,8 +125,8 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
         raise DomainError(f"termination factor {termination_factor:g} outside [10, 200]")
     r_term = termination_factor * b
     if not math.isfinite(r_term * r_term):
-        raise ConfigurationError(f"termination radius {r_term:g} m is too large: "
-                                 "its square is not finite")
+        raise DomainError(f"termination radius {r_term:g} m is too large: "
+                          "its square is not finite")
     rel_tol = float(rel_tol)
     if not 1e-12 <= rel_tol <= 1e-6:
         raise DomainError(f"relative tolerance {rel_tol:g} outside [1e-12, 1e-6]")

@@ -41,7 +41,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .gravity import FieldPoint, require_same_bodies
 from .units import (
     CONSTANTS,
@@ -89,15 +89,15 @@ class QuantumState:
 
     def __post_init__(self) -> None:
         if not isinstance(self.Z, int) or self.Z < 1:
-            raise ConfigurationError(f"Z must be a positive integer, got {self.Z!r}")
+            raise DomainError(f"Z must be a positive integer, got {self.Z!r}")
         # compared as int against float, so no Z is too large to test
         if self.Z >= 1.0 / CONSTANTS.alpha:
             raise DomainError(f"alpha*Z >= 1 at Z = {self.Z}: outside the perturbative domain")
         if not isinstance(self.n_prime, int) or self.n_prime < 0:
-            raise ConfigurationError(f"n' must be a non-negative integer, got {self.n_prime!r}")
+            raise DomainError(f"n' must be a non-negative integer, got {self.n_prime!r}")
         twice_j = 2.0 * float(self.j)
         if twice_j <= 0 or twice_j != int(twice_j) or int(twice_j) % 2 != 1:
-            raise ConfigurationError(
+            raise DomainError(
                 f"j must be a positive half-odd-integer (1/2, 3/2, ...), got {self.j!r}"
             )
         object.__setattr__(self, "j", float(self.j))
@@ -169,7 +169,7 @@ def transition_frequency(s_upper: QuantumState, s_lower: QuantumState,
     """
     ensure_dimension(m_eff, MASS, "m_eff")
     if s_upper.Z != s_lower.Z:
-        raise ConfigurationError(
+        raise DomainError(
             f"transition states must share Z (got {s_upper.Z} and {s_lower.Z})"
         )
     dk = _specific_level_energy(s_lower) - _specific_level_energy(s_upper)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gravshift.errors import RegistryError
+from gravshift.errors import DomainError
 from gravshift.experiments import load_registry
 from gravshift.gravity import load_bodies
 
@@ -66,7 +66,7 @@ def test_one_location_form_for_both_registries(tmp_path, bodies, entry, changes,
     path.write_text(json.dumps([GOOD[entry],
                                 {key: value for key, value in fields.items()
                                  if value is not None}]))
-    with pytest.raises(RegistryError) as exc:
+    with pytest.raises(DomainError) as exc:
         load(entry, path, bodies)
     assert str(exc.value) == f"{path}: {entry} #1 ({NAME}): {reason}"
     assert str(exc.value).count(NAME) == 1
@@ -79,7 +79,7 @@ def test_repeated_key_is_refused(tmp_path, bodies, entry, key):
     good = json.dumps(GOOD[entry])
     path = tmp_path / "registry.json"
     path.write_text(f'[{good[:-1]}, "{key}": 2.0}}]')
-    with pytest.raises(RegistryError) as exc:
+    with pytest.raises(DomainError) as exc:
         load(entry, path, bodies)
     assert str(exc.value) == f"{path}: invalid JSON: repeated key {key!r}"
 
@@ -88,7 +88,7 @@ def test_repeated_key_is_refused(tmp_path, bodies, entry, key):
 def test_name_is_checked_before_the_fields(tmp_path, bodies, entry):
     path = tmp_path / "registry.json"
     path.write_text(json.dumps([{"name": 7}]))
-    with pytest.raises(RegistryError) as exc:
+    with pytest.raises(DomainError) as exc:
         load(entry, path, bodies)
     assert str(exc.value) == f"{path}: {entry} #0: name must be a string, got 7"
 

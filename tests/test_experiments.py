@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from gravshift import experiments
 from gravshift.data import data_file
-from gravshift.errors import ConfigurationError, DomainError, RegistryError
+from gravshift.errors import DomainError
 from gravshift.experiments import (
     ExperimentRecord,
     double_effect_verdict,
@@ -91,7 +91,7 @@ class TestLoadRegistry:
 
     def test_negative_uncertainty_rejected(self, tmp_path, bodies):
         path = write_registry(tmp_path, [entry("bad", ratio_uncertainty=-0.1)])
-        with pytest.raises(RegistryError) as exc:
+        with pytest.raises(DomainError) as exc:
             load_registry(path, bodies)
         assert str(exc.value) == \
             f"{path}: record #0 (bad): ratio_uncertainty must be positive and finite, got -0.1"
@@ -102,7 +102,7 @@ class TestLoadRegistry:
     def test_non_finite_value_rejected(self, tmp_path, bodies, field, value):
         # Python's json reads NaN and Infinity, and every sigma passes a NaN
         path = write_registry(tmp_path, [{**entry("bad"), field: value}])
-        with pytest.raises(RegistryError) as exc:
+        with pytest.raises(DomainError) as exc:
             load_registry(path, bodies)
         # the record is named once, by the loader
         assert str(exc.value) == \
@@ -112,20 +112,20 @@ class TestLoadRegistry:
     @pytest.mark.parametrize("value, reason", BAD_NUMBERS, ids=BAD_NUMBER_IDS)
     def test_non_number_rejected(self, tmp_path, bodies, field, value, reason):
         path = write_registry(tmp_path, [{**entry("bad"), field: value}])
-        with pytest.raises(RegistryError, match=re.escape(
+        with pytest.raises(DomainError, match=re.escape(
                 f"{path}: record #0 (bad): {reason.format(field)}")):
             load_registry(path, bodies)
 
     def test_repeated_name_rejected(self, tmp_path, bodies):
         path = write_registry(tmp_path, [entry("twin"), entry("twin")])
-        with pytest.raises(RegistryError, match=re.escape(
+        with pytest.raises(DomainError, match=re.escape(
                 f"{path}: record #1: duplicate record name 'twin'")):
             load_registry(path, bodies)
 
     @pytest.mark.parametrize("name, shown", [(None, "null"), (7, "7"), (["x"], '["x"]')])
     def test_non_string_name_rejected(self, tmp_path, bodies, name, shown):
         path = write_registry(tmp_path, [entry(name)])
-        with pytest.raises(RegistryError, match=re.escape(
+        with pytest.raises(DomainError, match=re.escape(
                 f"{path}: record #0: name must be a string, got {shown}")):
             load_registry(path, bodies)
 
@@ -136,7 +136,7 @@ class TestLoadRegistry:
             "geometry": {"type": "tower", "body": "earth", "base_altitude_m": 0.0,
                          "height_m": 22.5},
             "measured_ratio": 1.05, "ratio_uncertainty": 0.10}])
-        with pytest.raises(RegistryError) as exc:
+        with pytest.raises(DomainError) as exc:
             load_registry(path, bodies)
         assert str(exc.value) == f"{path}: record #0 (pound-rebka-1960): missing field 'emit'"
 
@@ -155,12 +155,12 @@ class TestLoadRegistry:
             "empty-spec", "bad-distance", "empty-name"])
     def test_malformed_record_rejected(self, tmp_path, bodies, entries, reason):
         path = write_registry(tmp_path, entries)
-        with pytest.raises(RegistryError, match=re.escape(f"{path}: {reason}")):
+        with pytest.raises(DomainError, match=re.escape(f"{path}: {reason}")):
             load_registry(path, bodies)
 
     def test_missing_field_rejected(self, tmp_path, bodies):
         path = write_registry(tmp_path, [{"name": "bad"}])
-        with pytest.raises(RegistryError, match="missing field 'emit'"):
+        with pytest.raises(DomainError, match="missing field 'emit'"):
             load_registry(path, bodies)
 
     @pytest.mark.parametrize("emit, observe, reason", [
@@ -170,7 +170,7 @@ class TestLoadRegistry:
     ], ids=["altitude-nan", "altitude-inf", "radius-nan"])
     def test_non_finite_point_rejected(self, tmp_path, bodies, emit, observe, reason):
         path = write_registry(tmp_path, [entry("bad", emit, observe)])
-        with pytest.raises(RegistryError, match=r"r\.json: record #0 \(bad\): " + reason):
+        with pytest.raises(DomainError, match=r"r\.json: record #0 \(bad\): " + reason):
             load_registry(path, bodies)
 
     @pytest.mark.parametrize("emit, observe, side", [
@@ -179,7 +179,7 @@ class TestLoadRegistry:
     ], ids=["below-the-surface", "inside-one-of-two-bodies"])
     def test_interior_point_rejected(self, tmp_path, bodies, emit, observe, side):
         path = write_registry(tmp_path, [entry("deep", emit, observe)])
-        with pytest.raises(RegistryError, match=(
+        with pytest.raises(DomainError, match=(
                 rf"r\.json: record #0 \(deep\): point '{side}': r = \S+ m is inside "
                 r"body 'earth' \(radius 6\.371e\+06 m\); exterior field only$")):
             load_registry(path, bodies)
@@ -205,7 +205,7 @@ class TestPredict:
 
     def test_unknown_body_raises(self, tmp_path, bodies):
         path = write_registry(tmp_path, [entry("vulcan-tower", "vulcan:0", "vulcan:22.5")])
-        with pytest.raises(RegistryError, match=r"\(vulcan-tower\): unknown body 'vulcan'"):
+        with pytest.raises(DomainError, match=r"\(vulcan-tower\): unknown body 'vulcan'"):
             load_registry(path, bodies)
 
 
@@ -260,7 +260,7 @@ class TestCompare:
         assert row.ratio_uncertainty == pytest.approx(record.ratio_uncertainty / 3.0, rel=1e-15)
 
     def test_bad_threshold_rejected(self, by_name):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="exclusion threshold must be positive and finite"):
             double_effect_verdict([by_name["pound-rebka-1960"]], 0.0)
 
     def test_nan_threshold_rejected(self, by_name):
@@ -335,18 +335,18 @@ class TestDoubleEffectVerdict:
     def test_empty_registry_rejected(self):
         # refused as empty before the threshold is looked at
         for threshold in (5.0, float("nan")):
-            with pytest.raises(ConfigurationError, match="experiment registry is empty"):
+            with pytest.raises(DomainError, match="experiment registry is empty"):
                 double_effect_verdict([], threshold)
 
 
 class TestRecordValidation:
     def test_non_positive_ratio_rejected(self, earth):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="measured_ratio must be positive and finite"):
             tower_record(earth, 1.0, measured_ratio=0.0)
 
     @pytest.mark.parametrize("name", BAD_NAMES)
     def test_name_outside_the_rule_rejected(self, earth, name):
-        with pytest.raises(ConfigurationError, match=re.escape(
+        with pytest.raises(DomainError, match=re.escape(
                 f"invalid experiment name {name!r}")):
             ExperimentRecord(name, FieldPoint("earth:0", [(earth, earth.radius_m)]),
                              FieldPoint("earth:1", [(earth, earth.radius_m + 1.0)]),
@@ -361,7 +361,7 @@ class TestRecordValidation:
         # it predicts no shift, so its double-effect sigma read 10, "excluded";
         # the loader names the file, the record's index and its name
         path = write_registry(tmp_path, [entry("tower"), entry("flat", emit, observe)])
-        with pytest.raises(RegistryError) as err:
+        with pytest.raises(DomainError) as err:
             load_registry(path, bodies)
         assert str(err.value) == (
             f"{path}: record #1 (flat): emit and observe are at the same potential")
@@ -371,14 +371,14 @@ class TestRecordValidation:
         # where the file is read, so the message names the file and the record
         hole = CelestialBody("hole", 2.0 * oracles.C2 / oracles.G, 1.0)
         path = write_registry(tmp_path, [entry("deep", "hole:0", "hole:10")])
-        with pytest.raises(RegistryError) as err:
+        with pytest.raises(DomainError) as err:
             load_registry(path, {"hole": hole})
         assert str(err.value) == (
             f"{path}: record #0 (deep): |phi|/c^2 = 2 >= 1: outside the weak-field domain")
 
     def test_record_at_one_potential_refused_when_built(self, earth):
         point = FieldPoint("x", [(earth, earth.radius_m + 22.5)])
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(DomainError,
                            match="^emit and observe are at the same potential$"):
             ExperimentRecord("flat", point, FieldPoint("y", point.distances), 1.0, 0.1)
 
@@ -390,7 +390,7 @@ class TestRecordValidation:
         assert shift == -predictions(tower_record(bodies["earth"], 22.5, 1.0))[ShiftModel.emitter]
 
     def test_mismatched_point_bodies_rejected(self, earth, sun):
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(DomainError,
                            match="point 'x:emit' has no distance for body 'earth'"):
             ExperimentRecord(
                 name="x",

@@ -1,10 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gravshift import photon
-from gravshift.errors import ConfigurationError, DomainError, ImpactError
+from gravshift.errors import DomainError, ImpactError
 from gravshift.gravity import CelestialBody, FieldPoint
 from gravshift.photon import IMPACT_MARGIN, trace_ray
 from gravshift.spectra import ShiftModel, fractional_shift
@@ -142,24 +143,25 @@ class TestRayPathValidation:
         with pytest.raises(DomainError, match=r"\[10, 200\]"):
             trace_ray(sun, oracles.R_SUN, factor, 1e-6)
 
-    @pytest.mark.parametrize("b_m, error", [
-        (1e300, ConfigurationError), (math.nan, DomainError), (math.inf, DomainError)],
-        ids=["1e+300", "nan", "inf"])
-    def test_non_finite_impact_parameter_refused(self, sun, b_m, error):
-        # 1e300 is finite, but the termination radius squared is not
-        with pytest.raises(error, match="finite"):
+    @pytest.mark.parametrize("b_m, reason", [
+        (0.0, "impact parameter must be positive and finite, got 0.0"),
+        (-1.0, "impact parameter must be positive and finite, got -1.0"),
+        (math.nan, "impact parameter must be positive and finite, got nan"),
+        (math.inf, "impact parameter must be positive and finite, got inf"),
+        # finite, but the termination radius squared is not
+        (1e300, "termination radius 2e+302 m is too large: its square is not finite"),
+        # finite, but 200 * b itself overflows
+        (1e307, "termination radius inf m is too large: its square is not finite"),
+    ], ids=["0", "-1", "nan", "inf", "1e+300", "1e+307"])
+    def test_bad_impact_parameter_refused(self, sun, b_m, reason):
+        with pytest.raises(DomainError, match=f"^{re.escape(reason)}$"):
             trace_ray(sun, b_m, 200.0, 1e-6)
-
-    def test_non_finite_termination_radius_refused(self, sun):
-        # b is finite, but 200 * b overflows
-        with pytest.raises(ConfigurationError, match="termination radius inf m"):
-            trace_ray(sun, 1e307, 200.0, 1e-6)
 
     def test_tolerance_range_enforced(self, sun):
         b = 2.0 * oracles.R_SUN
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape("tolerance 1e-13 outside [1e-12, 1e-6]")):
             trace_ray(sun, b, 200.0, 1e-13)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=re.escape("tolerance 1e-05 outside [1e-12, 1e-6]")):
             trace_ray(sun, b, 200.0, 1e-5)
 
 

@@ -39,7 +39,7 @@ class TestConstants:
 class TestQuantity:
     def test_rejects_nan_and_inf(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=f"quantity value must be finite, got {bad!r}"):
                 Quantity(bad, MASS)
 
     def test_add_requires_same_dimension(self):
