@@ -24,22 +24,9 @@ errors
     One exception class per kind of failure, under `GravshiftError`.
 cli
     The `gravshift` command-line front end.
+
+Each name is imported from its module, for example `gravshift.errors.DomainError`;
+the package itself holds only `__version__`.
 """
 
-from .errors import ConvergenceError, DimensionError, DomainError, GravshiftError, ImpactError
-from .units import CONSTANTS, ConstantSet, Dimension, Quantity
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "CONSTANTS",
-    "ConstantSet",
-    "Dimension",
-    "Quantity",
-    "GravshiftError",
-    "DimensionError",
-    "DomainError",
-    "ImpactError",
-    "ConvergenceError",
-]

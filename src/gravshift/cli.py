@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ from fractions import Fraction
 from . import experiments as experiments_mod
 from .data import data_file
 from .errors import DomainError, GravshiftError
-from .gravity import BODY_FIELDS, FieldPoint, load_bodies, lookup_body, parse_point_spec, potential
+from .gravity import BODY_FIELDS, FieldPoint, load_bodies, lookup_body, parse_point_spec
 from .photon import RayResult, trace_ray
 from .spectra import (
     QuantumState,
@@ -94,12 +93,9 @@ def _emit_rows(columns: list[str], rows: list[dict], fmt: str) -> None:
     if fmt == "json":
         print(_format_json(rows))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
-        sys.stdout.write(buf.getvalue())
+        writer.writerows([_cell(row[c]) for c in columns] for row in rows)
     else:
         cells = [[_cell(row[c]) for c in columns] for row in rows]
         widths = [max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
@@ -145,7 +141,7 @@ def _cmd_potential(args) -> int:
     bodies = load_bodies(args.bodies)
     rows = []
     for spec in args.at:
-        phi = potential(parse_point_spec(spec, bodies))
+        phi = parse_point_spec(spec, bodies).phi
         rows.append({
             "point": spec,
             "phi_m2_s2": phi.value,
@@ -192,7 +188,7 @@ def _cmd_spectrum(args) -> int:
     positive_finite(args.emitter_mass_kg, "emitter rest mass")
     rest_mass = Quantity(args.emitter_mass_kg, MASS)
     if args.at is not None:
-        phi = potential(parse_point_spec(args.at, load_bodies(args.bodies)))
+        phi = parse_point_spec(args.at, load_bodies(args.bodies)).phi
     else:
         phi = Quantity(0.0, POTENTIAL)
     m_eff = effective_mass(rest_mass, phi)

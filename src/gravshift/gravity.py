@@ -32,7 +32,6 @@ __all__ = [
     "CelestialBody",
     "FieldPoint",
     "parse_point_spec",
-    "require_same_bodies",
     "potential",
     "load_bodies",
     "lookup_body",
@@ -121,22 +120,6 @@ def parse_point_spec(spec: str, bodies: Mapping[str, CelestialBody],
             raise DomainError(f"bad distance in point spec {part!r}") from None
         pairs.append((body, r))
     return FieldPoint(label or spec, pairs)
-
-
-def require_same_bodies(emit: FieldPoint, obs: FieldPoint) -> None:
-    """Refuse two points that do not name the same bodies.
-
-    A potential difference between them would count some body's term at one
-    end only.
-    """
-    names = sorted({b.name for p in (emit, obs) for b, _ in p.distances})
-    for point in (emit, obs):
-        present = {b.name for b, _ in point.distances}
-        for name in names:
-            if name not in present:
-                raise DomainError(
-                    f"point {point.label!r} has no distance for body {name!r}"
-                )
 
 
 def potential(point: FieldPoint) -> Quantity:

@@ -137,7 +137,7 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
 
     # one solve in tau, in units of L = r_term/200, from (x0, b) along +x
     scale = r_term / 200.0
-    mu = body.mu / (CONSTANTS.c ** 2 * scale) if scale > 0.0 else math.inf
+    mu = body.mu / (CONSTANTS.c_squared * scale) if scale > 0.0 else math.inf
     if not math.isfinite(mu):
         # b so small that mu overflows: ell = p0 * sy <= mu, the ray falls to r = 0
         raise ImpactError(body.name, 0.0)

@@ -25,7 +25,8 @@ mass they take and tag the energy or frequency they return.
 Each value is refused where it is built: a `QuantumState` with Z outside
 1 <= Z < 1/alpha (Z <= 137) or a bad n' or j; a mass or potential in
 `effective_mass`; an energy that is no normal float or has no finite
-frequency in `level_energy` and `transition_frequency`.
+frequency in `level_energy` and `transition_frequency`; two points that do
+not name the same bodies in `fractional_shift`.
 
 A model of the line shift between two locations is its couplings (k_e, k_p)
 to the potential: of the emitter's mass (the defect above) and of the photon
@@ -42,7 +43,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .gravity import FieldPoint, require_same_bodies
+from .gravity import FieldPoint
 from .units import (
     CONSTANTS,
     MASS,
@@ -119,7 +120,7 @@ def states_for_n(Z: int, n: int) -> list[QuantumState]:
 
 _ALPHA2 = CONSTANTS.alpha ** 2
 #: alpha^2 c^2 / 2, the Rydberg energy per unit mass (J/kg)
-_RYDBERG_PER_KG = _ALPHA2 * CONSTANTS.c ** 2 / 2.0
+_RYDBERG_PER_KG = _ALPHA2 * CONSTANTS.c_squared / 2.0
 #: k underflows to 0 long before n = 1e300; the clamp keeps float(n) finite
 _N_CLAMP = 10**300
 
@@ -199,6 +200,8 @@ def fractional_shift(model: ShiftModel, emit: FieldPoint, obs: FieldPoint) -> fl
 
     A model predicts k_e + k_p times the single shift (phi_emit - phi_obs)/c^2.
     Negative = red shift (emitter deeper).
+    Two points that do not name the same bodies are refused: their difference
+    would count some body's term at one end only.
     The shift is first order: with x = phi/c^2, the emitter model's exact
     ratio of the level frequencies at the two points, less 1, is
     (x_emit - x_obs)/(1 + x_obs), 1.06e-8 relative apart at the Snider points.
@@ -206,10 +209,13 @@ def fractional_shift(model: ShiftModel, emit: FieldPoint, obs: FieldPoint) -> fl
     so two nearly equal potentials are never subtracted; r_emit - r_obs is
     exact when the distances are within a factor 2 of each other.
     """
-    require_same_bodies(emit, obs)
+    emit_names = {body.name for body, _ in emit.distances}
+    r_obs = {body.name: r for body, r in obs.distances}
+    for point, lacks in ((emit, r_obs.keys() - emit_names), (obs, emit_names - r_obs.keys())):
+        if lacks:
+            raise DomainError(f"point {point.label!r} has no distance for body {min(lacks)!r}")
     for point in (emit, obs):
         weak_field_ratio(point.phi)
-    r_obs = {body.name: r for body, r in obs.distances}
     terms = []
     for body, r in emit.distances:
         near, far = sorted((r, r_obs[body.name]))

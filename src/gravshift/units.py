@@ -34,7 +34,6 @@ __all__ = [
     "Quantity",
     "ConstantSet",
     "CONSTANTS",
-    "DIMENSIONLESS",
     "MASS",
     "POTENTIAL",
     "ensure_dimension",
@@ -62,18 +61,15 @@ class Dimension:
                          self.time - other.time)
 
     def __str__(self) -> str:
-        if self == DIMENSIONLESS:
-            return "1"
         parts = []
         for symbol, exp in (("kg", self.mass), ("m", self.length), ("s", self.time)):
             if exp == 1:
                 parts.append(symbol)
             elif exp != 0:
                 parts.append(f"{symbol}^{exp}")
-        return "*".join(parts)
+        return "*".join(parts) or "1"
 
 
-DIMENSIONLESS = Dimension()
 MASS = Dimension(mass=1)
 #: Gravitational potential, m^2/s^2 (negative for attractive sources).
 POTENTIAL = Dimension(length=2, time=-2)
@@ -89,7 +85,7 @@ class Quantity:
     """
 
     value: float
-    dim: Dimension = DIMENSIONLESS
+    dim: Dimension
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", float(self.value))

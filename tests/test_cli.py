@@ -321,13 +321,19 @@ class TestSpectrumCommand:
         assert out == ""
         assert err == f"error: emitter rest mass must be positive and finite, got {mass}\n"
 
-    @pytest.mark.parametrize("n_range", ["1:447", "5:447", "1:100000", "1:" + "9" * 30])
+    @pytest.mark.parametrize("n_range", ["1:447", "5:447", "16:447", "1:100000", "1:" + "9" * 30])
     def test_n_range_is_capped(self, capsys, n_range):
         # refused before any state is built
         code, out, err = run_cli(["spectrum", "--n-range", n_range], capsys)
         assert code == 1
         assert out == ""
         assert err == f"error: bad --n-range '{n_range}': more than 100000 states\n"
+
+    def test_n_range_just_under_the_cap_is_accepted(self, capsys):
+        # 17:447 holds 447*448/2 - 16*17/2 = 99 992 states, 16:447 holds 100 008
+        code, out, err = run_cli(["spectrum", "--n-range", "17:447"], capsys)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1 + 99_992
 
     def test_n_range_cap_counts_states(self, capsys, monkeypatch):
         # 1:3 holds 1 + 2 + 3 = 6 states, 1:4 holds 10
@@ -338,6 +344,10 @@ class TestSpectrumCommand:
         code, out, err = run_cli(["spectrum", "--n-range", "1:4"], capsys)
         assert code == 1
         assert err == "error: bad --n-range '1:4': more than 6 states\n"
+        # 6:6 holds the 6 states of n = 6 alone: 6*7/2 less the low end's 5*6/2
+        code, out, _ = run_cli(["spectrum", "--n-range", "6:6"], capsys)
+        assert code == 0
+        assert len(rows(["spectrum"], out)) == 6
 
 
 class TestPhotonCommand:
@@ -674,10 +684,17 @@ class TestExtremeArguments:
         (["shift", "--model", "emitter", "--emit-alt", "0", "--obs-alt", "1"],
          "--emit-alt/--emit-r-m need --body"),
         (["photon", "--body", "sun", "--sweep-m", "a:b:c"], "bad sweep 'a:b:c'"),
+        (["photon", "--body", "earth", "--sweep-radii", "1:1:3"],
+         "bad sweep '1:1:3': need MAX > MIN and COUNT >= 2"),
+        (["photon", "--body", "earth", "--sweep-radii", "2:1:3"],
+         "bad sweep '2:1:3': need MAX > MIN and COUNT >= 2"),
+        (["potential", "--at", "earth:"],
+         "bad point spec 'earth:': expected 'body:ALT_m' or 'body:r=R_m'"),
         # float() reads ' 5' as 5, but the label would break the text table
         (["potential", "--at", "earth:  5"], "bad distance in point spec 'earth:  5'"),
     ], ids=["potential-at", "spectrum-n-range-text", "spectrum-n-range-reversed",
             "spectrum-n-range-zero", "shift-alt-without-body", "photon-sweep-text",
+            "photon-sweep-empty", "photon-sweep-reversed", "potential-at-no-distance",
             "potential-at-spaces"])
     def test_malformed_flag_value_is_refused(self, capsys, argv, err_text):
         code, out, err = run_cli(argv, capsys)
@@ -998,6 +1015,13 @@ class TestProcessLevel:
                           capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
+    def test_importing_the_package_loads_no_submodule(self):
+        # each name is imported from its module, so the package imports none
+        proc = run_python(["-c", "import sys, gravshift\n"
+                                 "print([m for m in sys.modules if m.startswith('gravshift.')])"],
+                          capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
     def test_the_process_entry_loads_no_numpy_before_run(self):
         # numpy loaded before run would start its BLAS threads regardless
         proc = run_python(["-c", "import sys, gravshift.__main__\n"
@@ -1022,6 +1046,8 @@ class TestProcessLevel:
     @pytest.mark.parametrize("argv", [
         ["constants"],
         ["photon", "--body", "earth", "--sweep-m", "2e7:4e7:2", "--tol", "1e-6"],
+        # csv rows, which the writer puts straight on stdout
+        ["spectrum", "--n-range", "1:3"],
         ["potential", "--at", "mars:0"],
         ["experiment", "--threshold", "1e6"],
         # argparse's help, which it writes and exits 0 for outside cli.main

@@ -12,7 +12,6 @@ from gravshift.gravity import (
     FieldPoint,
     load_bodies,
     potential,
-    require_same_bodies,
 )
 from gravshift.spectra import ShiftModel, fractional_shift
 from gravshift.units import CONSTANTS
@@ -53,11 +52,17 @@ class TestPotential:
         earth_only = FieldPoint("q", [(earth, 7e6)])
         with pytest.raises(DomainError,
                            match="point 'q' has no distance for body 'sun'"):
-            require_same_bodies(both, earth_only)
+            fractional_shift(ShiftModel.emitter, both, earth_only)
         with pytest.raises(DomainError,
                            match="point 'q' has no distance for body 'sun'"):
-            require_same_bodies(earth_only, both)
-        require_same_bodies(both, FieldPoint("r", [(sun, 2e11), (earth, 8e6)]))
+            fractional_shift(ShiftModel.emitter, earth_only, both)
+        fractional_shift(ShiftModel.emitter, both, FieldPoint("r", [(sun, 2e11), (earth, 8e6)]))
+        # of two bodies a point lacks, the refusal names the alphabetically first
+        moon = CelestialBody("moon", 7.342e22, 1.7374e6)
+        three = FieldPoint("t", [(sun, 1.5e11), (moon, 3.8e8), (earth, 7e6)])
+        with pytest.raises(DomainError,
+                           match="point 'q' has no distance for body 'moon'"):
+            fractional_shift(ShiftModel.emitter, three, earth_only)
 
     def test_interior_point_is_domain_error(self, earth):
         with pytest.raises(DomainError, match="point 'p': .* inside body 'earth'"):

@@ -11,6 +11,7 @@ some of those paths: a default that no path overrides is a parameter that
 only tests set.  The non-ray invocations also pin the CLI's default stdout.
 """
 
+import ast
 import contextlib
 import importlib
 import inspect
@@ -25,7 +26,8 @@ from gravshift import cli
 
 from printed_columns import check_stdout
 
-MODULES = ("units", "gravity", "spectra", "photon", "experiments", "data", "errors", "cli")
+#: the package's modules, named relative to it: "" is the package itself
+MODULES = ("", "units", "gravity", "spectra", "photon", "experiments", "data", "errors", "cli")
 
 PAPER_CLAIMS = {
     "transition_frequency",     # every line shifts by phi/c^2 (linearity theorem)
@@ -57,7 +59,7 @@ ARGV = [
 
 
 def _module(name):
-    return importlib.import_module(f"gravshift.{name}")
+    return importlib.import_module(f".{name}", "gravshift")
 
 
 def _public_members():
@@ -129,11 +131,16 @@ def cli_trace():
     return called, overridden
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", MODULES, ids=lambda name: name or "gravshift")
 def test_every_exported_name_exists(name):
+    # a name is defined by the module that exports it, so no name has two routes
     module = _module(name)
+    imported = {alias.asname or alias.name
+                for node in ast.parse(inspect.getsource(module)).body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     for attr in getattr(module, "__all__", ()):
-        assert hasattr(module, attr), f"gravshift.{name}.__all__ names missing {attr!r}"
+        assert hasattr(module, attr), f"{module.__name__}.__all__ names missing {attr!r}"
+        assert attr not in imported, f"{module.__name__}.__all__ re-exports {attr!r}"
 
 
 def test_every_public_function_is_reached_or_a_paper_claim(cli_trace):

@@ -384,11 +384,20 @@ class TestEmitter:
         with pytest.raises(DomainError, match="level energy of .* overflows"):
             level_energy(GROUND, kilograms(1e308))
 
-    @pytest.mark.parametrize("call", [
-        lambda: effective_mass(PHI_EARTH, PHI_ZERO),
-        lambda: level_energy(GROUND, PHI_EARTH),
-        lambda: transition_frequency(S2_HALF, GROUND, PHI_EARTH),
-    ], ids=["effective_mass", "level_energy", "transition_frequency"])
-    def test_masses_must_have_mass_dimension(self, call):
-        with pytest.raises(DimensionError, match="must have dimension kg"):
+    @pytest.mark.parametrize("call, message", [
+        (lambda: effective_mass(PHI_EARTH, PHI_ZERO),
+         "rest_mass must have dimension kg, got m^2*s^-2"),
+        (lambda: level_energy(GROUND, PHI_EARTH), "m_eff must have dimension kg, got m^2*s^-2"),
+        (lambda: transition_frequency(S2_HALF, GROUND, PHI_EARTH),
+         "m_eff must have dimension kg, got m^2*s^-2"),
+        # a bare float in kg is refused at the boundary too, not taken as a mass
+        (lambda: effective_mass(9.1e-31, PHI_ZERO), "rest_mass must be a Quantity, got float"),
+        (lambda: level_energy(GROUND, 9.1e-31), "m_eff must be a Quantity, got float"),
+        (lambda: transition_frequency(S2_HALF, GROUND, 9.1e-31),
+         "m_eff must be a Quantity, got float"),
+    ], ids=["effective_mass", "level_energy", "transition_frequency",
+            "effective_mass-float", "level_energy-float", "transition_frequency-float"])
+    def test_masses_must_have_mass_dimension(self, call, message):
+        with pytest.raises(DimensionError) as info:
             call()
+        assert str(info.value) == message

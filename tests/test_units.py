@@ -42,6 +42,11 @@ class TestQuantity:
             with pytest.raises(DomainError, match=f"quantity value must be finite, got {bad!r}"):
                 Quantity(bad, MASS)
 
+    def test_dim_must_be_a_dimension(self):
+        with pytest.raises(DimensionError) as info:
+            Quantity(1.0, "kg")
+        assert str(info.value) == "dim must be a Dimension, got str"
+
     def test_add_requires_same_dimension(self):
         with pytest.raises(DimensionError):
             Quantity(1.0, Dimension(length=1)) + Quantity(1.0, MASS)
@@ -72,10 +77,12 @@ class TestWeakFieldRatio:
         phi = Quantity(-6.2565145911e7, Dimension(length=2, time=-2))
         assert weak_field_ratio(phi) == -6.2565145911e7 / (299792458.0 * 299792458.0)
 
-    @pytest.mark.parametrize("dim", [Dimension(), MASS, Dimension(length=1, time=-1)])
-    def test_only_a_potential_converts(self, dim):
-        with pytest.raises(DimensionError, match="phi must have dimension m\\^2\\*s\\^-2"):
+    @pytest.mark.parametrize("dim, shown", [(Dimension(), "1"), (MASS, "kg"),
+                                            (Dimension(length=1, time=-1), "m*s^-1")])
+    def test_only_a_potential_converts(self, dim, shown):
+        with pytest.raises(DimensionError) as info:
             weak_field_ratio(Quantity(1.0, dim))
+        assert str(info.value) == f"phi must have dimension m^2*s^-2, got {shown}"
 
     @pytest.mark.parametrize("x", [1.0, -1.0, 2.0])
     def test_strong_field_refused(self, x):
