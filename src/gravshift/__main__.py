@@ -1,18 +1,15 @@
 """The `gravshift` process entry, for `python -m gravshift` and the installed
-`gravshift` command alike.
+`gravshift` command alike. It ends through Python's normal exit with
+`cli.main`'s code, so the streams are flushed and atexit handlers run.
 
 A run is one short process, so `run` spends nothing on the interpreter that
 the command does not need:
 
 - The cyclic garbage collector is off while `gravshift.cli` imports (scipy
   and numpy are most of that import), and the imported objects are then
-  frozen, so that later collections do not walk them. Collection is on
-  again while the command runs: each ray solve leaves a reference cycle.
-- Exit contract: once `cli.main` returns, stdout and stderr are flushed and
-  the process ends with `os._exit`. atexit handlers and interpreter
-  teardown do not run, so anything that must happen at exit (closing a log,
-  say) belongs inside `cli.main`. A `SystemExit` or another exception
-  raised out of `cli.main` takes the normal exit path.
+  frozen, so that later collections, the one at exit too, do not walk
+  them. Collection is on again while the command runs: each ray solve
+  leaves a reference cycle.
 - BLAS threads: unless the environment already sets it,
   ``OPENBLAS_NUM_THREADS`` is set to 1 before numpy and scipy load, so
   neither of their OpenBLAS libraries starts a worker-thread pool that no
@@ -35,10 +32,7 @@ def run() -> NoReturn:
     from gravshift import cli
     gc.freeze()
     gc.enable()
-    code = cli.main()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(code)
+    sys.exit(cli.main())
 
 
 if __name__ == "__main__":

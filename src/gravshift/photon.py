@@ -141,7 +141,7 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
     if not math.isfinite(mu):
         # b so small that mu overflows: ell = p0 * sy <= mu, the ray falls to r = 0
         raise ImpactError(body.name, 0.0)
-    r_exit = r_term / scale
+    r_end = r_term / scale
     sx, sy = x0 / scale, b / scale
     p0 = 1.0 + mu / math.hypot(sx, sy)
     # Bouguer: ell = n r sin(psi) = p0 * sy; a ray with ell <= mu falls to r = 0
@@ -165,7 +165,7 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
         return [px * per_p, py * per_p, -w * x, -w * y, _gap(px, py, p) * per_p]
 
     def exit_event(tau, state):
-        return math.hypot(state[0], state[1]) - r_exit
+        return math.hypot(state[0], state[1]) - r_end
 
     exit_event.terminal, exit_event.direction = True, 1.0
 
@@ -177,7 +177,7 @@ def trace_ray(body: CelestialBody, impact_parameter_m: float, termination_factor
              for a in (atol, atol, atol * bend, atol * bend, atol * bend * bend)]
     # ds = r dtau >= r_min dtau, so tau_max allows at least 8 termination
     # radii of path
-    tau_max = 8.0 * r_exit / r_min
+    tau_max = 8.0 * r_end / r_min
 
     try:
         sol = solve_ivp(rhs, (0.0, tau_max), y0, method="DOP853", events=exit_event,

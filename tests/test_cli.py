@@ -14,12 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravshift import cli, experiments, gravity, spectra
+from gravshift import cli, experiments, gravity, photon, spectra
 from gravshift.cli import main
 from gravshift.data import data_file
 
 import oracles
 from printed_columns import check_stdout, parse_stdout
+from test_photon import solve_raising
 from test_public_surface import GOLDEN_STDOUT
 
 #: the directory the suite imported gravshift from: src/ of the checkout, or
@@ -363,6 +364,30 @@ class TestPhotonCommand:
         assert len(lines) == 1
         assert "626130000" in lines[0] and "impact" in lines[0]
 
+    def test_failed_solve_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(photon, "solve_ivp", solve_raising)
+        code, out, err = run_cli(
+            ["photon", "--body", "sun", "--b-radii", "2", "--tol", "1e-6"], capsys)
+        assert (code, out, err) == (1, "", "error: ray integration failed: x\n")
+
+    def test_sweep_keeps_the_rays_whose_solve_succeeds(self, capsys, monkeypatch):
+        # the second of three rays fails to solve; the first and third print
+        # as they do when every ray solves
+        argv = ["photon", "--body", "earth", "--sweep-m", "2e7:4e7:3", "--tol", "1e-6",
+                "--format", "csv"]
+        header, first, _, third = run_cli(argv, capsys)[1].splitlines(keepends=True)
+        real, calls = photon.solve_ivp, []
+
+        def second_solve_fails(*args, **kwargs):
+            calls.append(None)
+            return (solve_raising if len(calls) == 2 else real)(*args, **kwargs)
+
+        monkeypatch.setattr(photon, "solve_ivp", second_solve_fails)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, header + first + third)
+        assert err == "error: b_m 30000000: ray integration failed: x\n"
+        check_stdout(argv, code, out)
+
     def test_impact_exits_one(self, capsys):
         code, _, err = run_cli(
             ["photon", "--body", "sun", "--b-radii", "0.5", "--tol", "1e-6"], capsys)
@@ -553,6 +578,12 @@ class TestExperimentCommand:
 
 
 class TestDeterminismAndParity:
+    def test_json_refuses_a_value_it_cannot_print(self):
+        # a guard against a programming error: no silent None reaches stdout
+        with pytest.raises(TypeError) as excinfo:
+            cli._format_json({"x": object()})
+        assert str(excinfo.value) == "cannot serialize object"
+
     def test_identical_invocations_byte_identical(self, capsys):
         args = ["experiment", "--report", "json"]
         _, first, _ = run_cli(args, capsys)
@@ -919,11 +950,11 @@ class TestRegistryFiles:
 
 def run_python(args, env=None, **kwargs):
     """Run `python *args` to its end, importing gravshift from IMPORT_ROOT.
-    Its stdout is block-buffered, as a user's pipe is, so output the process
-    does not flush before it ends is lost.  The child gets the caller's
-    environment less PYTHONUNBUFFERED and OPENBLAS_NUM_THREADS, so that it
-    starts from a user's defaults whatever the calling shell sets, plus the
-    variables of ``env``."""
+    Its stdout is block-buffered, as a user's pipe is, so output reaches the
+    caller only through a flush, the one at exit included.  The child gets
+    the caller's environment less PYTHONUNBUFFERED and OPENBLAS_NUM_THREADS,
+    so that it starts from a user's defaults whatever the calling shell sets,
+    plus the variables of ``env``."""
     child_env = {name: value for name, value in os.environ.items()
                  if name not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
     child_env.update(env or {})
@@ -958,8 +989,9 @@ class TestProcessLevel:
         ["experiment", "--report", "json", "--threshold", "3"],
     ], ids=" ".join)
     def test_stdout_matches_golden(self, argv):
-        # the process ends without teardown, so this checks that stdout is flushed first
-        proc = run_python(["-m", "gravshift", *argv], capture_output=True)
+        # in development mode, so that a ResourceWarning or an "Exception
+        # ignored" of the teardown at exit shows on stderr
+        proc = run_python(["-X", "dev", "-m", "gravshift", *argv], capture_output=True)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout == GOLDEN_STDOUT[" ".join(argv)].encode("utf-8")
 
@@ -975,13 +1007,33 @@ class TestProcessLevel:
     def test_a_command_runs_with_collection_on_and_its_output_flushed(self):
         # with collection off for the whole run, each ray solve's reference
         # cycle would stay until exit; the stub does not flush its print, so
-        # run must
+        # the exit must
         stub = ("import gc\n"
                 "from gravshift import __main__, cli\n"
                 "cli.main = lambda: print(gc.isenabled()) or 0\n"
                 "__main__.run()\n")
         proc = run_python(["-c", stub], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+    def test_exit_runs_atexit_handlers_and_shuts_logging_down(self, tmp_path):
+        # the process ends through Python's own exit: a handler registered
+        # for exit runs, and logging.shutdown flushes the memory handler's
+        # buffered record to its file handler, which nothing else writes
+        log = tmp_path / "run.log"
+        stub = ("import atexit, logging, logging.handlers, sys\n"
+                "from gravshift import __main__, cli\n"
+                "def main():\n"
+                "    atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+                f"    target = logging.FileHandler({str(log)!r})\n"
+                "    logger = logging.getLogger('gravshift')\n"
+                "    logger.addHandler(logging.handlers.MemoryHandler(100, target=target))\n"
+                "    logger.warning('logged')\n"
+                "    return 3\n"
+                "cli.main = main\n"
+                "__main__.run()\n")
+        proc = run_python(["-c", stub], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "atexit ran\n")
+        assert log.read_text() == "logged\n"
 
     @pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
     def test_blas_threads_default_to_one_unless_set(self, given, expected):

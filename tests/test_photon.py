@@ -1,11 +1,12 @@
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gravshift import photon
-from gravshift.errors import DomainError, ImpactError
+from gravshift.errors import ConvergenceError, DomainError, ImpactError
 from gravshift.gravity import CelestialBody, FieldPoint
 from gravshift.photon import IMPACT_MARGIN, trace_ray
 from gravshift.spectra import ShiftModel, fractional_shift
@@ -13,6 +14,11 @@ from gravshift.spectra import ShiftModel, fractional_shift
 import oracles
 
 MASS_RADIUS = oracles.MASS_RADIUS
+
+
+def solve_raising(fun, t_span, y0, **kwargs):
+    """A solve_ivp that refuses its input with ValueError("x")."""
+    raise ValueError("x")
 
 
 def integrated_periapsis(mass_kg, b, factor):
@@ -328,3 +334,21 @@ class TestTraceRay:
         trace_ray(sun, 2.0 * oracles.R_SUN, 200.0, 1e-8)
         trace_ray(sun, 2.0 * oracles.R_SUN, 200.0, 1e-12)
         assert rtols == [1e-8, 1e-12]
+
+    @pytest.mark.parametrize("solve, message", [
+        # the solver refuses its input
+        (solve_raising, "ray integration failed: x"),
+        # the solver gives up mid-way
+        (lambda *args, **kwargs: SimpleNamespace(status=-1, message="step too small",
+                                                 t_events=[[]]),
+         "ray integration failed: step too small"),
+        # the solve reaches the end of its span without the exit event
+        (lambda *args, **kwargs: SimpleNamespace(status=0, message="end of span",
+                                                 t_events=[[]]),
+         "ray did not reach the termination radius within 8 termination radii of path"),
+    ], ids=["raises", "status -1", "no exit event"])
+    def test_failed_solve_is_a_convergence_error(self, sun, monkeypatch, solve, message):
+        monkeypatch.setattr(photon, "solve_ivp", solve)
+        with pytest.raises(ConvergenceError) as excinfo:
+            trace_ray(sun, 2.0 * oracles.R_SUN, 200.0, 1e-8)
+        assert str(excinfo.value) == message

@@ -55,6 +55,13 @@ class TestQuantity:
         with pytest.raises(DimensionError):
             Quantity(1.0, Dimension(length=1)) < Quantity(1.0, MASS)
 
+    @pytest.mark.parametrize("op, apply", [("add", Quantity.__add__),
+                                           ("compare", Quantity.__lt__)])
+    def test_operand_must_be_a_quantity(self, op, apply):
+        with pytest.raises(DimensionError) as info:
+            apply(Quantity(1.0, MASS), 1.0)
+        assert str(info.value) == f"cannot {op} Quantity and float"
+
     @given(
         st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
         st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
